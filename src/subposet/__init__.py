@@ -27,7 +27,6 @@ from .constructions import (
     verify_mod_spread,
 )
 from .containment import (
-    compare,
     contains_any,
     contains_subposet,
     empirical_free_levels,
@@ -71,6 +70,6 @@ from .posets import (
     parse_poset,
     parse_signature,
 )
-from .solver import certified_lower_bound, la_exact, la_vs_la_star
+from .solver import certified_lower_bound, la_exact
 
 __version__ = "0.1.0"

@@ -182,6 +182,7 @@ def min_r_partition(family: SetFamily, r: int, cap: int = DEFAULT_CHAIN_CAP) -> 
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
+    enumerate_chains(family.n, cap)  # rejects n over the cap before the costlier precondition
     if max_antichain(family).size < r:
         raise PartitionPreconditionError(
             f"family has no antichain of size {r}; the partition is undefined"
@@ -205,6 +206,7 @@ def minr_maxt_partition(family: SetFamily, r: int, t: int,
     """
     if r < 1 or t < 1:
         raise ValueError(f"need r, t >= 1, got r={r}, t={t}")
+    enumerate_chains(family.n, cap)  # rejects n over the cap before the costlier precondition
     if r >= 2 and max_antichain(family).size < max(r, t):
         raise PartitionPreconditionError(
             f"family has no antichain of size max(r, t) = {max(r, t)}; "

@@ -4,8 +4,9 @@ Each invocation prints a single JSON object
 ``{"command": ..., "parameters": ..., "payload": ...}`` on stdout (keys
 sorted, so identical inputs give byte-identical output) and uses the exit
 codes: 0 success, 1 a containment was found while checking freeness, 2 usage
-or precondition error, 3 budget exhausted. Rationals are rendered as "p/q"
-strings and big counts as decimal strings; floats never appear.
+or precondition error, 3 budget exhausted, 4 internal error. Rationals are
+rendered as "p/q" strings and big counts as decimal strings; floats never
+appear.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import chains, constructions, containment, formulas, lattice, posets, solver
 
@@ -21,10 +21,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-
-def _frac(x: Fraction) -> str:
-    return str(x)
+EXIT_INTERNAL = 4
 
 
 def load_poset_spec(spec: str) -> posets.Poset:
@@ -84,13 +81,13 @@ def _cmd_bounds(args) -> tuple[dict, int]:
     if args.mode == "nonind":
         label = formulas.classify(args.r, args.s, args.t)
         lower, upper = formulas.density_bounds(args.r, args.s, args.t)
-        payload = {"case": label.value, "lower": _frac(lower), "upper": _frac(upper)}
+        payload = {"case": label.value, "lower": str(lower), "upper": str(upper)}
     else:
         if args.regime is None:
             raise ValueError("bounds ind requires --regime {s4,large-bounded,large-general}")
         regime = formulas.Regime(args.regime)
         lower, upper = formulas.density_bounds_induced(args.r, args.s, args.t, regime)
-        payload = {"regime": regime.value, "lower": _frac(lower), "upper": _frac(upper)}
+        payload = {"regime": regime.value, "lower": str(lower), "upper": str(upper)}
     return payload, EXIT_OK
 
 
@@ -168,15 +165,15 @@ def _cmd_chains(args) -> tuple[dict, int]:
 
 
 def _cmd_lym(args) -> tuple[dict, int]:
-    return {"value": _frac(chains.lym_sum(_read_family(args.family)))}, EXIT_OK
+    return {"value": str(chains.lym_sum(_read_family(args.family)))}, EXIT_OK
 
 
 def _cmd_coeff(args) -> tuple[dict, int]:
     if args.kind == "three":
-        return {"value": _frac(chains.three_per_level_coeff(args.n))}, EXIT_OK
+        return {"value": str(chains.three_per_level_coeff(args.n))}, EXIT_OK
     if args.s is None:
         raise ValueError("coeff capped requires --s")
-    return {"value": _frac(chains.capped_level_coeff(args.n, args.s))}, EXIT_OK
+    return {"value": str(chains.capped_level_coeff(args.n, args.s))}, EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,6 +290,10 @@ def main(argv: list[str] | None = None) -> int:
     except containment.BudgetExceededError as exc:
         print(f"budget: {exc}", file=sys.stderr)
         payload, code = {"error": str(exc), "budget_exhausted": True}, EXIT_BUDGET
+    except Exception as exc:  # a crash must not exit 1, which means "containment found"
+        message = f"{type(exc).__name__}: {exc}"
+        print(f"internal error: {message}", file=sys.stderr)
+        payload, code = {"error": message}, EXIT_INTERNAL
     result = {"command": args.command, "parameters": _parameters(args), "payload": payload}
     print(json.dumps(result, sort_keys=True))
     return code

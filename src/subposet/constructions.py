@@ -52,13 +52,7 @@ def construct_rt(n: int, r: int, t: int) -> SetFamily:
         raise ValueError(f"need n >= 6, got {n}")
     if r < 2 or t < 2:
         raise ValueError(f"need r, t >= 2, got r={r}, t={t}")
-    c = (n + 1) // 2
-    masks: list[int] = []
-    masks.extend(level(n, c - 1).members)
-    masks.extend(level(n, c).members)
-    masks.extend(largest_mod_classes(n, c - 2, r - 1).members)
-    masks.extend(largest_mod_classes(n, c + 1, t - 1).members)
-    return SetFamily.of(n, masks)
+    return _banded_family(n, 2, r - 1, t - 1)
 
 
 def construct_rst(n: int, r: int, s: int, t: int) -> SetFamily:

@@ -41,25 +41,6 @@ class BudgetExceededError(RuntimeError):
     """A search ran out of its node budget before reaching a verdict."""
 
 
-class Relation(Enum):
-    LESS = "less"
-    GREATER = "greater"
-    EQUAL = "equal"
-    INCOMPARABLE = "incomparable"
-
-
-def compare(a: int, b: int) -> Relation:
-    """Inclusion order of two subset masks."""
-    if a == b:
-        return Relation.EQUAL
-    inter = a & b
-    if inter == a:
-        return Relation.LESS
-    if inter == b:
-        return Relation.GREATER
-    return Relation.INCOMPARABLE
-
-
 class SearchStatus(Enum):
     FOUND = "found"
     FREE = "free"
@@ -195,28 +176,31 @@ def _search(masks, rels, plan: _Plan, induced: bool, budget: int,
     class_of = plan.class_of
     img = [-1] * p
     placed_in_class = [0] * len(classes)
-    state = {"used": 0, "nodes": 0, "budget_hit": False}
+    used = 0
+    nodes = 0
+    budget_hit = False
     found: list[tuple[int, ...]] = []
 
     def rec(depth: int, cand: list[int]) -> bool:
+        nonlocal used, nodes, budget_hit
         if depth == p:
             found.append(tuple(img))
             return True
         e = order[depth]
-        c = cand[e] & ~state["used"]
+        c = cand[e] & ~used
         tp = twin_prev[e]
         if tp >= 0:
             c &= ~((1 << (img[tp] + 1)) - 1)
         while c:
-            if state["nodes"] >= budget:
-                state["budget_hit"] = True
+            if nodes >= budget:
+                budget_hit = True
                 return False
-            state["nodes"] += 1
+            nodes += 1
             bit = c & -c
             c ^= bit
             i = bit.bit_length() - 1
             img[e] = i
-            state["used"] |= bit
+            used |= bit
             ce = class_of[e]
             placed_in_class[ce] += 1
             nxt = list(cand)
@@ -233,27 +217,27 @@ def _search(masks, rels, plan: _Plan, induced: bool, budget: int,
                 unplaced = len(cls) - placed_in_class[ci]
                 if unplaced:
                     rep = cls[placed_in_class[ci]]
-                    if (nxt[rep] & ~state["used"]).bit_count() < unplaced:
+                    if (nxt[rep] & ~used).bit_count() < unplaced:
                         ok = False
                         break
             if ok and rec(depth + 1, nxt):
                 return True
             placed_in_class[ce] -= 1
-            state["used"] ^= bit
+            used ^= bit
             img[e] = -1
-            if state["budget_hit"]:
+            if budget_hit:
                 return False
         return False
 
     hit = rec(0, domains)
     if hit:
-        return SearchStatus.FOUND, found[0], state["nodes"]
-    if state["budget_hit"]:
-        return SearchStatus.BUDGET, None, state["nodes"]
-    return SearchStatus.FREE, None, state["nodes"]
+        return SearchStatus.FOUND, found[0], nodes
+    if budget_hit:
+        return SearchStatus.BUDGET, None, nodes
+    return SearchStatus.FREE, None, nodes
 
 
-def find_embedding(n: int, members: Sequence[int], poset: Poset, induced: bool = False,
+def find_embedding(members: Sequence[int], poset: Poset, induced: bool = False,
                    budget: int = DEFAULT_BUDGET, require_member: int | None = None) -> SearchResult:
     """Low-level search over a raw member list (order-sensitive).
 
@@ -289,7 +273,7 @@ def contains_subposet(family: SetFamily, poset: Poset, induced: bool = False,
     FOUND carries the deterministic witness embedding; FREE is only reported
     after full exhaustion; BUDGET is a distinct unknown outcome.
     """
-    return find_embedding(family.n, family.members, poset, induced, budget)
+    return find_embedding(family.members, poset, induced, budget)
 
 
 def contains_any(family: SetFamily, posets: Sequence[Poset], induced: bool = False,
@@ -319,51 +303,71 @@ class AntichainResult(NamedTuple):
 def _max_antichain_masks(masks: Sequence[int]) -> AntichainResult:
     """Maximum antichain of a mask list via minimum chain cover.
 
-    Build the bipartite graph with an edge (i, j) whenever member i is a
-    proper subset of member j; a maximum matching gives a minimum chain
-    cover, and the complement of its minimum vertex cover is a maximum
-    antichain of size len(masks) - matching.
+    The bipartite graph has an edge (i, j) whenever member i is a proper
+    subset of member j, which is bit j of ``sup[i]`` from _member_relations.
+    A maximum matching gives a minimum chain cover, and the complement of its
+    minimum vertex cover (König) is a maximum antichain of size
+    len(masks) - matching.
+
+    Augmenting paths come from an iterative depth-first search that keeps the
+    path explicitly and steps to a free right vertex first when the node has
+    one. Right vertices seen by a failed search stay marked until the next
+    augmentation: until the matching changes, no augmenting path can pass
+    through them.
     """
     m = len(masks)
-    if m == 0:
-        return AntichainResult(0, ())
-    adj: list[list[int]] = [[] for _ in range(m)]
-    for i in range(m):
-        mi = masks[i]
-        for j in range(m):
-            if i != j and mi & masks[j] == mi:
-                adj[i].append(j)
+    sup = _member_relations(masks)[0]
     match_right = [-1] * m
+    free = (1 << m) - 1
+    seen = 0
+    for root in range(m):
+        u = root
+        path: list[int] = []
+        while True:
+            nbrs = sup[u] & ~seen
+            if not nbrs:
+                if not path:
+                    break
+                path.pop()
+                u = match_right[path[-1]] if path else root
+                continue
+            pick = nbrs & free or nbrs
+            bit = pick & -pick
+            seen |= bit
+            v = bit.bit_length() - 1
+            path.append(v)
+            if bit & free:
+                free ^= bit
+                seen = 0
+                prev = root
+                for w in path:
+                    match_right[w], prev = prev, match_right[w]
+                break
+            u = match_right[v]
 
-    def augment(u: int, visited: list[bool]) -> bool:
-        for v in adj[u]:
-            if not visited[v]:
-                visited[v] = True
-                if match_right[v] < 0 or augment(match_right[v], visited):
-                    match_right[v] = u
-                    return True
-        return False
-
-    matching = 0
-    for u in range(m):
-        if augment(u, [False] * m):
-            matching += 1
-
-    matched_left = set(x for x in match_right if x >= 0)
-    in_zl = [u not in matched_left for u in range(m)]
-    in_zr = [False] * m
-    queue = [u for u in range(m) if in_zl[u]]
-    while queue:
-        u = queue.pop()
-        for v in adj[u]:
-            if not in_zr[v]:
-                in_zr[v] = True
-                w = match_right[v]
-                if w >= 0 and not in_zl[w]:
-                    in_zl[w] = True
-                    queue.append(w)
-    witness = tuple(u for u in range(m) if in_zl[u] and not in_zr[u])
-    size = m - matching
+    # König: left vertices reachable from unmatched ones by alternating paths
+    # (zl) and the right vertices on those paths (zr).
+    zl = (1 << m) - 1
+    for u in match_right:
+        if u >= 0:
+            zl ^= 1 << u
+    zr = 0
+    frontier = zl
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = sup[low.bit_length() - 1] & ~zr
+        zr |= new
+        while new:
+            bit = new & -new
+            new ^= bit
+            w = 1 << match_right[bit.bit_length() - 1]
+            if not zl & w:
+                zl |= w
+                frontier |= w
+    keep = zl & ~zr
+    witness = tuple(u for u in range(m) if keep >> u & 1)
+    size = free.bit_count()
     assert len(witness) == size, "vertex-cover extraction mismatch"
     return AntichainResult(size, witness)
 

@@ -93,7 +93,7 @@ def la_exact(n: int, posets: Sequence[Poset], induced: bool = False,
     def addition_is_free(mask: int) -> bool:
         members = tuple(chosen) + (mask,)
         for poset in posets:
-            res = find_embedding(n, members, poset, induced,
+            res = find_embedding(members, poset, induced,
                                  budget=containment_budget, require_member=len(members) - 1)
             if res.status is SearchStatus.BUDGET:
                 raise BudgetExceededError("containment budget exhausted inside the solver")
@@ -149,17 +149,3 @@ def certified_lower_bound(family: SetFamily, posets: Sequence[Poset], induced: b
         raise BudgetExceededError("freeness verification ran out of budget")
     return family.size
 
-
-def la_vs_la_star(n: int, poset: Poset, budget: int | None = None,
-                  max_n: int = 4) -> tuple[SolveResult, SolveResult]:
-    """Solve the plain and the induced problem for one pattern.
-
-    The plain optimum never exceeds the induced one (a family with no copy at
-    all in particular has no induced copy); that relation is asserted when
-    both searches complete.
-    """
-    plain = la_exact(n, [poset], induced=False, budget=budget, max_n=max_n)
-    star = la_exact(n, [poset], induced=True, budget=budget, max_n=max_n)
-    if plain.exhausted and star.exhausted:
-        assert plain.optimum <= star.optimum, "induced optimum fell below the plain one"
-    return plain, star

@@ -1,16 +1,20 @@
 """Independent brute-force oracles shared across the test suite.
 
 Everything here recomputes results from first principles (Pascal recurrence,
-full subset enumeration, all injections, direct transitive closure) so the
-library's matching-, backtracking- and formula-based paths are checked
-against genuinely different algorithms.
+full subset enumeration, all injections, direct transitive closure) or with
+a third-party implementation (networkx matching), so the library's
+matching-, backtracking- and formula-based paths are checked against
+genuinely different algorithms.
 """
 
 from __future__ import annotations
 
+from enum import Enum
 from functools import lru_cache
 from itertools import combinations, permutations
 from random import Random
+
+import pytest
 
 
 @lru_cache(maxsize=None)
@@ -21,6 +25,25 @@ def pascal(n: int, k: int) -> int:
     if k == 0 or k == n:
         return 1
     return pascal(n - 1, k - 1) + pascal(n - 1, k)
+
+
+class Relation(Enum):
+    LESS = "less"
+    GREATER = "greater"
+    EQUAL = "equal"
+    INCOMPARABLE = "incomparable"
+
+
+def compare(a: int, b: int) -> Relation:
+    """Inclusion order of two subset masks."""
+    if a == b:
+        return Relation.EQUAL
+    inter = a & b
+    if inter == a:
+        return Relation.LESS
+    if inter == b:
+        return Relation.GREATER
+    return Relation.INCOMPARABLE
 
 
 def strictly_less(a: int, b: int) -> bool:
@@ -59,6 +82,25 @@ def brute_max_antichain(masks) -> int:
         if ok:
             best = sub.bit_count()
     return best
+
+
+def nx_max_antichain(masks) -> int:
+    """Maximum antichain size by Dilworth's theorem, with the maximum matching
+    of the strict-inclusion bipartite graph taken from networkx
+    (Hopcroft-Karp). Skips the calling test when networkx is missing."""
+    nx = pytest.importorskip("networkx")
+    masks = list(masks)
+    left = [("L", i) for i in range(len(masks))]
+    graph = nx.Graph()
+    graph.add_nodes_from(left)
+    graph.add_edges_from(
+        (("L", i), ("R", j))
+        for i, a in enumerate(masks)
+        for j, b in enumerate(masks)
+        if strictly_less(a, b)
+    )
+    matching = nx.bipartite.maximum_matching(graph, top_nodes=left)
+    return len(masks) - len(matching) // 2
 
 
 def brute_contains(masks, poset, induced: bool) -> bool:

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from subposet import cli
-from subposet.lattice import parse_family, serialize_family
+from subposet import chains, cli
+from subposet.lattice import SetFamily, level, parse_family, serialize_family
 
 
 def run_cli(argv, capsys):
@@ -117,6 +117,28 @@ def test_chains_commands(tmp_path, capsys):
 
     code, doc, _ = run_cli(["chains", "minr", str(fam_file), "--r", "2"], capsys)
     assert code == 2  # no antichain of size 2: precondition error
+
+
+def test_chain_cap_checked_before_precondition(tmp_path, capsys, monkeypatch):
+    fam_file = tmp_path / "full12.txt"
+    fam_file.write_text(serialize_family(SetFamily.of(12, range(1 << 12))))
+    monkeypatch.setattr(chains, "max_antichain", lambda family: pytest.fail("precondition ran"))
+    for mode, params in (("minr", ["--r", "2"]), ("minrmaxt", ["--r", "2", "--t", "2"])):
+        code, doc, _ = run_cli(["chains", mode, str(fam_file), *params], capsys)
+        assert code == 2
+        assert "chain enumeration capped" in doc["payload"]["error"]
+
+
+def test_internal_error_exit(tmp_path, capsys):
+    # an induced 1200-element antichain drives the recursive search past
+    # Python's recursion limit
+    fam_file = tmp_path / "level6.txt"
+    fam_file.write_text(serialize_family(level(13, 6)))
+    poset_file = tmp_path / "antichain.txt"
+    poset_file.write_text("elements=1200\n")
+    code, doc, _ = run_cli(["check", str(fam_file), "--poset", str(poset_file), "--induced"], capsys)
+    assert code == cli.EXIT_INTERNAL
+    assert "error" in doc["payload"]
 
 
 def test_lym(tmp_path, capsys):

@@ -4,9 +4,7 @@ import pytest
 from random import Random
 
 from subposet.containment import (
-    Relation,
     SearchStatus,
-    compare,
     contains_any,
     contains_subposet,
     empirical_free_levels,
@@ -19,10 +17,13 @@ from subposet.lattice import SetFamily, complement_family, consecutive_levels, l
 from subposet.posets import chain_poset, complete_multilevel, dual, named_poset
 
 from oracles import (
+    Relation,
     brute_contains,
     brute_max_antichain,
     brute_s_minus,
     brute_s_plus,
+    compare,
+    nx_max_antichain,
     random_family_masks,
 )
 
@@ -167,6 +168,14 @@ def test_max_antichain_basics():
     res = max_antichain(SetFamily.of(3, range(8)))
     assert res.size == 3
     assert max_antichain(SetFamily.of(3, [])).size == 0
+    # all of B_12 and the two middle levels of B_13: far deeper augmenting
+    # paths than the recursion limit allows
+    for fam, want in ((consecutive_levels(12, -1, 13), 924), (consecutive_levels(13, 5, 2), 1716)):
+        size, witness = max_antichain(fam)
+        assert size == want == len(witness)
+        images = [fam.members[i] for i in witness]
+        for a in images:
+            assert not any(a != b and a & b == a for b in images)
 
 
 def test_max_antichain_witness_is_antichain():
@@ -182,6 +191,19 @@ def test_max_antichain_witness_is_antichain():
                 if a != b:
                     assert compare(a, b) is Relation.INCOMPARABLE
         assert size == brute_max_antichain(fam.members)
+
+
+def test_max_antichain_matches_networkx_matching():
+    # families of 30-150 members at n = 6-8: many augmenting-path searches
+    # fail, beyond the reach of the 2^|F| brute-force oracle
+    rng = Random(2026)
+    for _ in range(30):
+        n = rng.randint(6, 8)
+        fam = SetFamily.of(n, rng.sample(range(1 << n), rng.randint(30, min(150, 1 << n))))
+        assert max_antichain(fam).size == nx_max_antichain(fam.members)
+        bound = rng.randrange(1 << n)
+        assert s_minus(fam, bound) == nx_max_antichain([m for m in fam.members if m & bound == m])
+        assert s_plus(fam, bound) == nx_max_antichain([m for m in fam.members if m & bound == bound])
 
 
 def test_s_minus_s_plus():

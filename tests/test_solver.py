@@ -7,7 +7,7 @@ from subposet.constructions import construct_rst
 from subposet.containment import BudgetExceededError, contains_any, contains_subposet
 from subposet.lattice import SetFamily, sigma
 from subposet.posets import chain_poset, complete_multilevel, named_poset
-from subposet.solver import FreenessError, certified_lower_bound, la_exact, la_vs_la_star
+from subposet.solver import FreenessError, certified_lower_bound, la_exact
 
 from oracles import brute_la
 
@@ -60,6 +60,12 @@ def test_monotone_in_forbidden_list():
     ]
     values = [la_exact(4, posets).optimum for posets in lists]
     assert values == sorted(values, reverse=True)
+
+
+def la_vs_la_star(n, poset):
+    """Optimum of the plain and of the induced problem for one pattern."""
+    return (la_exact(n, [poset], induced=False, max_n=4),
+            la_exact(n, [poset], induced=True, max_n=4))
 
 
 def test_induced_at_least_plain():
