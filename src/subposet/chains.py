@@ -114,22 +114,30 @@ class PartitionReport:
         return out
 
 
-def _label_ab(a: int, b: int) -> str:
-    return f"AB:{set_str(a)}|{set_str(b)}"
+def _label_ab(a: int, b: int) -> tuple:
+    return ("AB", a, b)
 
 
-def _label_degenerate(a: int) -> str:
-    return f"S:{set_str(a)}"
+def _label_degenerate(a: int) -> tuple:
+    return ("S", a)
 
 
-def _label_min(a: int) -> str:
-    return f"A:{set_str(a)}"
+def _label_min(a: int) -> tuple:
+    return ("A", a)
+
+
+def _render(label: tuple | str) -> str:
+    """``EMPTY_LABEL`` as is; a tuple (kind, *sets) as "kind:{..}|{..}"."""
+    if label == EMPTY_LABEL:
+        return label
+    kind, *sets = label
+    return kind + ":" + "|".join(set_str(m) for m in sets)
 
 
 def _build_report(family: SetFamily, mode: str, params: dict[str, int],
-                  label_of: Callable[[list[int]], str], cap: int) -> PartitionReport:
-    chain_counts: Counter[str] = Counter()
-    pair_counts: Counter[str] = Counter()
+                  label_of: Callable[[list[int]], tuple | str], cap: int) -> PartitionReport:
+    chain_counts: Counter = Counter()
+    pair_counts: Counter = Counter()
     members = family.member_set
     for perm in enumerate_chains(family.n, cap):
         prefixes = chain_prefixes(perm)
@@ -140,7 +148,10 @@ def _build_report(family: SetFamily, mode: str, params: dict[str, int],
     total_pairs = sum(pair_counts.values())
     assert total_chains == factorial(family.n), "partition is not total"
     assert total_pairs == count_pairs_formula(family), "pair accounting broken"
-    return PartitionReport(mode, family.n, params, dict(chain_counts), dict(pair_counts),
+    names = {label: _render(label) for label in chain_counts}
+    return PartitionReport(mode, family.n, params,
+                           {names[k]: v for k, v in chain_counts.items()},
+                           {names[k]: v for k, v in pair_counts.items()},
                            total_chains, total_pairs)
 
 
@@ -165,7 +176,7 @@ def min_max_partition(family: SetFamily, cap: int = DEFAULT_CHAIN_CAP) -> Partit
     """Label every chain by its smallest and largest family set (EMPTY if none)."""
     members = family.member_set
 
-    def label_of(prefixes: list[int]) -> str:
+    def label_of(prefixes: list[int]) -> tuple | str:
         on_chain = [pm for pm in prefixes if pm in members]
         if not on_chain:
             return EMPTY_LABEL
@@ -189,7 +200,7 @@ def min_r_partition(family: SetFamily, r: int, cap: int = DEFAULT_CHAIN_CAP) -> 
         )
     sm, _ = _marker_caches(family)
 
-    def label_of(prefixes: list[int]) -> str:
+    def label_of(prefixes: list[int]) -> tuple | str:
         a = next(pm for pm in prefixes if sm(pm) >= r)
         return _label_min(a)
 
@@ -215,7 +226,7 @@ def minr_maxt_partition(family: SetFamily, r: int, t: int,
     members = family.member_set
     sm, sp = _marker_caches(family)
 
-    def label_of(prefixes: list[int]) -> str:
+    def label_of(prefixes: list[int]) -> tuple | str:
         if r == 1:
             a = next((pm for pm in prefixes if pm in members), None)
             if a is None:

@@ -76,13 +76,9 @@ class _Plan:
     """Static search data for one pattern poset."""
 
     order: tuple[int, ...]
-    below: tuple[int, ...]
-    above: tuple[int, ...]
     twin_prev: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
     class_of: tuple[int, ...]
-    h_below: tuple[int, ...]
-    h_above: tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
@@ -102,16 +98,8 @@ def _plan_for(poset: Poset) -> _Plan:
     order = tuple(
         sorted(range(p), key=lambda e: (-deg[e], len(classes[class_of[e]]), poset.heights[e], e))
     )
-    return _Plan(
-        order=order,
-        below=poset.below,
-        above=poset.above,
-        twin_prev=tuple(twin_prev),
-        classes=classes,
-        class_of=tuple(class_of),
-        h_below=poset.heights,
-        h_above=poset.depths,
-    )
+    return _Plan(order=order, twin_prev=tuple(twin_prev), classes=classes,
+                 class_of=tuple(class_of))
 
 
 def _member_relations(masks: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
@@ -134,7 +122,7 @@ def _member_relations(masks: Sequence[int]) -> tuple[list[int], list[int], list[
     return sup, sub, inc
 
 
-def _initial_domains(masks, plan: _Plan) -> list[int]:
+def _initial_domains(masks, poset: Poset) -> list[int]:
     """Static cardinality windows: an element with chain height h below and
     d above needs an image whose size leaves room for both."""
     counts = [x.bit_count() for x in masks]
@@ -142,9 +130,9 @@ def _initial_domains(masks, plan: _Plan) -> list[int]:
     hi_all = max(counts)
     window: dict[tuple[int, int], int] = {}
     domains = []
-    for e in range(len(plan.below)):
-        lo = lo_all + plan.h_below[e]
-        hi = hi_all - plan.h_above[e]
+    for e in range(poset.size):
+        lo = lo_all + poset.heights[e]
+        hi = hi_all - poset.depths[e]
         key = (lo, hi)
         if key not in window:
             acc = 0
@@ -156,21 +144,18 @@ def _initial_domains(masks, plan: _Plan) -> list[int]:
     return domains
 
 
-def _search(masks, rels, plan: _Plan, induced: bool, budget: int,
-            pin_elt: int = -1, pin_idx: int = -1) -> tuple[SearchStatus, tuple[int, ...] | None, int]:
-    p = len(plan.below)
-    if p > len(masks):
+def _search(rels, poset: Poset, plan: _Plan, domains: list[int], induced: bool,
+            budget: int) -> tuple[SearchStatus, tuple[int, ...] | None, int]:
+    """Depth-first search with an explicit stack: one frame (element, untried
+    candidates, domains) per placed element, so the pattern size is not
+    bounded by the interpreter's recursion limit."""
+    if not all(domains):
         return SearchStatus.FREE, None, 0
     sup, sub, inc = rels
-    domains = _initial_domains(masks, plan)
-    if pin_elt >= 0:
-        domains[pin_elt] &= 1 << pin_idx
-    if any(d == 0 for d in domains):
-        return SearchStatus.FREE, None, 0
-
+    p = poset.size
+    below = poset.below
+    above = poset.above
     order = plan.order
-    below = plan.below
-    above = plan.above
     twin_prev = plan.twin_prev
     classes = plan.classes
     class_of = plan.class_of
@@ -178,63 +163,61 @@ def _search(masks, rels, plan: _Plan, induced: bool, budget: int,
     placed_in_class = [0] * len(classes)
     used = 0
     nodes = 0
-    budget_hit = False
-    found: list[tuple[int, ...]] = []
-
-    def rec(depth: int, cand: list[int]) -> bool:
-        nonlocal used, nodes, budget_hit
+    stack: list[tuple[int, int, list[int]]] = []
+    depth = 0
+    cand = domains
+    e = order[0]
+    c = cand[e]
+    while True:
+        if not c:
+            if not stack:
+                return SearchStatus.FREE, None, nodes
+            e, c, cand = stack.pop()
+            depth -= 1
+            used ^= 1 << img[e]
+            placed_in_class[class_of[e]] -= 1
+            continue
+        if nodes >= budget:
+            return SearchStatus.BUDGET, None, nodes
+        nodes += 1
+        bit = c & -c
+        c ^= bit
+        i = bit.bit_length() - 1
+        img[e] = i
+        used |= bit
+        ce = class_of[e]
+        placed_in_class[ce] += 1
+        nxt = list(cand)
+        for pos in range(depth + 1, p):
+            e2 = order[pos]
+            if below[e2] >> e & 1:
+                nxt[e2] &= sup[i]
+            elif above[e2] >> e & 1:
+                nxt[e2] &= sub[i]
+            elif induced:
+                nxt[e2] &= inc[i]
+        ok = True
+        for ci, cls in enumerate(classes):
+            unplaced = len(cls) - placed_in_class[ci]
+            if unplaced:
+                rep = cls[placed_in_class[ci]]
+                if (nxt[rep] & ~used).bit_count() < unplaced:
+                    ok = False
+                    break
+        if not ok:
+            placed_in_class[ce] -= 1
+            used ^= bit
+            continue
+        depth += 1
         if depth == p:
-            found.append(tuple(img))
-            return True
+            return SearchStatus.FOUND, tuple(img), nodes
+        stack.append((e, c, cand))
+        cand = nxt
         e = order[depth]
         c = cand[e] & ~used
         tp = twin_prev[e]
         if tp >= 0:
             c &= ~((1 << (img[tp] + 1)) - 1)
-        while c:
-            if nodes >= budget:
-                budget_hit = True
-                return False
-            nodes += 1
-            bit = c & -c
-            c ^= bit
-            i = bit.bit_length() - 1
-            img[e] = i
-            used |= bit
-            ce = class_of[e]
-            placed_in_class[ce] += 1
-            nxt = list(cand)
-            for pos in range(depth + 1, p):
-                e2 = order[pos]
-                if below[e2] >> e & 1:
-                    nxt[e2] &= sup[i]
-                elif above[e2] >> e & 1:
-                    nxt[e2] &= sub[i]
-                elif induced:
-                    nxt[e2] &= inc[i]
-            ok = True
-            for ci, cls in enumerate(classes):
-                unplaced = len(cls) - placed_in_class[ci]
-                if unplaced:
-                    rep = cls[placed_in_class[ci]]
-                    if (nxt[rep] & ~used).bit_count() < unplaced:
-                        ok = False
-                        break
-            if ok and rec(depth + 1, nxt):
-                return True
-            placed_in_class[ce] -= 1
-            used ^= bit
-            img[e] = -1
-            if budget_hit:
-                return False
-        return False
-
-    hit = rec(0, domains)
-    if hit:
-        return SearchStatus.FOUND, found[0], nodes
-    if budget_hit:
-        return SearchStatus.BUDGET, None, nodes
-    return SearchStatus.FREE, None, nodes
 
 
 def find_embedding(members: Sequence[int], poset: Poset, induced: bool = False,
@@ -246,24 +229,22 @@ def find_embedding(members: Sequence[int], poset: Poset, induced: bool = False,
     position). Intended for incremental feasibility checks.
     """
     masks = tuple(members)
+    if poset.size > len(masks):
+        return SearchResult(SearchStatus.FREE, None, 0)
     rels = _member_relations(masks)
     plan = _plan_for(poset)
+    domains = _initial_domains(masks, poset)
     if require_member is None:
-        status, emb, nodes = _search(masks, rels, plan, induced, budget)
-        return SearchResult(status, emb, nodes)
+        return SearchResult(*_search(rels, poset, plan, domains, induced, budget))
     total = 0
-    budget_hit = False
     for elt in range(poset.size):
-        status, emb, nodes = _search(
-            masks, rels, plan, induced, budget - total, pin_elt=elt, pin_idx=require_member
-        )
+        pinned = list(domains)
+        pinned[elt] &= 1 << require_member
+        status, emb, nodes = _search(rels, poset, plan, pinned, induced, budget - total)
         total += nodes
-        if status is SearchStatus.FOUND:
+        if status is not SearchStatus.FREE:
             return SearchResult(status, emb, total)
-        if status is SearchStatus.BUDGET:
-            budget_hit = True
-            break
-    return SearchResult(SearchStatus.BUDGET if budget_hit else SearchStatus.FREE, None, total)
+    return SearchResult(SearchStatus.FREE, None, total)
 
 
 def contains_subposet(family: SetFamily, poset: Poset, induced: bool = False,

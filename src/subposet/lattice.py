@@ -61,16 +61,6 @@ def sigma(n: int, k: int) -> int:
     return sum(comb(n, base + i) for i in range(1, k + 1))
 
 
-def mask_of(elements: Iterable[int], n: int) -> int:
-    """Mask for a collection of 1-based elements of [n]."""
-    m = 0
-    for e in elements:
-        if not 1 <= e <= n:
-            raise ValueError(f"element {e} out of range [1, {n}]")
-        m |= 1 << (e - 1)
-    return m
-
-
 def elements_of(mask: int) -> tuple[int, ...]:
     """1-based elements of a mask, ascending."""
     out = []
@@ -84,10 +74,6 @@ def elements_of(mask: int) -> tuple[int, ...]:
 def set_str(mask: int) -> str:
     """Render a mask in the family-file set syntax, e.g. "{}" or "{1,3}"."""
     return "{" + ",".join(str(e) for e in elements_of(mask)) + "}"
-
-
-def complement_mask(mask: int, n: int) -> int:
-    return ((1 << n) - 1) ^ mask
 
 
 def element_sum(mask: int) -> int:

@@ -63,8 +63,7 @@ class SolveResult:
 
 def la_exact(n: int, posets: Sequence[Poset], induced: bool = False,
              budget: int | None = None, max_n: int = DEFAULT_SOLVER_CAP,
-             break_symmetry: bool = False,
-             containment_budget: int = DEFAULT_BUDGET) -> SolveResult:
+             break_symmetry: bool = False) -> SolveResult:
     """Maximum size of a subset family of [n] avoiding every given pattern.
 
     ``budget`` caps the number of include attempts; when it runs out the best
@@ -90,47 +89,45 @@ def la_exact(n: int, posets: Sequence[Poset], induced: bool = False,
     nodes = 0
     aborted = False
 
-    def addition_is_free(mask: int) -> bool:
-        members = tuple(chosen) + (mask,)
+    def status_with(mask: int) -> SearchStatus:
+        """FREE when adding ``mask`` keeps the family free, else FOUND or BUDGET."""
+        members = (*chosen, mask)
         for poset in posets:
-            res = find_embedding(members, poset, induced,
-                                 budget=containment_budget, require_member=len(members) - 1)
-            if res.status is SearchStatus.BUDGET:
-                raise BudgetExceededError("containment budget exhausted inside the solver")
-            if res.found:
-                return False
-        return True
+            status = find_embedding(members, poset, induced, require_member=len(chosen)).status
+            if status is not SearchStatus.FREE:
+                return status
+        return SearchStatus.FREE
 
-    def walk(pos: int) -> None:
-        nonlocal best_size, best_witness, nodes, aborted
-        if aborted:
-            return
+    # Positions still to visit; -1 undoes the last inclusion. The exclude
+    # branch is pushed before the include branch, so it is visited (and its
+    # bound tested) only after the include subtree is done.
+    stack = [0]
+    while stack:
+        pos = stack.pop()
+        if pos < 0:
+            chosen.pop()
+            continue
         if len(chosen) + (len(candidates) - pos) <= best_size:
-            return
+            continue
+        stack.append(pos + 1)
         mask = candidates[pos]
-        allowed = True
-        if break_symmetry and not chosen:
-            allowed = mask == (1 << mask.bit_count()) - 1
-        if allowed:
-            if budget is not None and nodes >= budget:
-                aborted = True
-                return
-            nodes += 1
-            try:
-                feasible = addition_is_free(mask)
-            except BudgetExceededError:
-                aborted = True
-                return
-            if feasible:
-                chosen.append(mask)
-                if len(chosen) > best_size:
-                    best_size = len(chosen)
-                    best_witness = SetFamily.of(n, chosen)
-                walk(pos + 1)
-                chosen.pop()
-        walk(pos + 1)
+        if break_symmetry and not chosen and mask != (1 << mask.bit_count()) - 1:
+            continue
+        if budget is not None and nodes >= budget:
+            aborted = True
+            break
+        nodes += 1
+        status = status_with(mask)
+        if status is SearchStatus.BUDGET:
+            aborted = True
+            break
+        if status is SearchStatus.FREE:
+            chosen.append(mask)
+            if len(chosen) > best_size:
+                best_size = len(chosen)
+                best_witness = SetFamily.of(n, chosen)
+            stack += (-1, pos + 1)
 
-    walk(0)
     return SolveResult(best_size, best_witness, nodes, not aborted)
 
 

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from subposet import chains, cli
+from subposet import chains, cli, containment
+from subposet.containment import contains_subposet
 from subposet.lattice import SetFamily, level, parse_family, serialize_family
+from subposet.posets import chain_poset
 
 
 def run_cli(argv, capsys):
@@ -129,16 +131,43 @@ def test_chain_cap_checked_before_precondition(tmp_path, capsys, monkeypatch):
         assert "chain enumeration capped" in doc["payload"]["error"]
 
 
-def test_internal_error_exit(tmp_path, capsys):
-    # an induced 1200-element antichain drives the recursive search past
-    # Python's recursion limit
+def test_internal_error_exit(tmp_path, capsys, monkeypatch):
+    fam_file = tmp_path / "fam.txt"
+    fam_file.write_text("n=2\n{1}\n{1,2}\n")
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(containment, "contains_subposet", broken)
+    code, doc, _ = run_cli(["check", str(fam_file), "--poset", "P2"], capsys)
+    assert code == cli.EXIT_INTERNAL
+    assert doc["payload"] == {"error": "RuntimeError: boom"}
+
+
+def test_large_induced_antichain_found(tmp_path, capsys):
+    # one search depth per pattern element: 1200 levels, beyond Python's
+    # default recursion limit
     fam_file = tmp_path / "level6.txt"
     fam_file.write_text(serialize_family(level(13, 6)))
     poset_file = tmp_path / "antichain.txt"
     poset_file.write_text("elements=1200\n")
     code, doc, _ = run_cli(["check", str(fam_file), "--poset", str(poset_file), "--induced"], capsys)
-    assert code == cli.EXIT_INTERNAL
-    assert "error" in doc["payload"]
+    assert code == cli.EXIT_VIOLATION
+    witness = parse_family("n=13\n" + "\n".join(doc["payload"]["embedding"]))
+    assert witness.size == 1200
+    members = witness.members
+    assert not any(a & b in (a, b) for i, a in enumerate(members) for b in members[i + 1:])
+
+
+def test_deep_solve_returns_lower_bound(capsys):
+    # one include decision per subset of [10] on the current branch
+    code, doc, _ = run_cli(["solve", "10", "--cap", "10", "--poset", "P2", "--budget", "1100"], capsys)
+    assert code == cli.EXIT_BUDGET
+    payload = doc["payload"]
+    assert payload["exhausted"] is False and payload["optimum"] == 252
+    witness = parse_family(payload["witness"])
+    assert witness.size == 252
+    assert not contains_subposet(witness, chain_poset(2)).found
 
 
 def test_lym(tmp_path, capsys):

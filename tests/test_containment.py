@@ -13,6 +13,7 @@ from subposet.containment import (
     s_minus,
     s_plus,
 )
+from subposet.constructions import construct_rst, construct_rst_induced, construct_rt
 from subposet.lattice import SetFamily, complement_family, consecutive_levels, level
 from subposet.posets import chain_poset, complete_multilevel, dual, named_poset
 
@@ -123,6 +124,18 @@ def test_contains_matches_brute_force_on_arbitrary_posets():
         res = contains_subposet(fam, poset, induced)
         assert res.status in (SearchStatus.FOUND, SearchStatus.FREE)
         assert res.found == brute_contains(fam.members, poset, induced)
+
+
+@pytest.mark.parametrize("build, args, widths, induced, nodes", [
+    (construct_rst_induced, (8, 2, 2, 2), (2, 2, 2), True, 30888),
+    (construct_rt, (10, 2, 2), (2, 2), True, 82839),
+    (construct_rst, (10, 2, 2, 2), (2, 2, 2), False, 22155),
+])
+def test_search_order_node_counts(build, args, widths, induced, nodes):
+    # golden counts: any change to the search order or pruning moves them
+    res = contains_subposet(build(*args), complete_multilevel(widths), induced)
+    assert res.free
+    assert res.nodes == nodes
 
 
 def test_containment_monotone_in_family():

@@ -40,6 +40,15 @@ def test_agrees_with_naive_enumeration():
             assert res.optimum == brute_la(3, [poset], induced)
 
 
+def test_solver_node_counts():
+    # golden include-attempt counts: any change to the walk order or the
+    # bound moves them
+    res = la_exact(5, [chain_poset(2)])
+    assert (res.optimum, res.nodes_explored, res.exhausted) == (10, 68459, True)
+    res = la_exact(4, [named_poset("butterfly")])
+    assert (res.optimum, res.nodes_explored, res.exhausted) == (10, 3350, True)
+
+
 def test_chain_optima_match_middle_level_sums():
     for n in range(1, 5):
         for k in range(1, 4):
