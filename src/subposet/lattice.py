@@ -21,8 +21,8 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator
 
-# Masks must fit comfortably in one machine word; all interesting instances
-# live at n <= 10 anyway.
+# Masks fit in one machine word. Containment runs on families of B_n up to
+# n = 16 and more; past that, containment.MAX_MEMBERS bounds the family size.
 MAX_GROUND = 24
 
 

@@ -6,7 +6,13 @@ since extremal families concentrate around the middle levels. A branch is
 cut when the current size plus all remaining candidates cannot beat the
 incumbent. Feasibility of adding a set is checked incrementally: because the
 family before the addition is free, only embeddings whose image uses the new
-set need to be searched.
+set need to be searched. The member relations are built once per solve,
+over all 2^n candidates indexed by their position in the order above; each
+include attempt searches only the live members (the chosen positions and the
+new one) by masking the per-cardinality bitsets with them. Chosen positions
+ascend along every branch, so the search meets the members in the same order
+as it would on the compact list of chosen sets. With 2^n rows of 2^n bits,
+n is at most 15 whatever ``max_n`` allows (containment.MAX_MEMBERS).
 
 The witness is the first optimum reached in this fixed order, which makes it
 the lexicographically smallest family the search encounters at the optimum;
@@ -22,6 +28,8 @@ from .containment import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     SearchStatus,
+    _levels,
+    _member_relations,
     contains_any,
     find_embedding,
 )
@@ -83,17 +91,21 @@ def la_exact(n: int, posets: Sequence[Poset], induced: bool = False,
     candidates = sorted(
         range(1 << n), key=lambda m: (abs(2 * m.bit_count() - n), m.bit_count(), m)
     )
-    chosen: list[int] = []
+    rels = _member_relations(candidates)
+    levels = _levels(candidates)
+    chosen: list[int] = []  # candidate positions, ascending
+    live = 0  # bitset of the chosen positions
     best_size = 0
     best_witness = SetFamily.of(n, ())
     nodes = 0
     aborted = False
 
-    def status_with(mask: int) -> SearchStatus:
-        """FREE when adding ``mask`` keeps the family free, else FOUND or BUDGET."""
-        members = (*chosen, mask)
+    def status_with(pos: int) -> SearchStatus:
+        """FREE when adding candidate ``pos`` keeps the family free, else FOUND or BUDGET."""
+        members = live | 1 << pos
+        live_levels = [level & members for level in levels]
         for poset in posets:
-            status = find_embedding(members, poset, induced, require_member=len(chosen)).status
+            status = find_embedding(rels, live_levels, poset, induced, require_member=pos).status
             if status is not SearchStatus.FREE:
                 return status
         return SearchStatus.FREE
@@ -105,7 +117,7 @@ def la_exact(n: int, posets: Sequence[Poset], induced: bool = False,
     while stack:
         pos = stack.pop()
         if pos < 0:
-            chosen.pop()
+            live ^= 1 << chosen.pop()
             continue
         if len(chosen) + (len(candidates) - pos) <= best_size:
             continue
@@ -117,15 +129,16 @@ def la_exact(n: int, posets: Sequence[Poset], induced: bool = False,
             aborted = True
             break
         nodes += 1
-        status = status_with(mask)
+        status = status_with(pos)
         if status is SearchStatus.BUDGET:
             aborted = True
             break
         if status is SearchStatus.FREE:
-            chosen.append(mask)
+            chosen.append(pos)
+            live |= 1 << pos
             if len(chosen) > best_size:
                 best_size = len(chosen)
-                best_witness = SetFamily.of(n, chosen)
+                best_witness = SetFamily.of(n, [candidates[c] for c in chosen])
             stack += (-1, pos + 1)
 
     return SolveResult(best_size, best_witness, nodes, not aborted)

@@ -54,6 +54,27 @@ def comparable(a: int, b: int) -> bool:
     return strictly_less(a, b) or strictly_less(b, a)
 
 
+def pair_relations(masks) -> tuple[list[int], list[int], list[int]]:
+    """Member relation rows (sup, sub, inc) by comparing every pair."""
+    m = len(masks)
+    sup = [0] * m
+    sub = [0] * m
+    for i in range(m):
+        mi = masks[i]
+        for j in range(i + 1, m):
+            mj = masks[j]
+            inter = mi & mj
+            if inter == mi:
+                sup[i] |= 1 << j
+                sub[j] |= 1 << i
+            elif inter == mj:
+                sub[i] |= 1 << j
+                sup[j] |= 1 << i
+    full = (1 << m) - 1
+    inc = [full & ~(sup[i] | sub[i] | (1 << i)) for i in range(m)]
+    return sup, sub, inc
+
+
 def brute_max_antichain(masks) -> int:
     """Maximum antichain by enumerating all 2^|F| subfamilies.
 

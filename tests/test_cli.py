@@ -144,6 +144,16 @@ def test_internal_error_exit(tmp_path, capsys, monkeypatch):
     assert doc["payload"] == {"error": "RuntimeError: boom"}
 
 
+def test_oversized_family_is_a_usage_error(tmp_path, capsys):
+    fam_file = tmp_path / "big.txt"
+    fam_file.write_text(serialize_family(SetFamily.of(17, range(containment.MAX_MEMBERS + 1))))
+    for argv in (["check", str(fam_file), "--poset", "P2"], ["chains", "pairs", str(fam_file)]):
+        assert cli.main(argv) == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert "error" in json.loads(out)["payload"]
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_large_induced_antichain_found(tmp_path, capsys):
     # one search depth per pattern element: 1200 levels, beyond Python's
     # default recursion limit

@@ -4,10 +4,14 @@ import pytest
 from random import Random
 
 from subposet.containment import (
+    MAX_MEMBERS,
     SearchStatus,
+    _levels,
+    _member_relations,
     contains_any,
     contains_subposet,
     empirical_free_levels,
+    find_embedding,
     interval_has_antichain,
     max_antichain,
     s_minus,
@@ -25,6 +29,7 @@ from oracles import (
     brute_s_plus,
     compare,
     nx_max_antichain,
+    pair_relations,
     random_family_masks,
 )
 
@@ -78,6 +83,74 @@ def test_contains_any():
     assert contains_any(fam, [wedge]).free
     hit = contains_any(fam, [vee])
     assert hit.found and hit.poset_index == 0
+
+
+def test_contains_any_reports_first_hit_and_budget():
+    vee, wedge = named_poset("vee"), named_poset("wedge")
+    fam = SetFamily.of(2, [0, 1, 2])  # {}, {1}, {2}
+    res = contains_any(fam, [wedge, vee, chain_poset(3)])
+    assert res.found and res.poset_index == 1
+    assert res.nodes == contains_subposet(fam, wedge).nodes + contains_subposet(fam, vee).nodes
+    bottom, left, right = (fam.members[i] for i in res.embedding)
+    assert bottom & left == bottom != left and bottom & right == bottom != right
+
+    # a pattern cut off by the budget makes the overall verdict BUDGET unless
+    # a later pattern is found
+    antichain = level(4, 2)
+    res = contains_any(antichain, [complete_multilevel([4]), chain_poset(2)], budget=1)
+    assert res.status is SearchStatus.BUDGET and res.embedding is None and res.nodes == 1
+    res = contains_any(antichain, [complete_multilevel([4]), chain_poset(1)], budget=1)
+    assert res.found and res.poset_index == 1 and res.nodes == 2
+
+
+def test_member_relations_match_pair_loop():
+    assert _member_relations([]) == pair_relations([]) == ([], [], [])
+    assert _member_relations([0]) == pair_relations([0]) == ([0], [0], [0])
+    rng = Random(515)
+    for _ in range(150):
+        n = rng.randint(1, 8)
+        masks = rng.sample(range(1 << n), rng.randint(0, min(60, 1 << n)))
+        assert _member_relations(masks) == pair_relations(masks)
+
+
+def test_member_relations_refuse_oversized_families():
+    masks = range(MAX_MEMBERS + 1)
+    with pytest.raises(ValueError, match="50000"):
+        _member_relations(masks)
+    with pytest.raises(ValueError):
+        contains_subposet(SetFamily(17, tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))),
+                          chain_poset(2))
+
+
+CLI_PATTERNS = [named_poset("vee"), named_poset("wedge"), named_poset("butterfly"),
+                chain_poset(2), chain_poset(3), complete_multilevel([1, 2, 1]),
+                complete_multilevel([2, 2])]
+
+
+def test_live_set_search_matches_compact_search():
+    # the solver searches its chosen members inside rows built over all 2^n
+    # candidates; restricted to the live levels it must walk the same tree as
+    # a search over the compact member list
+    rng = Random(8080)
+    for n in (4, 5):
+        candidates = rng.sample(range(1 << n), 1 << n)
+        rels = _member_relations(candidates)
+        levels = _levels(candidates)
+        for _ in range(60):
+            pos = rng.randrange(1, 1 << n)
+            chosen = sorted(rng.sample(range(pos), rng.randint(0, min(pos, 12))))
+            live = sum(1 << c for c in chosen) | 1 << pos
+            masks = [candidates[c] for c in (*chosen, pos)]
+            for poset in CLI_PATTERNS:
+                for induced in (False, True):
+                    full = find_embedding(rels, [level & live for level in levels], poset,
+                                          induced, require_member=pos)
+                    compact = find_embedding(_member_relations(masks), _levels(masks), poset,
+                                             induced, require_member=len(chosen))
+                    assert full.status is compact.status
+                    assert full.nodes == compact.nodes
+                    assert full.embedding == (compact.embedding and tuple(
+                        (*chosen, pos)[i] for i in compact.embedding))
 
 
 def test_budget_outcome_is_distinct():

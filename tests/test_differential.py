@@ -6,12 +6,12 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from subposet.containment import SearchStatus, contains_subposet
+from subposet.containment import SearchStatus, _member_relations, contains_subposet
 from subposet.lattice import SetFamily
 from subposet.posets import Poset
 from subposet.solver import la_exact
 
-from oracles import brute_contains, brute_la, comparable, strictly_less
+from oracles import brute_contains, brute_la, comparable, pair_relations, strictly_less
 
 
 @st.composite
@@ -32,6 +32,19 @@ def posets(draw, max_size=4):
 def families(draw, max_n=4, max_size=9):
     n = draw(st.integers(1, max_n))
     return SetFamily.of(n, draw(st.sets(st.integers(0, (1 << n) - 1), max_size=max_size)))
+
+
+@st.composite
+def mask_lists(draw, max_n=8, max_size=60):
+    """Distinct masks over [n] in any order."""
+    n = draw(st.integers(1, max_n))
+    return draw(st.lists(st.integers(0, (1 << n) - 1), unique=True, max_size=max_size))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask_lists())
+def test_member_relations_match_pair_loop(masks):
+    assert _member_relations(masks) == pair_relations(masks)
 
 
 @settings(max_examples=300, deadline=None)
