@@ -12,7 +12,6 @@ from .chains import (
     capped_level_coeff,
     count_pairs_enumerated,
     count_pairs_formula,
-    enumerate_chains,
     lym_sum,
     min_max_partition,
     min_r_partition,

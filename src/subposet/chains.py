@@ -1,12 +1,11 @@
 """Maximal chains of the subset lattice: pair counting, the LYM sum, and
 the marker partitions used by the chain-counting method.
 
-A maximal chain is encoded as a permutation of [n]; its sets are the n+1
-prefixes of the permutation (including the empty set and [n]). A member F of
-a family meets exactly |F|! (n-|F|)! chains, so the total number of
-(member, chain) incidence pairs is sum |F|! (n-|F|)!, and dividing by n!
-gives the LYM sum. The partitions place one or two marker sets on every
-chain:
+A maximal chain is a sequence of n+1 sets from the empty set to [n], adding
+one element per step (a permutation of [n]). A member F of a family meets
+exactly |F|! (n-|F|)! chains, so the total number of (member, chain)
+incidence pairs is sum |F|! (n-|F|)!, and dividing by n! gives the LYM sum.
+The partitions place one or two marker sets on every chain:
 
 * min-max: the smallest and largest family sets on the chain;
 * min_r: the smallest chain set A whose down-set in the family holds an
@@ -19,24 +18,35 @@ chain:
   B marker is the largest chain set with s_plus >= 1; a family-membership
   rule there can land below A and would leave some chains unlabeled.
 
+Every marker is the first chain set in a set P or the last chain set in a
+set Q, where P and Q are the family, the up-closed {s_minus >= r} or the
+down-closed {s_plus >= t}. So chains are counted by dynamic programming over
+the 2^n sets instead of walked one by one: g(S) counts the chains from the
+empty set to S that meet P nowhere before S, h(S) the chains from S to [n]
+that meet Q nowhere after S, each with its family hits. A part with markers
+A and B then holds g(A) |B-A|! h(B) chains, and its pairs add up the hits
+before A, from A to B (an upward DP from each A) and after B. The closed
+sets take one s_minus or s_plus call per set that no neighbour already puts
+inside and that has enough members below (above) it. Cost: O(2^n n) big-int
+operations for the DPs plus O(2^(n-|A|) (n-|A|)) per first marker A with
+two markers, instead of n! walked chains.
+
 Every partition report re-checks totality: label counts must sum to n! and
 per-label pair counts to the closed-form pair total.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from math import comb, factorial
-from typing import Callable, Iterator
+from typing import Callable, Sequence
 
 from .containment import max_antichain, s_minus, s_plus
 from .lattice import SetFamily, set_str
 
 DEFAULT_CHAIN_CAP = 8
-HARD_CHAIN_CAP = 10
+HARD_CHAIN_CAP = 14
 
 EMPTY_LABEL = "EMPTY"
 
@@ -45,25 +55,14 @@ class PartitionPreconditionError(ValueError):
     """The requested partition is undefined for this family."""
 
 
-def enumerate_chains(n: int, cap: int = DEFAULT_CHAIN_CAP) -> Iterator[tuple[int, ...]]:
-    """All n! maximal chains as permutations of [n], lexicographic order."""
+def check_chain_cap(n: int, cap: int) -> None:
+    """Refuse chain counting over [n] when n exceeds min(cap, HARD_CHAIN_CAP)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n > min(cap, HARD_CHAIN_CAP):
         raise ValueError(
             f"chain enumeration capped at n <= {min(cap, HARD_CHAIN_CAP)}, got n={n}"
         )
-    return permutations(range(1, n + 1))
-
-
-def chain_prefixes(order: tuple[int, ...]) -> list[int]:
-    """The n+1 prefix masks of a chain, ascending from 0 to the full set."""
-    masks = [0]
-    m = 0
-    for e in order:
-        m |= 1 << (e - 1)
-        masks.append(m)
-    return masks
 
 
 def count_pairs_formula(family: SetFamily) -> int:
@@ -72,13 +71,92 @@ def count_pairs_formula(family: SetFamily) -> int:
     return sum(factorial(m.bit_count()) * factorial(n - m.bit_count()) for m in family.members)
 
 
+def _membership(family: SetFamily) -> bytearray:
+    member = bytearray(1 << family.n)
+    for x in family.members:
+        member[x] = 1
+    return member
+
+
+def _prefix_dp(n: int, member: Sequence[int], marked: Sequence[int]):
+    """Per set S: the chains from the empty set to S that meet no marked set
+    before S, and their family hits before S."""
+    count = [0] * (1 << n)
+    hits = [0] * (1 << n)
+    count[0] = 1
+    for s in range(1, 1 << n):
+        c = h = 0
+        rest = s
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            p = s ^ low
+            if not marked[p]:
+                c += count[p]
+                h += hits[p] + count[p] * member[p]
+        count[s] = c
+        hits[s] = h
+    return count, hits
+
+
+def _suffix_dp(n: int, member: Sequence[int], marked: Sequence[int]):
+    """The mirror of _prefix_dp: chains from S to [n] meeting no marked set
+    after S, and their family hits after S."""
+    count, hits = _prefix_dp(n, member[::-1], marked[::-1])
+    return count[::-1], hits[::-1]
+
+
+def _up_closed(n: int, test: Callable[[int], bool]) -> bytearray:
+    """Marks of the up-closed set {S : test(S)}: S is in it if some S - x is,
+    and only otherwise does test(S) decide."""
+    inside = bytearray(1 << n)
+    for s in range(1 << n):
+        rest = s
+        while rest:
+            low = rest & -rest
+            if inside[s ^ low]:
+                inside[s] = 1
+                break
+            rest ^= low
+        else:
+            inside[s] = test(s)
+    return inside
+
+
+def _subset_counts(n: int, member: Sequence[int]) -> list[int]:
+    """Per set S: the number of marked sets contained in S (zeta transform)."""
+    below = list(member)
+    for e in range(n):
+        bit = 1 << e
+        for s in range(1 << n):
+            if s & bit:
+                below[s] += below[s ^ bit]
+    return below
+
+
+# An antichain of size k needs k members, so sets with fewer members below
+# (above) are decided without a matching.
+def _s_minus_at_least(family: SetFamily, r: int) -> bytearray:
+    below = _subset_counts(family.n, _membership(family))
+    return _up_closed(family.n, lambda s: below[s] >= r and s_minus(family, s) >= r)
+
+
+def _s_plus_at_least(family: SetFamily, t: int) -> bytearray:
+    full = (1 << family.n) - 1
+    above = _subset_counts(family.n, _membership(family)[::-1])  # indexed by complements
+    return _up_closed(family.n,
+                      lambda u: above[u] >= t and s_plus(family, full ^ u) >= t)[::-1]
+
+
 def count_pairs_enumerated(family: SetFamily, cap: int = DEFAULT_CHAIN_CAP) -> int:
-    """The same pair count, by walking every maximal chain."""
-    members = family.member_set
-    total = 0
-    for perm in enumerate_chains(family.n, cap):
-        total += sum(1 for pm in chain_prefixes(perm) if pm in members)
-    return total
+    """The same pair count, summed over all maximal chains by the chain DP
+    (independent of the closed form)."""
+    n = family.n
+    check_chain_cap(n, cap)
+    member = _membership(family)
+    count, hits = _prefix_dp(n, member, bytes(1 << n))
+    full = (1 << n) - 1
+    return hits[full] + count[full] * member[full]
 
 
 def lym_sum(family: SetFamily) -> Fraction:
@@ -114,18 +192,6 @@ class PartitionReport:
         return out
 
 
-def _label_ab(a: int, b: int) -> tuple:
-    return ("AB", a, b)
-
-
-def _label_degenerate(a: int) -> tuple:
-    return ("S", a)
-
-
-def _label_min(a: int) -> tuple:
-    return ("A", a)
-
-
 def _render(label: tuple | str) -> str:
     """``EMPTY_LABEL`` as is; a tuple (kind, *sets) as "kind:{..}|{..}"."""
     if label == EMPTY_LABEL:
@@ -134,55 +200,65 @@ def _render(label: tuple | str) -> str:
     return kind + ":" + "|".join(set_str(m) for m in sets)
 
 
-def _build_report(family: SetFamily, mode: str, params: dict[str, int],
-                  label_of: Callable[[list[int]], tuple | str], cap: int) -> PartitionReport:
-    chain_counts: Counter = Counter()
-    pair_counts: Counter = Counter()
-    members = family.member_set
-    for perm in enumerate_chains(family.n, cap):
-        prefixes = chain_prefixes(perm)
-        label = label_of(prefixes)
-        chain_counts[label] += 1
-        pair_counts[label] += sum(1 for pm in prefixes if pm in members)
-    total_chains = sum(chain_counts.values())
-    total_pairs = sum(pair_counts.values())
-    assert total_chains == factorial(family.n), "partition is not total"
+def _build_report(family: SetFamily, mode: str, params: dict[str, int], first: Sequence[int],
+                  last: Sequence[int], single: str) -> PartitionReport:
+    """Chain and pair counts per part. The A marker is the first chain set in
+    ``first``; the B marker is the last chain set in ``last``, taken when A
+    is in ``last`` (part AB:A|B). Otherwise the part is single:A. Chains that
+    meet no ``first`` set form the EMPTY part."""
+    n = family.n
+    full = (1 << n) - 1
+    fact = [factorial(k) for k in range(n + 1)]
+    member = _membership(family)
+    g, g_hits = _prefix_dp(n, member, first)
+    free = _suffix_dp(n, member, bytes(1 << n))[1]
+    h, h_hits = _suffix_dp(n, member, last)
+    counts: dict = {}
+    if not first[full] and g[full]:
+        counts[EMPTY_LABEL] = (g[full], g_hits[full])
+    mid = [0] * (1 << n)  # per A: family hits over the chains from A to B, both ends included
+    for a in range(1 << n):
+        ga = g[a]
+        if not (first[a] and ga):
+            continue
+        if not last[a]:
+            rest = fact[n - a.bit_count()]
+            counts[(single, a)] = (ga * rest, (g_hits[a] + ga * member[a]) * rest + ga * free[a])
+            continue
+        comp = full ^ a
+        sub = 0
+        while True:
+            b = a | sub
+            d = fact[sub.bit_count()]
+            m = member[b] * d
+            rest = sub
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                m += mid[b ^ low]
+            mid[b] = m
+            if last[b] and h[b]:
+                counts[("AB", a, b)] = (ga * d * h[b],
+                                        (g_hits[a] * d + ga * m) * h[b] + ga * d * h_hits[b])
+            if sub == comp:
+                break
+            sub = (sub - comp) & comp
+    total_chains = sum(c for c, _ in counts.values())
+    total_pairs = sum(p for _, p in counts.values())
+    assert total_chains == factorial(n), "partition is not total"
     assert total_pairs == count_pairs_formula(family), "pair accounting broken"
-    names = {label: _render(label) for label in chain_counts}
-    return PartitionReport(mode, family.n, params,
-                           {names[k]: v for k, v in chain_counts.items()},
-                           {names[k]: v for k, v in pair_counts.items()},
+    names = {label: _render(label) for label in counts}
+    return PartitionReport(mode, n, params,
+                           {names[k]: c for k, (c, _) in counts.items()},
+                           {names[k]: p for k, (_, p) in counts.items()},
                            total_chains, total_pairs)
-
-
-def _marker_caches(family: SetFamily):
-    sm_cache: dict[int, int] = {}
-    sp_cache: dict[int, int] = {}
-
-    def sm(mask: int) -> int:
-        if mask not in sm_cache:
-            sm_cache[mask] = s_minus(family, mask)
-        return sm_cache[mask]
-
-    def sp(mask: int) -> int:
-        if mask not in sp_cache:
-            sp_cache[mask] = s_plus(family, mask)
-        return sp_cache[mask]
-
-    return sm, sp
 
 
 def min_max_partition(family: SetFamily, cap: int = DEFAULT_CHAIN_CAP) -> PartitionReport:
     """Label every chain by its smallest and largest family set (EMPTY if none)."""
-    members = family.member_set
-
-    def label_of(prefixes: list[int]) -> tuple | str:
-        on_chain = [pm for pm in prefixes if pm in members]
-        if not on_chain:
-            return EMPTY_LABEL
-        return _label_ab(on_chain[0], on_chain[-1])
-
-    return _build_report(family, "minmax", {}, label_of, cap)
+    check_chain_cap(family.n, cap)
+    member = _membership(family)
+    return _build_report(family, "minmax", {}, member, member, "AB")
 
 
 def min_r_partition(family: SetFamily, r: int, cap: int = DEFAULT_CHAIN_CAP) -> PartitionReport:
@@ -193,18 +269,13 @@ def min_r_partition(family: SetFamily, r: int, cap: int = DEFAULT_CHAIN_CAP) -> 
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
-    enumerate_chains(family.n, cap)  # rejects n over the cap before the costlier precondition
+    check_chain_cap(family.n, cap)  # before the costlier precondition
     if max_antichain(family).size < r:
         raise PartitionPreconditionError(
             f"family has no antichain of size {r}; the partition is undefined"
         )
-    sm, _ = _marker_caches(family)
-
-    def label_of(prefixes: list[int]) -> tuple | str:
-        a = next(pm for pm in prefixes if sm(pm) >= r)
-        return _label_min(a)
-
-    return _build_report(family, "minr", {"r": r}, label_of, cap)
+    return _build_report(family, "minr", {"r": r}, _s_minus_at_least(family, r),
+                         bytes(1 << family.n), "A")
 
 
 def minr_maxt_partition(family: SetFamily, r: int, t: int,
@@ -217,34 +288,17 @@ def minr_maxt_partition(family: SetFamily, r: int, t: int,
     """
     if r < 1 or t < 1:
         raise ValueError(f"need r, t >= 1, got r={r}, t={t}")
-    enumerate_chains(family.n, cap)  # rejects n over the cap before the costlier precondition
+    check_chain_cap(family.n, cap)  # before the costlier precondition
     if r >= 2 and max_antichain(family).size < max(r, t):
         raise PartitionPreconditionError(
             f"family has no antichain of size max(r, t) = {max(r, t)}; "
             "the partition is undefined"
         )
-    members = family.member_set
-    sm, sp = _marker_caches(family)
-
-    def label_of(prefixes: list[int]) -> tuple | str:
-        if r == 1:
-            a = next((pm for pm in prefixes if pm in members), None)
-            if a is None:
-                return EMPTY_LABEL
-        else:
-            a = next(pm for pm in prefixes if sm(pm) >= r)
-        if sp(a) < t:
-            return _label_degenerate(a)
-        if t == 1 and r == 1:
-            b = next(pm for pm in reversed(prefixes) if pm in members)
-        elif t == 1:
-            b = next(pm for pm in reversed(prefixes) if sp(pm) >= 1)
-        else:
-            b = next(pm for pm in reversed(prefixes) if sp(pm) >= t)
-        assert a & b == a, "markers out of order"
-        return _label_ab(a, b)
-
-    return _build_report(family, "minrmaxt", {"r": r, "t": t}, label_of, cap)
+    member = _membership(family)
+    first = _s_minus_at_least(family, r) if r >= 2 else member
+    # for r = 1, A is a member, so s_plus(A) >= 1 always holds
+    last = member if r == 1 and t == 1 else _s_plus_at_least(family, t)
+    return _build_report(family, "minrmaxt", {"r": r, "t": t}, first, last, "S")
 
 
 def three_per_level_coeff(n: int) -> Fraction:

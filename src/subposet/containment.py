@@ -12,7 +12,9 @@ other elements. That is n big-int operations per member, n * m in all,
 instead of m^2 / 2 interpreted pair tests (about 1 s for the 35,750 sets
 of levels 7-9 of B_16 on one core of a 2-core VM). The three rows hold
 3 * m^2 bits, about 3 * m^2 / 8 bytes (380 MB at that size), so families of
-more than MAX_MEMBERS members are refused before any work.
+more than MAX_MEMBERS members are refused before any work. Only the rows a
+caller reads are built: plain searches skip the incomparable rows, and
+maximum antichains use the superset rows alone.
 
 Three refinements keep exhaustive verdicts affordable without giving up
 completeness:
@@ -114,9 +116,11 @@ def _plan_for(poset: Poset) -> _Plan:
                  class_of=tuple(class_of))
 
 
-def _member_relations(masks: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
+def _member_relations(masks: Sequence[int], sub: bool = True, inc: bool = True
+                      ) -> tuple[list[int], list[int] | None, list[int] | None]:
     """Rows (sup, sub, inc) of member-index bitsets over distinct masks: the
-    proper supersets, proper subsets and incomparable members of each member."""
+    proper supersets, proper subsets and incomparable members of each member.
+    The sub and inc rows are None unless asked for."""
     m = len(masks)
     if m > MAX_MEMBERS:
         raise ValueError(f"{m} members exceed the relation precompute cap of {MAX_MEMBERS}")
@@ -124,19 +128,21 @@ def _member_relations(masks: Sequence[int]) -> tuple[list[int], list[int], list[
     rev = masks[::-1]  # has[e], the members containing e, read as one string of bits
     has = [int(bytes([48 + (x >> e & 1) for x in rev]), 2) for e in range(n)]
     full = (1 << m) - 1
-    sup, sub, inc = [], [], []
+    sups, subs, incs = [], [] if sub else None, [] if inc else None
     for i, x in enumerate(masks):
         up, out = full, 0  # members containing x; members not contained in x
         for e in range(n):
             if x >> e & 1:
                 up &= has[e]
-            else:
+            elif sub or inc:
                 out |= has[e]
         bit = 1 << i
-        sup.append(up ^ bit)
-        sub.append(full ^ out ^ bit)
-        inc.append(out & ~up)
-    return sup, sub, inc
+        sups.append(up ^ bit)
+        if sub:
+            subs.append(full ^ out ^ bit)
+        if inc:
+            incs.append(out & ~up)
+    return sups, subs, incs
 
 
 def _levels(masks: Sequence[int]) -> list[int]:
@@ -282,7 +288,7 @@ def contains_any(family: SetFamily, posets: Sequence[Poset], induced: bool = Fal
     FREE means the family avoids every pattern; if any per-pattern search ran
     out of budget and no pattern was found, the overall status is BUDGET.
     """
-    rels = _member_relations(family.members)
+    rels = _member_relations(family.members, inc=induced)
     levels = _levels(family.members)
     total = 0
     budget_hit = False
@@ -317,7 +323,7 @@ def _max_antichain_masks(masks: Sequence[int]) -> AntichainResult:
     through them.
     """
     m = len(masks)
-    sup = _member_relations(masks)[0]
+    sup = _member_relations(masks, sub=False, inc=False)[0]
     match_right = [-1] * m
     free = (1 << m) - 1
     seen = 0

@@ -91,7 +91,7 @@ def la_exact(n: int, posets: Sequence[Poset], induced: bool = False,
     candidates = sorted(
         range(1 << n), key=lambda m: (abs(2 * m.bit_count() - n), m.bit_count(), m)
     )
-    rels = _member_relations(candidates)
+    rels = _member_relations(candidates, inc=induced)
     levels = _levels(candidates)
     chosen: list[int] = []  # candidate positions, ascending
     live = 0  # bitset of the chosen positions

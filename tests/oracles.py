@@ -9,12 +9,17 @@ genuinely different algorithms.
 
 from __future__ import annotations
 
+from collections import Counter
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations, permutations
 from random import Random
 
 import pytest
+
+from subposet.chains import DEFAULT_CHAIN_CAP, EMPTY_LABEL, check_chain_cap
+from subposet.containment import s_minus, s_plus
+from subposet.lattice import set_str
 
 
 @lru_cache(maxsize=None)
@@ -214,3 +219,71 @@ def antichain_subfamilies(masks, size: int):
     for combo in combinations(masks, size):
         if all(not comparable(a, b) for a, b in combinations(combo, 2)):
             yield combo
+
+
+def enumerate_chains(n: int, cap: int = DEFAULT_CHAIN_CAP):
+    """All n! maximal chains as permutations of [n], lexicographic order."""
+    check_chain_cap(n, cap)
+    return permutations(range(1, n + 1))
+
+
+def chain_prefixes(order: tuple[int, ...]) -> list[int]:
+    """The n+1 prefix masks of a chain, ascending from 0 to the full set."""
+    masks = [0]
+    m = 0
+    for e in order:
+        m |= 1 << (e - 1)
+        masks.append(m)
+    return masks
+
+
+def walk_pairs(family) -> int:
+    """(member, maximal chain) incidence pairs by walking every chain."""
+    members = family.member_set
+    return sum(sum(1 for pm in chain_prefixes(perm) if pm in members)
+               for perm in permutations(range(1, family.n + 1)))
+
+
+def walk_partition(family, mode: str, r: int = 1, t: int = 1):
+    """Per-label (chain counts, pair counts) of a marker partition by walking
+    all n! chains and placing the markers on each one as the chains module
+    docstring states them; mode is "minmax", "minr" or "minrmaxt". The
+    antichain widths come from containment.s_minus/s_plus, which the
+    antichain tests check against brute force and networkx."""
+    members = family.member_set
+    sm = lru_cache(maxsize=None)(lambda x: s_minus(family, x))
+    sp = lru_cache(maxsize=None)(lambda x: s_plus(family, x))
+
+    def label_of(prefixes):
+        if mode == "minmax":
+            on_chain = [pm for pm in prefixes if pm in members]
+            if not on_chain:
+                return EMPTY_LABEL
+            return f"AB:{set_str(on_chain[0])}|{set_str(on_chain[-1])}"
+        if mode == "minr":
+            return f"A:{set_str(next(pm for pm in prefixes if sm(pm) >= r))}"
+        if r == 1:
+            a = next((pm for pm in prefixes if pm in members), None)
+            if a is None:
+                return EMPTY_LABEL
+        else:
+            a = next(pm for pm in prefixes if sm(pm) >= r)
+        if sp(a) < t:
+            return f"S:{set_str(a)}"
+        if t == 1 and r == 1:
+            b = next(pm for pm in reversed(prefixes) if pm in members)
+        elif t == 1:
+            b = next(pm for pm in reversed(prefixes) if sp(pm) >= 1)
+        else:
+            b = next(pm for pm in reversed(prefixes) if sp(pm) >= t)
+        assert a & b == a, "markers out of order"
+        return f"AB:{set_str(a)}|{set_str(b)}"
+
+    chain_counts: Counter = Counter()
+    pair_counts: Counter = Counter()
+    for perm in permutations(range(1, family.n + 1)):
+        prefixes = chain_prefixes(perm)
+        label = label_of(prefixes)
+        chain_counts[label] += 1
+        pair_counts[label] += sum(1 for pm in prefixes if pm in members)
+    return dict(chain_counts), dict(pair_counts)

@@ -13,10 +13,8 @@ from random import Random
 
 from subposet.chains import (
     capped_level_coeff,
-    chain_prefixes,
     count_pairs_enumerated,
     count_pairs_formula,
-    enumerate_chains,
     min_max_partition,
     min_r_partition,
     minr_maxt_partition,
@@ -50,7 +48,14 @@ from subposet.lattice import SetFamily, set_str, sigma
 from subposet.posets import chain_poset, complete_multilevel, named_poset
 from subposet.solver import la_exact
 
-from oracles import brute_contains, brute_max_antichain, brute_s_minus, brute_s_plus
+from oracles import (
+    brute_contains,
+    brute_max_antichain,
+    brute_s_minus,
+    brute_s_plus,
+    chain_prefixes,
+    enumerate_chains,
+)
 
 
 def report(num, description, started):

@@ -9,10 +9,8 @@ from subposet.chains import (
     EMPTY_LABEL,
     PartitionPreconditionError,
     capped_level_coeff,
-    chain_prefixes,
     count_pairs_enumerated,
     count_pairs_formula,
-    enumerate_chains,
     lym_sum,
     min_max_partition,
     min_r_partition,
@@ -24,7 +22,15 @@ from subposet.containment import max_antichain
 from subposet.formulas import antichain_height
 from subposet.lattice import SetFamily, binomial, level, set_str
 
-from oracles import brute_s_minus, brute_s_plus, random_family_masks
+from oracles import (
+    brute_s_minus,
+    brute_s_plus,
+    chain_prefixes,
+    enumerate_chains,
+    random_family_masks,
+    walk_pairs,
+    walk_partition,
+)
 
 
 def test_enumerate_chains():
@@ -38,7 +44,7 @@ def test_enumerate_chains():
         next(iter(enumerate_chains(9)))
     assert next(iter(enumerate_chains(9, cap=9))) == tuple(range(1, 10))  # cap is overridable
     with pytest.raises(ValueError):
-        next(iter(enumerate_chains(11, cap=12)))  # hard cap
+        next(iter(enumerate_chains(15, cap=16)))  # hard cap
 
 
 def test_chain_prefixes():
@@ -175,6 +181,46 @@ def test_minr_maxt_matches_independent_scan():
                 assert rep.chain_counts == dict(expected)
                 trials += 1
     assert trials > 100
+
+
+def _dp_partitions(fam):
+    """Every partition the chains module accepts for fam, r, t in {1, 2, 3},
+    as (args for walk_partition, report)."""
+    width = max_antichain(fam).size
+    out = [(("minmax",), min_max_partition(fam))]
+    for r in (1, 2, 3):
+        if width >= r:
+            out.append((("minr", r), min_r_partition(fam, r)))
+        for t in (1, 2, 3):
+            if r == 1 or width >= max(r, t):
+                out.append((("minrmaxt", r, t), minr_maxt_partition(fam, r, t)))
+    return out
+
+
+def _differential_families():
+    rng = Random(614)
+    fams = [SetFamily.of(n, []) for n in (1, 2, 4, 6)]
+    for n in range(1, 7):
+        full = (1 << n) - 1
+        for ends in ((), (0,), (full,), (0, full)):
+            for _ in range(3):
+                fams.append(SetFamily.of(n, set(random_family_masks(rng, n, 14)) | set(ends)))
+    fams += [level(5, 2), SetFamily.of(6, list(level(6, 2)) + list(level(6, 3))),
+             SetFamily.of(6, range(64))]
+    return fams
+
+
+def test_partitions_match_chain_walk():
+    partitions = regular = 0
+    for fam in _differential_families():
+        assert count_pairs_enumerated(fam) == walk_pairs(fam)
+        for args, rep in _dp_partitions(fam):
+            chain_counts, pair_counts = walk_partition(fam, *args)
+            assert rep.chain_counts == chain_counts, (fam, args)
+            assert rep.pair_counts == pair_counts, (fam, args)
+            partitions += 1
+            regular += sum(label.startswith("AB:") for label in chain_counts)
+    assert partitions > 600 and regular > 1000
 
 
 def test_three_per_level_coeff():

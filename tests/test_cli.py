@@ -1,10 +1,12 @@
 """CLI surface: payloads, exit codes, determinism, file round trips."""
 
 import json
+from math import factorial
 
 import pytest
 
 from subposet import chains, cli, containment
+from subposet.constructions import construct_rt
 from subposet.containment import contains_subposet
 from subposet.lattice import SetFamily, level, parse_family, serialize_family
 from subposet.posets import chain_poset
@@ -129,6 +131,24 @@ def test_chain_cap_checked_before_precondition(tmp_path, capsys, monkeypatch):
         code, doc, _ = run_cli(["chains", mode, str(fam_file), *params], capsys)
         assert code == 2
         assert "chain enumeration capped" in doc["payload"]["error"]
+
+
+def test_chains_at_larger_n(tmp_path, capsys):
+    fam = construct_rt(12, 2, 2)
+    fam_file = tmp_path / "rt12.txt"
+    fam_file.write_text(serialize_family(fam))
+    argv = ["chains", "minrmaxt", str(fam_file), "--r", "2", "--t", "2", "--chain-cap", "12"]
+    code, doc, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert doc["payload"]["total_chains"] == str(factorial(12))
+    assert doc["payload"]["total_pairs"] == str(chains.count_pairs_formula(fam))
+
+    for n, code_want in ((14, 0), (15, 2)):
+        fam_file = tmp_path / f"pair{n}.txt"
+        fam_file.write_text(serialize_family(SetFamily.of(n, [0, 1, 3])))
+        code, doc, _ = run_cli(["chains", "pairs", str(fam_file), "--chain-cap", str(n)], capsys)
+        assert code == code_want
+    assert doc["payload"]["error"] == "chain enumeration capped at n <= 14, got n=15"
 
 
 def test_internal_error_exit(tmp_path, capsys, monkeypatch):

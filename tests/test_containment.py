@@ -113,6 +113,17 @@ def test_member_relations_match_pair_loop():
         assert _member_relations(masks) == pair_relations(masks)
 
 
+def test_member_relations_build_only_the_rows_asked_for():
+    rng = Random(516)
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        masks = rng.sample(range(1 << n), rng.randint(0, min(60, 1 << n)))
+        sup, sub, inc = pair_relations(masks)
+        assert _member_relations(masks, sub=False, inc=False) == (sup, None, None)
+        assert _member_relations(masks, inc=False) == (sup, sub, None)
+        assert _member_relations(masks, sub=False) == (sup, None, inc)
+
+
 def test_member_relations_refuse_oversized_families():
     masks = range(MAX_MEMBERS + 1)
     with pytest.raises(ValueError, match="50000"):

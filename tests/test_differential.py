@@ -6,12 +6,26 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from subposet.containment import SearchStatus, _member_relations, contains_subposet
+from subposet.chains import (
+    count_pairs_enumerated,
+    min_max_partition,
+    min_r_partition,
+    minr_maxt_partition,
+)
+from subposet.containment import SearchStatus, _member_relations, contains_subposet, max_antichain
 from subposet.lattice import SetFamily
 from subposet.posets import Poset
 from subposet.solver import la_exact
 
-from oracles import brute_contains, brute_la, comparable, pair_relations, strictly_less
+from oracles import (
+    brute_contains,
+    brute_la,
+    comparable,
+    pair_relations,
+    strictly_less,
+    walk_pairs,
+    walk_partition,
+)
 
 
 @st.composite
@@ -45,6 +59,20 @@ def mask_lists(draw, max_n=8, max_size=60):
 @given(mask_lists())
 def test_member_relations_match_pair_loop(masks):
     assert _member_relations(masks) == pair_relations(masks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(families(max_n=6, max_size=16), st.integers(1, 3), st.integers(1, 3))
+def test_partitions_match_chain_walk(family, r, t):
+    assert count_pairs_enumerated(family) == walk_pairs(family)
+    width = max_antichain(family).size
+    reports = [(("minmax",), min_max_partition(family))]
+    if width >= r:
+        reports.append((("minr", r), min_r_partition(family, r)))
+    if r == 1 or width >= max(r, t):
+        reports.append((("minrmaxt", r, t), minr_maxt_partition(family, r, t)))
+    for args, rep in reports:
+        assert (rep.chain_counts, rep.pair_counts) == walk_partition(family, *args)
 
 
 @settings(max_examples=300, deadline=None)
