@@ -29,10 +29,19 @@ completeness:
   members, and every element's image is pre-restricted to the cardinality
   window its chain height above and below allows.
 
-A family is only reported free when the search tree was fully explored
-within the node budget; exceeding the budget is a distinct outcome and is
-never reported as freeness. Witnesses are deterministic: the returned
-embedding is the lexicographically smallest under the fixed search order.
+find_embedding follows the paper's constructions, a band of full levels plus
+a few fringe sets, and runs the search once per pin (an element placed first
+on one member, over a set of allowed members). A copy meeting the fringe has
+a lowest fringe member f: the fringe phase pins each twin class's first
+element to each f in index order, over the band and the fringe from f on.
+S_N permutes a full level (all k-subsets of [N]) keeping (in)comparability,
+so the band phase then pins the first element of the order to one set per
+full level, over the band alone (a fixed orbit representative, McKay 1998).
+
+A family is only reported free when every pinned search was fully explored
+within the node budget they share; exceeding the budget is a distinct
+outcome and is never reported as freeness. Witnesses are deterministic: the
+first copy in pin order, not the lexicographically smallest embedding.
 """
 
 from __future__ import annotations
@@ -40,11 +49,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
+from itertools import chain
+from math import comb
 from typing import NamedTuple, Sequence
 
 from .formulas import antichain_height
 from .lattice import SetFamily, consecutive_levels
-from .posets import Poset
+from .posets import Poset, _bits
 
 DEFAULT_BUDGET = 10**8
 # Relation rows take about 3 * m^2 / 8 bytes: 0.94 GB at this many members.
@@ -96,7 +107,14 @@ class _Plan:
 
 
 @lru_cache(maxsize=None)
-def _plan_for(poset: Poset) -> _Plan:
+def _plan_for(poset: Poset, first: int | None = None) -> _Plan:
+    """Search plan; ``first`` (the first of its twin class) goes to the front,
+    and its next twin may take any member, as the pinned one may be any class
+    image. The class is still placed in class order, which the count check needs."""
+    if first is not None:
+        base = _plan_for(poset)
+        return replace(base, order=(first, *(e for e in base.order if e != first)),
+                       twin_prev=tuple(-1 if tp == first else tp for tp in base.twin_prev))
     p = poset.size
     groups: dict[tuple[int, int], list[int]] = {}
     for e in range(p):
@@ -247,23 +265,40 @@ def find_embedding(rels, levels: Sequence[int], poset: Poset, induced: bool = Fa
     that holds at least them. Members outside ``levels`` are never used, and
     images are member indices of that list.
 
+    The search runs once per pin of the fringe and band phases (module
+    docstring), all pins sharing the node budget; the first copy ends it.
+    Without a full level there are no pins and one plain search runs.
+
     With ``require_member`` set, only embeddings whose image uses that member
-    index are sought (the pattern element playing that role is tried in every
-    position). Intended for incremental feasibility checks.
+    index are sought: one pin per twin class puts the class's first element,
+    placed first, on that member, over all live members. Intended for
+    incremental feasibility checks.
     """
-    if poset.size > sum(map(int.bit_count, levels)):
+    live = sum(levels)  # disjoint levels: sum is OR
+    if poset.size > live.bit_count():
         return SearchResult(SearchStatus.FREE, None, 0)
     plan = _plan_for(poset)
     domains = _initial_domains(levels, poset)
-    if require_member is None:
-        return SearchResult(*_search(rels, poset, plan, domains, induced, budget))
+    if require_member is not None:
+        pins = [(cls[0], require_member, live) for cls in plan.classes]
+    else:
+        n = len(levels) - 1
+        band = sum(level for k, level in enumerate(levels) if level.bit_count() == comb(n, k))
+        if not band:
+            return SearchResult(*_search(rels, poset, plan, domains, induced, budget))
+        first, fringe = plan.order[0], live ^ band
+        reps = [level & band & domains[first] for level in levels]  # any set represents its level
+        pins = chain(((cls[0], f, band | fringe >> f << f) for f in _bits(fringe)
+                      for cls in plan.classes),
+                     ((first, (r & -r).bit_length() - 1, band) for r in reps if r))
     total = 0
-    for elt in range(poset.size):
-        if not domains[elt] >> require_member & 1:
+    for e, member, allowed in pins:
+        if not domains[e] >> member & 1:
             continue
-        pinned = list(domains)
-        pinned[elt] &= 1 << require_member
-        status, emb, nodes = _search(rels, poset, plan, pinned, induced, budget - total)
+        pinned = [d & allowed for d in domains]
+        pinned[e] = 1 << member
+        status, emb, nodes = _search(rels, poset, _plan_for(poset, e), pinned, induced,
+                                     budget - total)
         total += nodes
         if status is not SearchStatus.FREE:
             return SearchResult(status, emb, total)
@@ -287,7 +322,10 @@ def contains_any(family: SetFamily, posets: Sequence[Poset], induced: bool = Fal
 
     FREE means the family avoids every pattern; if any per-pattern search ran
     out of budget and no pattern was found, the overall status is BUDGET.
+    A negative budget is a ValueError.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
     rels = _member_relations(family.members, inc=induced)
     levels = _levels(family.members)
     total = 0

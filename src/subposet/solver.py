@@ -74,14 +74,16 @@ def la_exact(n: int, posets: Sequence[Poset], induced: bool = False,
              break_symmetry: bool = False) -> SolveResult:
     """Maximum size of a subset family of [n] avoiding every given pattern.
 
-    ``budget`` caps the number of include attempts; when it runs out the best
-    family seen so far is returned with ``exhausted=False``. With
-    ``break_symmetry`` the first included set is restricted to the minimal
-    mask of its (centrality, size) class, which is sound under relabeling of
-    the ground elements.
+    ``budget`` caps the number of include attempts (a negative one is a
+    ValueError); when it runs out the best family seen so far is returned
+    with ``exhausted=False``. With ``break_symmetry`` the first included set
+    is restricted to the minimal mask of its (centrality, size) class, which
+    is sound under relabeling of the ground elements.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
     if n > max_n:
         raise ValueError(f"solver capped at n <= {max_n}, got n={n} (raise max_n to override)")
     posets = list(posets)

@@ -129,25 +129,29 @@ def nx_max_antichain(masks) -> int:
     return len(masks) - len(matching) // 2
 
 
-def brute_contains(masks, poset, induced: bool) -> bool:
-    """Containment by trying every injection of the poset into the family."""
-    masks = list(masks)
+def is_copy(images, poset, induced: bool) -> bool:
+    """Do the sets images[0..p-1] form a copy of the poset, element i on
+    images[i]: strictly below where the poset orders a pair, and (induced)
+    incomparable where it does not?"""
     p = poset.size
+    for i in range(p):
+        for j in range(p):
+            if i == j:
+                continue
+            if poset.less(i, j):
+                if not strictly_less(images[i], images[j]):
+                    return False
+            elif induced and not poset.less(j, i):
+                if comparable(images[i], images[j]):
+                    return False
+    return True
 
-    def respects(images) -> bool:
-        for i in range(p):
-            for j in range(p):
-                if i == j:
-                    continue
-                if poset.less(i, j):
-                    if not strictly_less(images[i], images[j]):
-                        return False
-                elif induced and not poset.less(j, i):
-                    if comparable(images[i], images[j]):
-                        return False
-        return True
 
-    return any(respects(images) for images in permutations(masks, p))
+def brute_contains(masks, poset, induced: bool, using: int | None = None) -> bool:
+    """Containment by trying every injection of the poset into the family;
+    with ``using`` (a mask) only copies that take that set count."""
+    return any(is_copy(images, poset, induced) for images in permutations(masks, poset.size)
+               if using is None or using in images)
 
 
 def closure_relation_count(covers, size: int) -> int:

@@ -90,6 +90,33 @@ def test_check_budget_exit(tmp_path, capsys):
     assert doc["payload"]["budget_exhausted"] is True
 
 
+def test_rt12_induced_butterfly_free_within_budget(tmp_path, capsys):
+    # about 10^5 nodes once the band is searched up to symmetry
+    fam_file = tmp_path / "rt12.txt"
+    fam_file.write_text(serialize_family(construct_rt(12, 2, 2)))
+    argv = ["check", str(fam_file), "--poset", "butterfly", "--induced", "--budget", "1000000"]
+    code, doc, _ = run_cli(argv, capsys)
+    assert code == cli.EXIT_OK
+    assert doc["payload"]["free"] is True
+
+
+def test_negative_budget_is_a_usage_error(tmp_path, capsys):
+    fam_file = tmp_path / "fam.txt"
+    fam_file.write_text("n=2\n{1}\n{1,2}\n")
+    for argv in (["check", str(fam_file), "--poset", "P2", "--budget", "-3"],
+                 ["check", str(fam_file), "--poset", "P3", "--budget", "-3"],
+                 ["solve", "3", "--poset", "P2", "--budget", "-1"]):
+        assert cli.main(argv) == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert "budget must be non-negative" in json.loads(out)["payload"]["error"]
+        assert err.startswith("error: ") and err.count("\n") == 1
+    # budget 0 still means no search node may be spent
+    code, doc, _ = run_cli(["check", str(fam_file), "--poset", "P2", "--budget", "0"], capsys)
+    assert code == cli.EXIT_BUDGET and doc["payload"]["nodes"] == "0"
+    code, doc, _ = run_cli(["solve", "3", "--poset", "P2", "--budget", "0"], capsys)
+    assert code == cli.EXIT_BUDGET and doc["payload"]["optimum"] == 0
+
+
 def test_solve(capsys):
     code, doc, _ = run_cli(["solve", "3", "--poset", "vee", "--poset", "wedge"], capsys)
     assert code == 0

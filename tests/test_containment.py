@@ -28,6 +28,7 @@ from oracles import (
     brute_s_minus,
     brute_s_plus,
     compare,
+    is_copy,
     nx_max_antichain,
     pair_relations,
     random_family_masks,
@@ -164,6 +165,36 @@ def test_live_set_search_matches_compact_search():
                         (*chosen, pos)[i] for i in compact.embedding))
 
 
+def test_require_member_matches_brute_force():
+    # FOUND exactly when some copy uses the member, and the witness uses it
+    from subposet.posets import Poset
+    from oracles import random_strict_order
+
+    rng = Random(6061)
+    found = 0
+    for trial in range(300):
+        n = rng.randint(1, 5)
+        masks = random_family_masks(rng, n, 9)
+        if not masks:
+            continue
+        if trial % 2:
+            poset = CLI_PATTERNS[rng.randrange(len(CLI_PATTERNS))]
+        else:
+            size = rng.randint(1, 4)
+            poset = Poset(size, random_strict_order(rng, size))
+        induced = rng.random() < 0.5
+        rels = _member_relations(masks)
+        member = rng.randrange(len(masks))
+        res = find_embedding(rels, _levels(masks), poset, induced, require_member=member)
+        assert res.status in (SearchStatus.FOUND, SearchStatus.FREE)
+        assert res.found == brute_contains(masks, poset, induced, using=masks[member])
+        if res.found:
+            found += 1
+            assert member in res.embedding and len(set(res.embedding)) == poset.size
+            assert is_copy([masks[i] for i in res.embedding], poset, induced)
+    assert 30 < found < 270
+
+
 def test_budget_outcome_is_distinct():
     fam = SetFamily.of(3, range(8))
     res = contains_subposet(fam, complete_multilevel([1, 2, 1]), budget=1)
@@ -211,12 +242,13 @@ def test_contains_matches_brute_force_on_arbitrary_posets():
 
 
 @pytest.mark.parametrize("build, args, widths, induced, nodes", [
-    (construct_rst_induced, (8, 2, 2, 2), (2, 2, 2), True, 30888),
-    (construct_rt, (10, 2, 2), (2, 2), True, 82839),
-    (construct_rst, (10, 2, 2, 2), (2, 2, 2), False, 22155),
-])
+    (construct_rst_induced, (8, 2, 2, 2), (2, 2, 2), True, 14257),
+    (construct_rt, (10, 2, 2), (2, 2), True, 10703),
+    (construct_rst, (10, 2, 2, 2), (2, 2, 2), False, 210),
+], ids=["rsti8_K222_induced", "rt10_K22_induced", "rst10_K222"])
 def test_search_order_node_counts(build, args, widths, induced, nodes):
-    # golden counts: any change to the search order or pruning moves them
+    # golden counts: any change to the search order, the pins of the band
+    # and fringe phases, or pruning moves them
     res = contains_subposet(build(*args), complete_multilevel(widths), induced)
     assert res.free
     assert res.nodes == nodes

@@ -1,6 +1,9 @@
 """Property-based differential tests of the search engines against the
 brute-force oracles (skipped when hypothesis is not installed)."""
 
+from math import comb
+from random import Random
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -12,16 +15,27 @@ from subposet.chains import (
     min_r_partition,
     minr_maxt_partition,
 )
-from subposet.containment import SearchStatus, _member_relations, contains_subposet, max_antichain
+from subposet.containment import (
+    SearchStatus,
+    _initial_domains,
+    _levels,
+    _member_relations,
+    _plan_for,
+    _search,
+    contains_subposet,
+    max_antichain,
+)
 from subposet.lattice import SetFamily
-from subposet.posets import Poset
+from subposet.posets import Poset, chain_poset, complete_multilevel, named_poset
 from subposet.solver import la_exact
 
 from oracles import (
     brute_contains,
     brute_la,
     comparable,
+    is_copy,
     pair_relations,
+    random_strict_order,
     strictly_less,
     walk_pairs,
     walk_partition,
@@ -46,6 +60,20 @@ def posets(draw, max_size=4):
 def families(draw, max_n=4, max_size=9):
     n = draw(st.integers(1, max_n))
     return SetFamily.of(n, draw(st.sets(st.integers(0, (1 << n) - 1), max_size=max_size)))
+
+
+@st.composite
+def banded_families(draw, max_n=5, max_band=12, max_extras=4):
+    """Full levels of B_n (at most max_band sets in all), maybe one set short
+    of full, plus a few extra sets."""
+    n = draw(st.integers(1, max_n))
+    ks = draw(st.sets(st.integers(0, n)).filter(
+        lambda ks: sum(comb(n, k) for k in ks) <= max_band))
+    band = {x for x in range(1 << n) if x.bit_count() in ks}
+    if band and draw(st.booleans()):
+        band.remove(draw(st.sampled_from(sorted(band))))
+    extras = draw(st.sets(st.integers(0, (1 << n) - 1), max_size=max_extras))
+    return SetFamily.of(n, band | extras)
 
 
 @st.composite
@@ -75,8 +103,8 @@ def test_partitions_match_chain_walk(family, r, t):
         assert (rep.chain_counts, rep.pair_counts) == walk_partition(family, *args)
 
 
-@settings(max_examples=300, deadline=None)
-@given(families(), posets(), st.booleans())
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(families(), banded_families()), posets(), st.booleans())
 def test_contains_matches_brute_force(family, poset, induced):
     res = contains_subposet(family, poset, induced)
     assert res.status in (SearchStatus.FOUND, SearchStatus.FREE)
@@ -90,6 +118,39 @@ def test_contains_matches_brute_force(family, poset, induced):
                     assert strictly_less(images[i], images[j])
                 elif induced and i != j and not poset.less(j, i):
                     assert not comparable(images[i], images[j])
+
+
+def test_band_and_fringe_pins_match_unpinned_search():
+    # families of full levels plus extra sets at n = 6-7, too large for brute
+    # force: the pinned driver must agree with one unpinned search
+    rng = Random(7171)
+    patterns = [complete_multilevel([2, 2]), complete_multilevel([1, 2, 1]),
+                complete_multilevel([2, 2, 2]), named_poset("vee"), named_poset("wedge"),
+                chain_poset(3)]
+    found = free = 0
+    for trial in range(300):
+        n = rng.randint(6, 7)
+        ks = rng.sample(range(n + 1), rng.randint(1, 2))
+        masks = {x for x in range(1 << n) if x.bit_count() in ks}
+        if trial % 3 == 0 and len(masks) > 1:  # one set short of full: that level is fringe
+            masks.remove(rng.choice(sorted(masks)))
+        masks |= set(rng.sample(range(1 << n), rng.randint(0, 8)))
+        family = SetFamily.of(n, masks)
+        poset = patterns[trial % len(patterns)] if trial % 4 else Poset(
+            5, random_strict_order(rng, 5))
+        for induced in (False, True):
+            rels = _member_relations(family.members, inc=induced)
+            levels = _levels(family.members)
+            want, _, _ = _search(rels, poset, _plan_for(poset), _initial_domains(levels, poset),
+                                 induced, 10**7)
+            res = contains_subposet(family, poset, induced)
+            assert res.status is want
+            if res.found:
+                found += 1
+                assert is_copy([family.members[i] for i in res.embedding], poset, induced)
+            else:
+                free += 1
+    assert found > 40 and free > 40
 
 
 @settings(max_examples=40, deadline=None)
