@@ -26,6 +26,7 @@ from .constructions import (
     verify_mod_spread,
 )
 from .containment import (
+    Relations,
     contains_any,
     contains_subposet,
     empirical_free_levels,

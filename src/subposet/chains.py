@@ -26,10 +26,11 @@ empty set to S that meet P nowhere before S, h(S) the chains from S to [n]
 that meet Q nowhere after S, each with its family hits. A part with markers
 A and B then holds g(A) |B-A|! h(B) chains, and its pairs add up the hits
 before A, from A to B (an upward DP from each A) and after B. The closed
-sets take one s_minus or s_plus call per set that no neighbour already puts
-inside and that has enough members below (above) it. Cost: O(2^n n) big-int
-operations for the DPs plus O(2^(n-|A|) (n-|A|)) per first marker A with
-two markers, instead of n! walked chains.
+sets share one containment.Relations record: a set that no neighbour puts
+inside reads its members below (above) off it, and takes an s_minus
+(s_plus) matching only when at least r (t) of them are there. Cost:
+O(2^n n) big-int operations for the DPs plus O(2^(n-|A|) (n-|A|)) per first
+marker A with two markers, instead of n! walked chains.
 
 Every partition report re-checks totality: label counts must sum to n! and
 per-label pair counts to the closed-form pair total.
@@ -42,7 +43,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Sequence
 
-from .containment import max_antichain, s_minus, s_plus
+from .containment import Relations, max_antichain, s_minus, s_plus
 from .lattice import SetFamily, set_str
 
 DEFAULT_CHAIN_CAP = 8
@@ -123,29 +124,14 @@ def _up_closed(n: int, test: Callable[[int], bool]) -> bytearray:
     return inside
 
 
-def _subset_counts(n: int, member: Sequence[int]) -> list[int]:
-    """Per set S: the number of marked sets contained in S (zeta transform)."""
-    below = list(member)
-    for e in range(n):
-        bit = 1 << e
-        for s in range(1 << n):
-            if s & bit:
-                below[s] += below[s ^ bit]
-    return below
+def _s_minus_at_least(n: int, rels: Relations, r: int) -> bytearray:
+    return _up_closed(n, lambda s: rels.below(s).bit_count() >= r and s_minus(rels, s) >= r)
 
 
-# An antichain of size k needs k members, so sets with fewer members below
-# (above) are decided without a matching.
-def _s_minus_at_least(family: SetFamily, r: int) -> bytearray:
-    below = _subset_counts(family.n, _membership(family))
-    return _up_closed(family.n, lambda s: below[s] >= r and s_minus(family, s) >= r)
-
-
-def _s_plus_at_least(family: SetFamily, t: int) -> bytearray:
-    full = (1 << family.n) - 1
-    above = _subset_counts(family.n, _membership(family)[::-1])  # indexed by complements
-    return _up_closed(family.n,
-                      lambda u: above[u] >= t and s_plus(family, full ^ u) >= t)[::-1]
+def _s_plus_at_least(n: int, rels: Relations, t: int) -> bytearray:
+    full = (1 << n) - 1  # {s_plus >= t} is down-closed: its complements are up-closed
+    return _up_closed(n, lambda u: rels.above(full ^ u).bit_count() >= t
+                      and s_plus(rels, full ^ u) >= t)[::-1]
 
 
 def count_pairs_enumerated(family: SetFamily, cap: int = DEFAULT_CHAIN_CAP) -> int:
@@ -274,8 +260,8 @@ def min_r_partition(family: SetFamily, r: int, cap: int = DEFAULT_CHAIN_CAP) -> 
         raise PartitionPreconditionError(
             f"family has no antichain of size {r}; the partition is undefined"
         )
-    return _build_report(family, "minr", {"r": r}, _s_minus_at_least(family, r),
-                         bytes(1 << family.n), "A")
+    first = _s_minus_at_least(family.n, Relations(family.members), r)
+    return _build_report(family, "minr", {"r": r}, first, bytes(1 << family.n), "A")
 
 
 def minr_maxt_partition(family: SetFamily, r: int, t: int,
@@ -294,10 +280,10 @@ def minr_maxt_partition(family: SetFamily, r: int, t: int,
             f"family has no antichain of size max(r, t) = {max(r, t)}; "
             "the partition is undefined"
         )
-    member = _membership(family)
-    first = _s_minus_at_least(family, r) if r >= 2 else member
+    n, rels, member = family.n, Relations(family.members), _membership(family)
+    first = _s_minus_at_least(n, rels, r) if r >= 2 else member
     # for r = 1, A is a member, so s_plus(A) >= 1 always holds
-    last = member if r == 1 and t == 1 else _s_plus_at_least(family, t)
+    last = member if r == 1 and t == 1 else _s_plus_at_least(n, rels, t)
     return _build_report(family, "minrmaxt", {"r": r, "t": t}, first, last, "S")
 
 

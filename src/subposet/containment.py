@@ -1,20 +1,17 @@
 """Subposet containment search, maximum antichains, and level-freeness probes.
 
-The embedding search is exhaustive backtracking with forward checking. All
-pairwise member relations are precomputed as member-index bitsets (for each
-member: which members are proper supersets, proper subsets, incomparable),
-so narrowing the candidate domain of a pattern element is one integer AND.
-
-The rows come from one bitset ``has[x]`` per ground element x, the members
-containing x: a member's supersets are the AND of ``has[x]`` over its
-elements, and its subsets the members outside the OR of ``has[x]`` over the
-other elements. That is n big-int operations per member, n * m in all,
-instead of m^2 / 2 interpreted pair tests (about 1 s for the 35,750 sets
-of levels 7-9 of B_16 on one core of a 2-core VM). The three rows hold
-3 * m^2 bits, about 3 * m^2 / 8 bytes (380 MB at that size), so families of
-more than MAX_MEMBERS members are refused before any work. Only the rows a
-caller reads are built: plain searches skip the incomparable rows, and
-maximum antichains use the superset rows alone.
+The search and the antichain matcher read one Relations record per member
+list. Its ``has[e]`` is the bitset of the members containing element e, so
+``above(S)`` (members containing S) is the AND of ``has[e]`` over e in S
+and ``below(S)`` (members inside S) the complement of the OR over e not in
+S, n big-int operations each. The rows, built per kind when first read,
+are ``sup[i]`` and ``sub[i]``, ``above``/``below`` of member i without i,
+and ``inc[i]``, the rest; a domain narrows by one AND with a row. They cost
+n * m operations instead of m^2 / 2 pair tests (about 1 s for the 35,750
+sets of levels 7-9 of B_16 on one core of a 2-core VM) and hold 3 * m^2
+bits (380 MB there), so lists over MAX_MEMBERS masks are refused first.
+Plain searches never build ``inc``; s_minus and s_plus match on
+``below``/``above`` of a set, reading ``sup`` alone.
 
 Three refinements keep exhaustive verdicts affordable without giving up
 completeness:
@@ -46,9 +43,9 @@ first copy in pin order, not the lexicographically smallest embedding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from math import comb
 from typing import NamedTuple, Sequence
@@ -134,41 +131,60 @@ def _plan_for(poset: Poset, first: int | None = None) -> _Plan:
                  class_of=tuple(class_of))
 
 
-def _member_relations(masks: Sequence[int], sub: bool = True, inc: bool = True
-                      ) -> tuple[list[int], list[int] | None, list[int] | None]:
-    """Rows (sup, sub, inc) of member-index bitsets over distinct masks: the
-    proper supersets, proper subsets and incomparable members of each member.
-    The sub and inc rows are None unless asked for."""
-    m = len(masks)
-    if m > MAX_MEMBERS:
-        raise ValueError(f"{m} members exceed the relation precompute cap of {MAX_MEMBERS}")
-    n = max(masks, default=0).bit_length()
-    rev = masks[::-1]  # has[e], the members containing e, read as one string of bits
-    has = [int(bytes([48 + (x >> e & 1) for x in rev]), 2) for e in range(n)]
-    full = (1 << m) - 1
-    sups, subs, incs = [], [] if sub else None, [] if inc else None
-    for i, x in enumerate(masks):
-        up, out = full, 0  # members containing x; members not contained in x
-        for e in range(n):
-            if x >> e & 1:
-                up &= has[e]
-            elif sub or inc:
-                out |= has[e]
-        bit = 1 << i
-        sups.append(up ^ bit)
-        if sub:
-            subs.append(full ^ out ^ bit)
-        if inc:
-            incs.append(out & ~up)
-    return sups, subs, incs
+@dataclass(frozen=True, eq=False)
+class Relations:
+    """Member data of distinct masks (module docstring): ``full`` holds all
+    members and ``levels[k]`` the k-sets; the rows are built when first read."""
 
+    masks: tuple[int, ...]
+    full: int = field(init=False)
+    has: tuple[int, ...] = field(init=False)
+    levels: tuple[int, ...] = field(init=False)
 
-def _levels(masks: Sequence[int]) -> list[int]:
-    """Member-index bitset of each cardinality."""
-    levels = [0] * (max(masks, default=0).bit_length() + 1)
-    for i, x in enumerate(masks):
-        levels[x.bit_count()] |= 1 << i
-    return levels
+    def __post_init__(self):
+        m = len(self.masks)
+        if m > MAX_MEMBERS:
+            raise ValueError(f"{m} members exceed the relation precompute cap of {MAX_MEMBERS}")
+        masks = tuple(self.masks)
+        n = max(masks, default=0).bit_length()
+        rev = masks[::-1]  # has[e] read as one string of bits
+        levels = [0] * (n + 1)
+        for i, x in enumerate(masks):
+            levels[x.bit_count()] |= 1 << i
+        vars(self).update(  # written once, here, as the cached rows are
+            masks=masks, full=(1 << m) - 1, levels=tuple(levels),
+            has=tuple(int(bytes([48 + (x >> e & 1) for x in rev]), 2) for e in range(n)))
+
+    def above(self, mask: int) -> int:
+        """The members containing ``mask``."""
+        if mask >> len(self.has):
+            return 0
+        up = self.full
+        for e, has in enumerate(self.has):
+            if mask >> e & 1:
+                up &= has
+        return up
+
+    def below(self, mask: int) -> int:
+        """The members contained in ``mask``."""
+        out = 0
+        for e, has in enumerate(self.has):
+            if not mask >> e & 1:
+                out |= has
+        return self.full ^ out
+
+    @cached_property
+    def sup(self) -> list[int]:
+        return [self.above(x) ^ 1 << i for i, x in enumerate(self.masks)]
+
+    @cached_property
+    def sub(self) -> list[int]:
+        return [self.below(x) ^ 1 << i for i, x in enumerate(self.masks)]
+
+    @cached_property
+    def inc(self) -> list[int]:
+        full = self.full
+        return [full ^ up ^ down ^ 1 << i for i, (up, down) in enumerate(zip(self.sup, self.sub))]
 
 
 def _initial_domains(levels: Sequence[int], poset: Poset) -> list[int]:
@@ -182,14 +198,14 @@ def _initial_domains(levels: Sequence[int], poset: Poset) -> list[int]:
     return domains
 
 
-def _search(rels, poset: Poset, plan: _Plan, domains: list[int], induced: bool,
+def _search(rels: Relations, poset: Poset, plan: _Plan, domains: list[int], induced: bool,
             budget: int) -> tuple[SearchStatus, tuple[int, ...] | None, int]:
     """Depth-first search with an explicit stack: one frame (element, untried
     candidates, domains) per placed element, so the pattern size is not
     bounded by the interpreter's recursion limit."""
     if not all(domains):
         return SearchStatus.FREE, None, 0
-    sup, sub, inc = rels
+    sup, sub, inc = rels.sup, rels.sub, rels.inc if induced else None
     p = poset.size
     below = poset.below
     above = poset.above
@@ -258,12 +274,11 @@ def _search(rels, poset: Poset, plan: _Plan, domains: list[int], induced: bool,
             c &= ~((1 << (img[tp] + 1)) - 1)
 
 
-def find_embedding(rels, levels: Sequence[int], poset: Poset, induced: bool = False,
+def find_embedding(rels: Relations, live: int, poset: Poset, induced: bool = False,
                    budget: int = DEFAULT_BUDGET, require_member: int | None = None) -> SearchResult:
-    """Search among the members in ``levels`` (the live members, as bitsets
-    per cardinality), with ``rels`` from _member_relations over a member list
-    that holds at least them. Members outside ``levels`` are never used, and
-    images are member indices of that list.
+    """Search among the members in ``live``, a bitset of member indices of
+    ``rels``. Members outside ``live`` are never used, and images are member
+    indices of ``rels``.
 
     The search runs once per pin of the fringe and band phases (module
     docstring), all pins sharing the node budget; the first copy ends it.
@@ -274,9 +289,9 @@ def find_embedding(rels, levels: Sequence[int], poset: Poset, induced: bool = Fa
     placed first, on that member, over all live members. Intended for
     incremental feasibility checks.
     """
-    live = sum(levels)  # disjoint levels: sum is OR
     if poset.size > live.bit_count():
         return SearchResult(SearchStatus.FREE, None, 0)
+    levels = [level & live for level in rels.levels]
     plan = _plan_for(poset)
     domains = _initial_domains(levels, poset)
     if require_member is not None:
@@ -326,12 +341,11 @@ def contains_any(family: SetFamily, posets: Sequence[Poset], induced: bool = Fal
     """
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
-    rels = _member_relations(family.members, inc=induced)
-    levels = _levels(family.members)
+    rels = Relations(family.members)
     total = 0
     budget_hit = False
     for idx, poset in enumerate(posets):
-        res = find_embedding(rels, levels, poset, induced, budget)
+        res = find_embedding(rels, rels.full, poset, induced, budget)
         total += res.nodes
         if res.found:
             return SearchResult(SearchStatus.FOUND, res.embedding, total, poset_index=idx)
@@ -345,14 +359,13 @@ class AntichainResult(NamedTuple):
     witness: tuple[int, ...]
 
 
-def _max_antichain_masks(masks: Sequence[int]) -> AntichainResult:
-    """Maximum antichain of a mask list via minimum chain cover.
+def _max_antichain(sup: Sequence[int], live: int) -> AntichainResult:
+    """Maximum antichain of the members in ``live`` via minimum chain cover.
 
-    The bipartite graph has an edge (i, j) whenever member i is a proper
-    subset of member j, which is bit j of ``sup[i]`` from _member_relations.
-    A maximum matching gives a minimum chain cover, and the complement of its
-    minimum vertex cover (König) is a maximum antichain of size
-    len(masks) - matching.
+    The bipartite graph has an edge (u, v) whenever member u is a proper
+    subset of member v, both live: bit v of ``sup[u] & live``. A maximum
+    matching gives a minimum chain cover, and the complement of its minimum
+    vertex cover (König) is a maximum antichain of size |live| - matching.
 
     Augmenting paths come from an iterative depth-first search that keeps the
     path explicitly and steps to a free right vertex first when the node has
@@ -360,16 +373,14 @@ def _max_antichain_masks(masks: Sequence[int]) -> AntichainResult:
     augmentation: until the matching changes, no augmenting path can pass
     through them.
     """
-    m = len(masks)
-    sup = _member_relations(masks, sub=False, inc=False)[0]
-    match_right = [-1] * m
-    free = (1 << m) - 1
+    match_right: dict[int, int] = {}
+    free = live
     seen = 0
-    for root in range(m):
+    for root in _bits(live):
         u = root
         path: list[int] = []
         while True:
-            nbrs = sup[u] & ~seen
+            nbrs = sup[u] & live & ~seen
             if not nbrs:
                 if not path:
                     break
@@ -386,22 +397,21 @@ def _max_antichain_masks(masks: Sequence[int]) -> AntichainResult:
                 seen = 0
                 prev = root
                 for w in path:
-                    match_right[w], prev = prev, match_right[w]
+                    match_right[w], prev = prev, match_right.get(w)
                 break
             u = match_right[v]
 
     # König: left vertices reachable from unmatched ones by alternating paths
     # (zl) and the right vertices on those paths (zr).
-    zl = (1 << m) - 1
-    for u in match_right:
-        if u >= 0:
-            zl ^= 1 << u
+    zl = live
+    for u in match_right.values():
+        zl ^= 1 << u
     zr = 0
     frontier = zl
     while frontier:
         low = frontier & -frontier
         frontier ^= low
-        new = sup[low.bit_length() - 1] & ~zr
+        new = sup[low.bit_length() - 1] & live & ~zr
         zr |= new
         while new:
             bit = new & -new
@@ -410,8 +420,7 @@ def _max_antichain_masks(masks: Sequence[int]) -> AntichainResult:
             if not zl & w:
                 zl |= w
                 frontier |= w
-    keep = zl & ~zr
-    witness = tuple(u for u in range(m) if keep >> u & 1)
+    witness = tuple(_bits(zl & ~zr))
     size = free.bit_count()
     assert len(witness) == size, "vertex-cover extraction mismatch"
     return AntichainResult(size, witness)
@@ -419,17 +428,18 @@ def _max_antichain_masks(masks: Sequence[int]) -> AntichainResult:
 
 def max_antichain(family: SetFamily) -> AntichainResult:
     """Exact maximum antichain size plus a deterministic witness (member indices)."""
-    return _max_antichain_masks(family.members)
+    rels = Relations(family.members)
+    return _max_antichain(rels.sup, rels.full)
 
 
-def s_minus(family: SetFamily, mask: int) -> int:
+def s_minus(rels: Relations, mask: int) -> int:
     """Maximum antichain size among members contained in ``mask``."""
-    return _max_antichain_masks([x for x in family.members if x & mask == x]).size
+    return _max_antichain(rels.sup, rels.below(mask)).size
 
 
-def s_plus(family: SetFamily, mask: int) -> int:
+def s_plus(rels: Relations, mask: int) -> int:
     """Maximum antichain size among members containing ``mask``."""
-    return _max_antichain_masks([x for x in family.members if x & mask == mask]).size
+    return _max_antichain(rels.sup, rels.above(mask)).size
 
 
 def interval_has_antichain(lower: int, upper: int, s: int) -> bool:

@@ -6,13 +6,14 @@ since extremal families concentrate around the middle levels. A branch is
 cut when the current size plus all remaining candidates cannot beat the
 incumbent. Feasibility of adding a set is checked incrementally: because the
 family before the addition is free, only embeddings whose image uses the new
-set need to be searched. The member relations are built once per solve,
-over all 2^n candidates indexed by their position in the order above; each
-include attempt searches only the live members (the chosen positions and the
-new one) by masking the per-cardinality bitsets with them. Chosen positions
-ascend along every branch, so the search meets the members in the same order
-as it would on the compact list of chosen sets. With 2^n rows of 2^n bits,
-n is at most 15 whatever ``max_n`` allows (containment.MAX_MEMBERS).
+set need to be searched. One containment.Relations record is built per
+solve, over all 2^n candidates indexed by their position in the order above;
+each include attempt searches only the live members, the bitset of the
+chosen positions and the new one. Chosen positions ascend along every
+branch, so the search meets the members in the same order as it would on
+the compact list of chosen sets. The record's rows take 2^n bits per
+candidate, so n >= 16 is refused before any candidate is listed, whatever
+``max_n`` allows (containment.MAX_MEMBERS).
 
 The witness is the first optimum reached in this fixed order, which makes it
 the lexicographically smallest family the search encounters at the optimum;
@@ -27,9 +28,9 @@ from typing import Sequence
 from .containment import (
     DEFAULT_BUDGET,
     BudgetExceededError,
+    MAX_MEMBERS,
+    Relations,
     SearchStatus,
-    _levels,
-    _member_relations,
     contains_any,
     find_embedding,
 )
@@ -86,6 +87,9 @@ def la_exact(n: int, posets: Sequence[Poset], induced: bool = False,
         raise ValueError(f"budget must be non-negative, got {budget}")
     if n > max_n:
         raise ValueError(f"solver capped at n <= {max_n}, got n={n} (raise max_n to override)")
+    if 1 << n > MAX_MEMBERS:
+        raise ValueError(f"2^{n} candidate sets exceed the relation precompute cap "
+                         f"of {MAX_MEMBERS}")
     posets = list(posets)
     if not posets:
         raise ValueError("need at least one forbidden poset")
@@ -93,8 +97,7 @@ def la_exact(n: int, posets: Sequence[Poset], induced: bool = False,
     candidates = sorted(
         range(1 << n), key=lambda m: (abs(2 * m.bit_count() - n), m.bit_count(), m)
     )
-    rels = _member_relations(candidates, inc=induced)
-    levels = _levels(candidates)
+    rels = Relations(candidates)
     chosen: list[int] = []  # candidate positions, ascending
     live = 0  # bitset of the chosen positions
     best_size = 0
@@ -105,9 +108,8 @@ def la_exact(n: int, posets: Sequence[Poset], induced: bool = False,
     def status_with(pos: int) -> SearchStatus:
         """FREE when adding candidate ``pos`` keeps the family free, else FOUND or BUDGET."""
         members = live | 1 << pos
-        live_levels = [level & members for level in levels]
         for poset in posets:
-            status = find_embedding(rels, live_levels, poset, induced, require_member=pos).status
+            status = find_embedding(rels, members, poset, induced, require_member=pos).status
             if status is not SearchStatus.FREE:
                 return status
         return SearchStatus.FREE

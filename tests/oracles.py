@@ -18,7 +18,6 @@ from random import Random
 import pytest
 
 from subposet.chains import DEFAULT_CHAIN_CAP, EMPTY_LABEL, check_chain_cap
-from subposet.containment import s_minus, s_plus
 from subposet.lattice import set_str
 
 
@@ -127,6 +126,26 @@ def nx_max_antichain(masks) -> int:
     )
     matching = nx.bipartite.maximum_matching(graph, top_nodes=left)
     return len(masks) - len(matching) // 2
+
+
+def kuhn_max_antichain(masks) -> int:
+    """Maximum antichain size by Dilworth's theorem: members minus a maximum
+    matching of the strict-inclusion pairs, found by Kuhn's recursive
+    augmenting paths over pair lists (no bitsets, no library code)."""
+    masks = list(masks)
+    succ = [[j for j, b in enumerate(masks) if strictly_less(a, b)] for a in masks]
+    match: dict[int, int] = {}
+
+    def augment(u: int, seen: set[int]) -> bool:
+        for v in succ[u]:
+            if v not in seen:
+                seen.add(v)
+                if v not in match or augment(match[v], seen):
+                    match[v] = u
+                    return True
+        return False
+
+    return len(masks) - sum(augment(u, set()) for u in range(len(masks)))
 
 
 def is_copy(images, poset, induced: bool) -> bool:
@@ -252,11 +271,13 @@ def walk_partition(family, mode: str, r: int = 1, t: int = 1):
     """Per-label (chain counts, pair counts) of a marker partition by walking
     all n! chains and placing the markers on each one as the chains module
     docstring states them; mode is "minmax", "minr" or "minrmaxt". The
-    antichain widths come from containment.s_minus/s_plus, which the
-    antichain tests check against brute force and networkx."""
+    antichain widths come from kuhn_max_antichain on the members below
+    (above) each chain set, not from the library."""
     members = family.member_set
-    sm = lru_cache(maxsize=None)(lambda x: s_minus(family, x))
-    sp = lru_cache(maxsize=None)(lambda x: s_plus(family, x))
+    sm = lru_cache(maxsize=None)(
+        lambda x: kuhn_max_antichain([m for m in family.members if m & x == m]))
+    sp = lru_cache(maxsize=None)(
+        lambda x: kuhn_max_antichain([m for m in family.members if m & x == x]))
 
     def label_of(prefixes):
         if mode == "minmax":

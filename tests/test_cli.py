@@ -117,6 +117,14 @@ def test_negative_budget_is_a_usage_error(tmp_path, capsys):
     assert code == cli.EXIT_BUDGET and doc["payload"]["optimum"] == 0
 
 
+def test_solve_refuses_lattices_over_the_relation_cap_at_once(capsys):
+    # 2^40 candidate sets: refused before any candidate list is built
+    assert cli.main(["solve", "40", "--poset", "P2", "--cap", "40"]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert "2^40 candidate sets" in json.loads(out)["payload"]["error"]
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_solve(capsys):
     code, doc, _ = run_cli(["solve", "3", "--poset", "vee", "--poset", "wedge"], capsys)
     assert code == 0

@@ -5,9 +5,8 @@ from random import Random
 
 from subposet.containment import (
     MAX_MEMBERS,
+    Relations,
     SearchStatus,
-    _levels,
-    _member_relations,
     contains_any,
     contains_subposet,
     empirical_free_levels,
@@ -29,6 +28,7 @@ from oracles import (
     brute_s_plus,
     compare,
     is_copy,
+    kuhn_max_antichain,
     nx_max_antichain,
     pair_relations,
     random_family_masks,
@@ -104,31 +104,43 @@ def test_contains_any_reports_first_hit_and_budget():
     assert res.found and res.poset_index == 1 and res.nodes == 2
 
 
+def rows(masks):
+    rels = Relations(masks)
+    return rels.sup, rels.sub, rels.inc
+
+
 def test_member_relations_match_pair_loop():
-    assert _member_relations([]) == pair_relations([]) == ([], [], [])
-    assert _member_relations([0]) == pair_relations([0]) == ([0], [0], [0])
+    assert rows([]) == pair_relations([]) == ([], [], [])
+    assert rows([0]) == pair_relations([0]) == ([0], [0], [0])
     rng = Random(515)
     for _ in range(150):
         n = rng.randint(1, 8)
         masks = rng.sample(range(1 << n), rng.randint(0, min(60, 1 << n)))
-        assert _member_relations(masks) == pair_relations(masks)
+        assert rows(masks) == pair_relations(masks)
 
 
-def test_member_relations_build_only_the_rows_asked_for():
+def test_relations_build_each_row_kind_when_first_read():
     rng = Random(516)
     for _ in range(60):
         n = rng.randint(1, 8)
-        masks = rng.sample(range(1 << n), rng.randint(0, min(60, 1 << n)))
+        masks = rng.sample(range(1 << n), rng.randint(1, min(60, 1 << n)))
         sup, sub, inc = pair_relations(masks)
-        assert _member_relations(masks, sub=False, inc=False) == (sup, None, None)
-        assert _member_relations(masks, inc=False) == (sup, sub, None)
-        assert _member_relations(masks, sub=False) == (sup, None, inc)
+        rels = Relations(masks)
+        assert not {"sup", "sub", "inc"} & set(vars(rels))
+        assert rels.sup == sup
+        assert not {"sub", "inc"} & set(vars(rels))
+        assert rels.sub == sub and "inc" not in vars(rels)
+        assert rels.inc == inc
+        # a plain search reads the sup and sub rows only
+        rels = Relations(masks)
+        find_embedding(rels, rels.full, complete_multilevel([1, 2, 1]))
+        assert "inc" not in vars(rels)
 
 
 def test_member_relations_refuse_oversized_families():
     masks = range(MAX_MEMBERS + 1)
     with pytest.raises(ValueError, match="50000"):
-        _member_relations(masks)
+        Relations(masks)
     with pytest.raises(ValueError):
         contains_subposet(SetFamily(17, tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))),
                           chain_poset(2))
@@ -146,8 +158,7 @@ def test_live_set_search_matches_compact_search():
     rng = Random(8080)
     for n in (4, 5):
         candidates = rng.sample(range(1 << n), 1 << n)
-        rels = _member_relations(candidates)
-        levels = _levels(candidates)
+        rels = Relations(candidates)
         for _ in range(60):
             pos = rng.randrange(1, 1 << n)
             chosen = sorted(rng.sample(range(pos), rng.randint(0, min(pos, 12))))
@@ -155,10 +166,10 @@ def test_live_set_search_matches_compact_search():
             masks = [candidates[c] for c in (*chosen, pos)]
             for poset in CLI_PATTERNS:
                 for induced in (False, True):
-                    full = find_embedding(rels, [level & live for level in levels], poset,
-                                          induced, require_member=pos)
-                    compact = find_embedding(_member_relations(masks), _levels(masks), poset,
-                                             induced, require_member=len(chosen))
+                    full = find_embedding(rels, live, poset, induced, require_member=pos)
+                    compact_rels = Relations(masks)
+                    compact = find_embedding(compact_rels, compact_rels.full, poset, induced,
+                                             require_member=len(chosen))
                     assert full.status is compact.status
                     assert full.nodes == compact.nodes
                     assert full.embedding == (compact.embedding and tuple(
@@ -183,9 +194,9 @@ def test_require_member_matches_brute_force():
             size = rng.randint(1, 4)
             poset = Poset(size, random_strict_order(rng, size))
         induced = rng.random() < 0.5
-        rels = _member_relations(masks)
+        rels = Relations(masks)
         member = rng.randrange(len(masks))
-        res = find_embedding(rels, _levels(masks), poset, induced, require_member=member)
+        res = find_embedding(rels, rels.full, poset, induced, require_member=member)
         assert res.status in (SearchStatus.FOUND, SearchStatus.FREE)
         assert res.found == brute_contains(masks, poset, induced, using=masks[member])
         if res.found:
@@ -330,17 +341,41 @@ def test_max_antichain_matches_networkx_matching():
         n = rng.randint(6, 8)
         fam = SetFamily.of(n, rng.sample(range(1 << n), rng.randint(30, min(150, 1 << n))))
         assert max_antichain(fam).size == nx_max_antichain(fam.members)
+        rels = Relations(fam.members)
         bound = rng.randrange(1 << n)
-        assert s_minus(fam, bound) == nx_max_antichain([m for m in fam.members if m & bound == m])
-        assert s_plus(fam, bound) == nx_max_antichain([m for m in fam.members if m & bound == bound])
+        assert s_minus(rels, bound) == nx_max_antichain([m for m in fam.members if m & bound == m])
+        assert s_plus(rels, bound) == nx_max_antichain([m for m in fam.members if m & bound == bound])
+
+
+def test_live_set_widths_match_oracle():
+    # s_minus/s_plus match on the members below/above S read off the has
+    # bitsets; at every S they must equal a matching on the filtered list
+    rng = Random(4343)
+    families = [(6, list(range(64)))]
+    for n in (5, 6, 7):
+        full = (1 << n) - 1
+        for ends in ((), (0,), (full,), (0, full)):
+            for _ in range(2):
+                masks = list(set(random_family_masks(rng, n, 24)) | set(ends))
+                rng.shuffle(masks)
+                families.append((n, masks))
+        # no member holds element n: every S holding it has nothing above
+        families.append((n, [x for x in random_family_masks(rng, n, 24) if not x >> (n - 1)]))
+    for n, masks in families:
+        rels = Relations(masks)
+        assert kuhn_max_antichain(masks) == nx_max_antichain(masks) == max_antichain(
+            SetFamily.of(n, masks)).size
+        for bound in range(1 << n):
+            assert s_minus(rels, bound) == kuhn_max_antichain([m for m in masks if m & bound == m])
+            assert s_plus(rels, bound) == kuhn_max_antichain(
+                [m for m in masks if m & bound == bound])
 
 
 def test_s_minus_s_plus():
-    full3 = SetFamily.of(3, range(8))
-    assert s_minus(full3, 7) == 3
-    assert s_minus(SetFamily.of(3, [0, 1]), 0) == 1
-    assert s_minus(SetFamily.of(3, [1, 2]), 0) == 0
-    assert s_plus(level(4, 2), 0b0011) == 1
+    assert s_minus(Relations(range(8)), 7) == 3
+    assert s_minus(Relations([0, 1]), 0) == 1
+    assert s_minus(Relations([1, 2]), 0) == 0
+    assert s_plus(Relations(level(4, 2).members), 0b0011) == 1
 
     rng = Random(13)
     for _ in range(80):
@@ -348,11 +383,13 @@ def test_s_minus_s_plus():
         fam = SetFamily.of(n, random_family_masks(rng, n, 12))
         full = (1 << n) - 1
         bound = rng.randrange(1 << n)
-        assert s_minus(fam, bound) == brute_s_minus(fam.members, bound)
-        assert s_plus(fam, bound) == brute_s_plus(fam.members, bound)
+        rels = Relations(fam.members)
+        assert s_minus(rels, bound) == brute_s_minus(fam.members, bound)
+        assert s_plus(rels, bound) == brute_s_plus(fam.members, bound)
         # duality and the full-set identity
-        assert s_plus(fam, bound) == s_minus(complement_family(fam), full ^ bound)
-        assert s_minus(fam, full) == max_antichain(fam).size
+        assert s_plus(rels, bound) == s_minus(Relations(complement_family(fam).members),
+                                              full ^ bound)
+        assert s_minus(rels, full) == max_antichain(fam).size
 
 
 def test_interval_has_antichain():

@@ -16,10 +16,9 @@ from subposet.chains import (
     minr_maxt_partition,
 )
 from subposet.containment import (
+    Relations,
     SearchStatus,
     _initial_domains,
-    _levels,
-    _member_relations,
     _plan_for,
     _search,
     contains_subposet,
@@ -86,7 +85,8 @@ def mask_lists(draw, max_n=8, max_size=60):
 @settings(max_examples=300, deadline=None)
 @given(mask_lists())
 def test_member_relations_match_pair_loop(masks):
-    assert _member_relations(masks) == pair_relations(masks)
+    rels = Relations(masks)
+    assert (rels.sup, rels.sub, rels.inc) == pair_relations(masks)
 
 
 @settings(max_examples=150, deadline=None)
@@ -139,10 +139,9 @@ def test_band_and_fringe_pins_match_unpinned_search():
         poset = patterns[trial % len(patterns)] if trial % 4 else Poset(
             5, random_strict_order(rng, 5))
         for induced in (False, True):
-            rels = _member_relations(family.members, inc=induced)
-            levels = _levels(family.members)
-            want, _, _ = _search(rels, poset, _plan_for(poset), _initial_domains(levels, poset),
-                                 induced, 10**7)
+            rels = Relations(family.members)
+            want, _, _ = _search(rels, poset, _plan_for(poset),
+                                 _initial_domains(rels.levels, poset), induced, 10**7)
             res = contains_subposet(family, poset, induced)
             assert res.status is want
             if res.found:
