@@ -199,10 +199,12 @@ def _initial_domains(levels: Sequence[int], poset: Poset) -> list[int]:
 
 
 def _search(rels: Relations, poset: Poset, plan: _Plan, domains: list[int], induced: bool,
-            budget: int) -> tuple[SearchStatus, tuple[int, ...] | None, int]:
+            budget: int, copies: dict[int, tuple[int, ...]] | None = None
+            ) -> tuple[SearchStatus, tuple[int, ...] | None, int]:
     """Depth-first search with an explicit stack: one frame (element, untried
     candidates, domains) per placed element, so the pattern size is not
-    bounded by the interpreter's recursion limit."""
+    bounded by the interpreter's recursion limit. With ``copies`` each full
+    embedding is kept under its member bitset and the search goes on."""
     if not all(domains):
         return SearchStatus.FREE, None, 0
     sup, sub, inc = rels.sup, rels.sub, rels.inc if induced else None
@@ -238,6 +240,11 @@ def _search(rels: Relations, poset: Poset, plan: _Plan, domains: list[int], indu
         c ^= bit
         i = bit.bit_length() - 1
         img[e] = i
+        if depth + 1 == p:  # the last element: nothing left to narrow or count
+            if copies is None:
+                return SearchStatus.FOUND, tuple(img), nodes
+            copies.setdefault(used | bit, tuple(img))
+            continue
         used |= bit
         ce = class_of[e]
         placed_in_class[ce] += 1
@@ -263,8 +270,6 @@ def _search(rels: Relations, poset: Poset, plan: _Plan, domains: list[int], indu
             used ^= bit
             continue
         depth += 1
-        if depth == p:
-            return SearchStatus.FOUND, tuple(img), nodes
         stack.append((e, c, cand))
         cand = nxt
         e = order[depth]
@@ -275,7 +280,8 @@ def _search(rels: Relations, poset: Poset, plan: _Plan, domains: list[int], indu
 
 
 def find_embedding(rels: Relations, live: int, poset: Poset, induced: bool = False,
-                   budget: int = DEFAULT_BUDGET, require_member: int | None = None) -> SearchResult:
+                   budget: int = DEFAULT_BUDGET, require_member: int | None = None,
+                   copies: dict[int, tuple[int, ...]] | None = None) -> SearchResult:
     """Search among the members in ``live``, a bitset of member indices of
     ``rels``. Members outside ``live`` are never used, and images are member
     indices of ``rels``.
@@ -286,8 +292,10 @@ def find_embedding(rels: Relations, live: int, poset: Poset, induced: bool = Fal
 
     With ``require_member`` set, only embeddings whose image uses that member
     index are sought: one pin per twin class puts the class's first element,
-    placed first, on that member, over all live members. Intended for
-    incremental feasibility checks.
+    placed first, on that member, over all live members. An empty dict as
+    ``copies`` as well asks for all copies: the search goes on past each one
+    and keeps every member bitset once, with the first embedding reaching it;
+    FOUND carries the first copy. The solver lists its copies so.
     """
     if poset.size > live.bit_count():
         return SearchResult(SearchStatus.FREE, None, 0)
@@ -296,6 +304,8 @@ def find_embedding(rels: Relations, live: int, poset: Poset, induced: bool = Fal
     domains = _initial_domains(levels, poset)
     if require_member is not None:
         pins = [(cls[0], require_member, live) for cls in plan.classes]
+    elif copies is not None:
+        raise ValueError("copies are listed only with require_member")
     else:
         n = len(levels) - 1
         band = sum(level for k, level in enumerate(levels) if level.bit_count() == comb(n, k))
@@ -313,10 +323,12 @@ def find_embedding(rels: Relations, live: int, poset: Poset, induced: bool = Fal
         pinned = [d & allowed for d in domains]
         pinned[e] = 1 << member
         status, emb, nodes = _search(rels, poset, _plan_for(poset, e), pinned, induced,
-                                     budget - total)
+                                     budget - total, copies)
         total += nodes
         if status is not SearchStatus.FREE:
             return SearchResult(status, emb, total)
+    if copies:
+        return SearchResult(SearchStatus.FOUND, next(iter(copies.values())), total)
     return SearchResult(SearchStatus.FREE, None, total)
 
 

@@ -35,9 +35,9 @@ def wide_ends(r: int, t: int) -> int:
 
 
 def middle_height(s: int, ends: int = 0) -> int:
-    """ceil(log2(s - ends + 2)), computed exactly."""
-    if s - ends < 0:
-        raise ValueError(f"need s >= ends, got s={s}, ends={ends}")
+    """ceil(log2(s - ends + 2)), computed exactly; ``ends`` is a wide_ends value."""
+    if ends not in (0, 1, 2) or s < ends:
+        raise ValueError(f"need ends in 0..2 and s >= ends, got s={s}, ends={ends}")
     return (s - ends + 1).bit_length()
 
 

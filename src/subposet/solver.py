@@ -4,16 +4,15 @@ Branch and bound over all subsets of [n], taken in middle-out order
 (distance of the cardinality from n/2, then cardinality, then mask value),
 since extremal families concentrate around the middle levels. A branch is
 cut when the current size plus all remaining candidates cannot beat the
-incumbent. Feasibility of adding a set is checked incrementally: because the
-family before the addition is free, only embeddings whose image uses the new
-set need to be searched. One containment.Relations record is built per
-solve, over all 2^n candidates indexed by their position in the order above;
-each include attempt searches only the live members, the bitset of the
-chosen positions and the new one. Chosen positions ascend along every
-branch, so the search meets the members in the same order as it would on
-the compact list of chosen sets. The record's rows take 2^n bits per
-candidate, so n >= 16 is refused before any candidate is listed, whatever
-``max_n`` allows (containment.MAX_MEMBERS).
+incumbent. Chosen positions ascend along every branch, so a copy of a
+pattern that an include attempt at position ``pos`` completes has ``pos`` as
+its last member on every branch. The first attempt at ``pos`` lists every
+copy among positions 0..pos that uses ``pos``, as the bitset of its other
+positions, with find_embedding's all-copies mode over one
+containment.Relations record of all 2^n candidates; each attempt at ``pos``
+is then free exactly when no listed copy lies inside the chosen positions.
+Its rows take 2^n bits per candidate, so n >= 16 is refused before any
+candidate is listed, whatever ``max_n`` allows (containment.MAX_MEMBERS).
 
 The witness is the first optimum reached in this fixed order, which makes it
 the lexicographically smallest family the search encounters at the optimum;
@@ -80,6 +79,11 @@ def la_exact(n: int, posets: Sequence[Poset], induced: bool = False,
     with ``exhausted=False``. With ``break_symmetry`` the first included set
     is restricted to the minimal mask of its (centrality, size) class, which
     is sound under relabeling of the ground elements.
+
+    Each copy list is built on the first attempt at its position, one search
+    per pattern under the containment node budget (BUDGET ends the solve
+    unexhausted), and costs time and memory for every copy ending there
+    however few attempts ``budget`` allows: at n = 8 it is most of the work.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -105,14 +109,16 @@ def la_exact(n: int, posets: Sequence[Poset], induced: bool = False,
     nodes = 0
     aborted = False
 
-    def status_with(pos: int) -> SearchStatus:
-        """FREE when adding candidate ``pos`` keeps the family free, else FOUND or BUDGET."""
-        members = live | 1 << pos
-        for poset in posets:
-            status = find_embedding(rels, members, poset, induced, require_member=pos).status
-            if status is not SearchStatus.FREE:
-                return status
-        return SearchStatus.FREE
+    ends_at: list[list[int] | None] = [None] * len(candidates)  # copy lists by position
+
+    def copies_ending_at(pos: int) -> list[int] | None:
+        """The copy list of ``pos``, or None when a search ran out of budget."""
+        found: list[dict[int, tuple[int, ...]]] = [{} for _ in posets]
+        for poset, each in zip(posets, found):
+            if find_embedding(rels, (2 << pos) - 1, poset, induced, require_member=pos,
+                              copies=each).status is SearchStatus.BUDGET:
+                return None
+        return list({c ^ 1 << pos: None for each in found for c in each})
 
     # Positions still to visit; -1 undoes the last inclusion. The exclude
     # branch is pushed before the include branch, so it is visited (and its
@@ -133,11 +139,12 @@ def la_exact(n: int, posets: Sequence[Poset], induced: bool = False,
             aborted = True
             break
         nodes += 1
-        status = status_with(pos)
-        if status is SearchStatus.BUDGET:
+        ends = ends_at[pos]
+        if ends is None and (ends := copies_ending_at(pos)) is None:
             aborted = True
             break
-        if status is SearchStatus.FREE:
+        ends_at[pos] = ends
+        if not any(c & live == c for c in ends):
             chosen.append(pos)
             live |= 1 << pos
             if len(chosen) > best_size:

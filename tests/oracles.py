@@ -167,10 +167,56 @@ def is_copy(images, poset, induced: bool) -> bool:
 
 
 def brute_contains(masks, poset, induced: bool, using: int | None = None) -> bool:
-    """Containment by trying every injection of the poset into the family;
+    """Containment by trying every ordering of every member set (brute_copies);
     with ``using`` (a mask) only copies that take that set count."""
-    return any(is_copy(images, poset, induced) for images in permutations(masks, poset.size)
-               if using is None or using in images)
+    return any(True for _ in brute_copies(masks, poset, induced, using))
+
+
+def brute_copies(family, poset, induced: bool, using: int | None = None):
+    """Each member set of the family that some ordering makes a copy of the
+    poset, once, as its ascending member indices; with ``using`` (a mask)
+    only the sets holding it. Tries every ordering of every member set."""
+    masks = list(family)
+    for combo in combinations(range(len(masks)), poset.size):
+        images = [masks[i] for i in combo]
+        if (using is None or using in images) and any(
+                is_copy(perm, poset, induced) for perm in permutations(images)):
+            yield combo
+
+
+def walk_la(n: int, posets, induced: bool = False, budget: int | None = None,
+            break_symmetry: bool = False):
+    """(optimum, witness masks, include attempts, exhausted) of the solver's
+    branch and bound, walked as its module docstring states it: candidates
+    middle-out, include before exclude, the "chosen + remaining" bound, and
+    freeness of each include attempt decided by brute_contains."""
+    candidates = sorted(range(1 << n),
+                        key=lambda m: (abs(2 * m.bit_count() - n), m.bit_count(), m))
+    best = (0, ())
+    nodes = 0
+
+    def walk(pos: int, chosen: list[int]) -> bool:
+        """False when the attempt budget ran out."""
+        nonlocal best, nodes
+        for pos in range(pos, len(candidates)):
+            if len(chosen) + len(candidates) - pos <= best[0]:
+                return True
+            mask = candidates[pos]
+            if break_symmetry and not chosen and mask != (1 << mask.bit_count()) - 1:
+                continue
+            if budget is not None and nodes >= budget:
+                return False
+            nodes += 1
+            family = chosen + [mask]
+            if not any(brute_contains(family, poset, induced, mask) for poset in posets):
+                if len(family) > best[0]:
+                    best = (len(family), tuple(sorted(family, key=lambda m: (m.bit_count(), m))))
+                if not walk(pos + 1, family):
+                    return False
+        return True
+
+    exhausted = walk(0, [])
+    return best[0], best[1], nodes, exhausted
 
 
 def closure_relation_count(covers, size: int) -> int:

@@ -34,6 +34,13 @@ def test_height_commands(capsys):
     assert run_cli(["ends", "3", "3"], capsys)[1]["payload"] == {"value": 2}
 
 
+@pytest.mark.parametrize("s, ends", [("5", "-3"), ("9", "4")])
+def test_mheight_rejects_impossible_ends(capsys, s, ends):
+    code, doc, _ = run_cli(["mheight", s, "--ends", ends], capsys)
+    assert code == 2
+    assert "need ends in 0..2" in doc["payload"]["error"]
+
+
 def test_estar_trace(capsys):
     code, doc, _ = run_cli(["estar", "K[1,1,2]"], capsys)
     assert code == 0

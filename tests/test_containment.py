@@ -18,11 +18,12 @@ from subposet.containment import (
 )
 from subposet.constructions import construct_rst, construct_rst_induced, construct_rt
 from subposet.lattice import SetFamily, complement_family, consecutive_levels, level
-from subposet.posets import chain_poset, complete_multilevel, dual, named_poset
+from subposet.posets import _bits, chain_poset, complete_multilevel, dual, named_poset
 
 from oracles import (
     Relation,
     brute_contains,
+    brute_copies,
     brute_max_antichain,
     brute_s_minus,
     brute_s_plus,
@@ -151,29 +152,67 @@ CLI_PATTERNS = [named_poset("vee"), named_poset("wedge"), named_poset("butterfly
                 complete_multilevel([2, 2])]
 
 
+def bitset(indices) -> int:
+    return sum(1 << i for i in indices)
+
+
 def test_live_set_search_matches_compact_search():
-    # the solver searches its chosen members inside rows built over all 2^n
-    # candidates; restricted to the live levels it must walk the same tree as
-    # a search over the compact member list
+    # the solver lists the copies ending at a position inside rows built over
+    # all 2^n candidates, live = that position and all before it; restricted
+    # to the live levels, a pinned search (first copy or all copies) must walk
+    # the same tree as over the compact member list
     rng = Random(8080)
     for n in (4, 5):
         candidates = rng.sample(range(1 << n), 1 << n)
         rels = Relations(candidates)
-        for _ in range(60):
+        for trial in range(60):
             pos = rng.randrange(1, 1 << n)
-            chosen = sorted(rng.sample(range(pos), rng.randint(0, min(pos, 12))))
-            live = sum(1 << c for c in chosen) | 1 << pos
-            masks = [candidates[c] for c in (*chosen, pos)]
+            chosen = (list(range(pos)) if trial % 4 == 0 else
+                      sorted(rng.sample(range(pos), rng.randint(0, min(pos, 12)))))
+            kept = (*chosen, pos)
+            live = bitset(kept)
+            compact_rels = Relations([candidates[c] for c in kept])
             for poset in CLI_PATTERNS:
                 for induced in (False, True):
                     full = find_embedding(rels, live, poset, induced, require_member=pos)
-                    compact_rels = Relations(masks)
                     compact = find_embedding(compact_rels, compact_rels.full, poset, induced,
                                              require_member=len(chosen))
                     assert full.status is compact.status
                     assert full.nodes == compact.nodes
                     assert full.embedding == (compact.embedding and tuple(
-                        (*chosen, pos)[i] for i in compact.embedding))
+                        kept[i] for i in compact.embedding))
+                    full_copies, compact_copies = {}, {}
+                    listed = find_embedding(rels, live, poset, induced, require_member=pos,
+                                            copies=full_copies)
+                    compact = find_embedding(compact_rels, compact_rels.full, poset, induced,
+                                             require_member=len(chosen), copies=compact_copies)
+                    assert (listed.status, listed.nodes, listed.embedding) == (
+                        compact.status, compact.nodes,
+                        compact.embedding and tuple(kept[i] for i in compact.embedding))
+                    assert list(full_copies.items()) == [
+                        (bitset(kept[i] for i in _bits(b)), tuple(kept[i] for i in emb))
+                        for b, emb in compact_copies.items()]
+
+
+def check_copies(masks, poset, induced, member):
+    """find_embedding's copy list for ``member`` against brute_copies; returns
+    the first-copy search result and the listed copies."""
+    rels = Relations(masks)
+    res = find_embedding(rels, rels.full, poset, induced, require_member=member)
+    copies = {}
+    listed = find_embedding(rels, rels.full, poset, induced, require_member=member,
+                            copies=copies)
+    want = [bitset(combo) for combo in brute_copies(masks, poset, induced, masks[member])]
+    assert len(set(want)) == len(want) == len(copies)  # each member set once
+    assert set(copies) == set(want)
+    for bits, emb in copies.items():
+        assert bitset(emb) == bits and len(emb) == poset.size
+        assert is_copy([masks[i] for i in emb], poset, induced)
+    # the first copy the pinned search reaches heads the list
+    assert listed.status is res.status and listed.embedding == res.embedding
+    if res.found:
+        assert next(iter(copies.items())) == (bitset(res.embedding), res.embedding)
+    return res, copies
 
 
 def test_require_member_matches_brute_force():
@@ -194,16 +233,41 @@ def test_require_member_matches_brute_force():
             size = rng.randint(1, 4)
             poset = Poset(size, random_strict_order(rng, size))
         induced = rng.random() < 0.5
-        rels = Relations(masks)
         member = rng.randrange(len(masks))
-        res = find_embedding(rels, rels.full, poset, induced, require_member=member)
+        res, copies = check_copies(masks, poset, induced, member)
         assert res.status in (SearchStatus.FOUND, SearchStatus.FREE)
         assert res.found == brute_contains(masks, poset, induced, using=masks[member])
+        assert res.found == bool(copies)
         if res.found:
             found += 1
             assert member in res.embedding and len(set(res.embedding)) == poset.size
             assert is_copy([masks[i] for i in res.embedding], poset, induced)
     assert 30 < found < 270
+
+
+def test_copies_match_brute_force():
+    # every copy through each member, for the CLI patterns and random 3-5
+    # element orders; over all members they are all the family's copies
+    from subposet.posets import Poset
+    from oracles import random_strict_order
+
+    rng = Random(5150)
+    listed = 0
+    for trial in range(200):
+        n = rng.randint(2, 5)
+        masks = random_family_masks(rng, n, 10)
+        if trial % 2:
+            poset = CLI_PATTERNS[trial // 2 % len(CLI_PATTERNS)]
+        else:
+            size = rng.randint(3, 5)
+            poset = Poset(size, random_strict_order(rng, size))
+        for induced in (False, True):
+            every = set()
+            for member in range(len(masks)):
+                every |= set(check_copies(masks, poset, induced, member)[1])
+            assert every == {bitset(c) for c in brute_copies(masks, poset, induced)}
+            listed += len(every)
+    assert listed > 1000
 
 
 def test_budget_outcome_is_distinct():

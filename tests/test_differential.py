@@ -22,6 +22,7 @@ from subposet.containment import (
     _plan_for,
     _search,
     contains_subposet,
+    find_embedding,
     max_antichain,
 )
 from subposet.lattice import SetFamily
@@ -30,6 +31,7 @@ from subposet.solver import la_exact
 
 from oracles import (
     brute_contains,
+    brute_copies,
     brute_la,
     comparable,
     is_copy,
@@ -118,6 +120,25 @@ def test_contains_matches_brute_force(family, poset, induced):
                     assert strictly_less(images[i], images[j])
                 elif induced and i != j and not poset.less(j, i):
                     assert not comparable(images[i], images[j])
+
+
+@settings(max_examples=300, deadline=None)
+@given(families(max_n=5), posets(max_size=5), st.booleans(), st.data())
+def test_copies_through_a_member_match_brute_force(family, poset, induced, data):
+    masks = family.members
+    if not masks:
+        return
+    member = data.draw(st.integers(0, len(masks) - 1))
+    rels = Relations(masks)
+    copies = {}
+    res = find_embedding(rels, rels.full, poset, induced, require_member=member, copies=copies)
+    want = [sum(1 << i for i in c) for c in brute_copies(masks, poset, induced, masks[member])]
+    assert len(copies) == len(want) and set(copies) == set(want)
+    for bits, emb in copies.items():
+        assert sum(1 << i for i in emb) == bits and is_copy([masks[i] for i in emb], poset, induced)
+    first = find_embedding(rels, rels.full, poset, induced, require_member=member)
+    assert (res.status, res.embedding) == (first.status, first.embedding)
+    assert first.embedding is None or sum(1 << i for i in first.embedding) in copies
 
 
 def test_band_and_fringe_pins_match_unpinned_search():

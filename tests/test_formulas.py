@@ -53,6 +53,14 @@ def test_middle_height():
         assert middle_height(2**m - 1, 0) == m + 1
 
 
+def test_middle_height_rejects_ends_outside_wide_ends_range():
+    # wide_ends yields 0, 1 or 2 only; other values used to give a number
+    for s, ends in ((5, -3), (9, 4), (9, 3), (4, -1)):
+        with pytest.raises(ValueError, match="need ends in 0..2"):
+            middle_height(s, ends)
+    assert [middle_height(2, ends) for ends in (0, 1, 2)] == [2, 2, 1]
+
+
 def test_antichain_height_values():
     assert antichain_height(1) == 1
     assert antichain_height(4) == 4

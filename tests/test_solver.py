@@ -9,7 +9,11 @@ from subposet.lattice import SetFamily, sigma
 from subposet.posets import chain_poset, complete_multilevel, named_poset
 from subposet.solver import FreenessError, certified_lower_bound, la_exact
 
-from oracles import brute_la
+from oracles import brute_la, walk_la
+
+CLI_PATTERNS = [named_poset("vee"), named_poset("wedge"), named_poset("butterfly"),
+                chain_poset(2), chain_poset(3), complete_multilevel([1, 2, 1]),
+                complete_multilevel([2, 2])]
 
 
 def test_known_optima_small():
@@ -140,3 +144,18 @@ def test_random_instances_match_oracle():
         assert res.exhausted
         assert res.optimum == brute_la(3, [poset], induced)
         assert contains_any(res.witness, [poset], induced).free
+
+
+@pytest.mark.parametrize("break_symmetry", [False, True])
+@pytest.mark.parametrize("budget", [None, 0, 5, 50])
+def test_walk_matches_per_attempt_oracle_walk(budget, break_symmetry):
+    # the copy lists must decide every include attempt as a fresh brute-force
+    # search would, so the walk, its attempt count and the witness are unchanged
+    cases = [(n, [poset]) for n in (1, 2, 3) for poset in CLI_PATTERNS]
+    cases += [(4, [poset]) for poset in CLI_PATTERNS if 2 <= poset.size <= 3]
+    cases += [(3, CLI_PATTERNS[:2]), (3, [chain_poset(3), named_poset("butterfly")])]
+    for n, posets in cases:
+        for induced in (False, True):
+            res = la_exact(n, posets, induced, budget=budget, break_symmetry=break_symmetry)
+            want = walk_la(n, posets, induced, budget, break_symmetry)
+            assert (res.optimum, res.witness.members, res.nodes_explored, res.exhausted) == want
