@@ -165,33 +165,33 @@ def test_live_set_search_matches_compact_search():
     for n in (4, 5):
         candidates = rng.sample(range(1 << n), 1 << n)
         rels = Relations(candidates)
-        for trial in range(60):
+        for _ in range(60):
             pos = rng.randrange(1, 1 << n)
-            chosen = (list(range(pos)) if trial % 4 == 0 else
-                      sorted(rng.sample(range(pos), rng.randint(0, min(pos, 12)))))
-            kept = (*chosen, pos)
-            live = bitset(kept)
-            compact_rels = Relations([candidates[c] for c in kept])
-            for poset in CLI_PATTERNS:
-                for induced in (False, True):
-                    full = find_embedding(rels, live, poset, induced, require_member=pos)
-                    compact = find_embedding(compact_rels, compact_rels.full, poset, induced,
-                                             require_member=len(chosen))
-                    assert full.status is compact.status
-                    assert full.nodes == compact.nodes
-                    assert full.embedding == (compact.embedding and tuple(
-                        kept[i] for i in compact.embedding))
-                    full_copies, compact_copies = {}, {}
-                    listed = find_embedding(rels, live, poset, induced, require_member=pos,
-                                            copies=full_copies)
-                    compact = find_embedding(compact_rels, compact_rels.full, poset, induced,
-                                             require_member=len(chosen), copies=compact_copies)
-                    assert (listed.status, listed.nodes, listed.embedding) == (
-                        compact.status, compact.nodes,
-                        compact.embedding and tuple(kept[i] for i in compact.embedding))
-                    assert list(full_copies.items()) == [
-                        (bitset(kept[i] for i in _bits(b)), tuple(kept[i] for i in emb))
-                        for b, emb in compact_copies.items()]
+            sampled = sorted(rng.sample(range(pos), rng.randint(0, min(pos, 12))))
+            for chosen in (sampled, list(range(pos))):  # the second: the solver's live set
+                kept = (*chosen, pos)
+                live = bitset(kept)
+                compact_rels = Relations([candidates[c] for c in kept])
+                for poset in CLI_PATTERNS:
+                    for induced in (False, True):
+                        full = find_embedding(rels, live, poset, induced, require_member=pos)
+                        compact = find_embedding(compact_rels, compact_rels.full, poset, induced,
+                                                 require_member=len(chosen))
+                        assert full.status is compact.status
+                        assert full.nodes == compact.nodes
+                        assert full.embedding == (compact.embedding and tuple(
+                            kept[i] for i in compact.embedding))
+                        full_copies, compact_copies = {}, {}
+                        listed = find_embedding(rels, live, poset, induced, require_member=pos,
+                                                copies=full_copies)
+                        compact = find_embedding(compact_rels, compact_rels.full, poset, induced,
+                                                 require_member=len(chosen), copies=compact_copies)
+                        assert (listed.status, listed.nodes, listed.embedding) == (
+                            compact.status, compact.nodes,
+                            compact.embedding and tuple(kept[i] for i in compact.embedding))
+                        assert list(full_copies.items()) == [
+                            (bitset(kept[i] for i in _bits(b)), tuple(kept[i] for i in emb))
+                            for b, emb in compact_copies.items()]
 
 
 def check_copies(masks, poset, induced, member):
