@@ -13,7 +13,7 @@ bits (380 MB there), so lists over MAX_MEMBERS masks are refused first.
 Plain searches never build ``inc``; s_minus and s_plus match on
 ``below``/``above`` of a set, reading ``sup`` alone.
 
-Three refinements keep exhaustive verdicts affordable without giving up
+Four refinements keep exhaustive verdicts affordable without giving up
 completeness:
 
 * pattern elements are placed in a fixed constraint-first order (most
@@ -24,7 +24,11 @@ completeness:
 * after every placement, each class of interchangeable unplaced elements
   must retain at least as many available candidates as it has unplaced
   members, and every element's image is pre-restricted to the cardinality
-  window its chain height above and below allows.
+  window its chain height above and below allows;
+* before the next element's candidates are tried, those whose placement
+  would fail that count check are dropped in bulk (``_search``).
+
+``nodes`` counts the candidates tried, so a dropped one is no node.
 
 find_embedding follows the paper's constructions, a band of full levels plus
 a few fringe sets, and runs the search once per pin (an element placed first
@@ -95,40 +99,56 @@ class SearchResult:
 
 @dataclass(frozen=True)
 class _Plan:
-    """Static search data for one pattern poset."""
+    """Static search data for one pattern poset, plain or induced. Depth d
+    places ``order[d]``; ``steps[d]`` pairs the later elements it narrows with
+    their row kinds (0 ``sup``, 1 ``sub``, 2 ``inc``) and ``counts[d]`` each
+    class's first unplaced element with its unplaced count, checked after it.
+    ``cuts[d]`` holds the counts whose element ``steps[d]`` narrows, with the
+    transposed row kind: the count filter of ``_search``."""
 
     order: tuple[int, ...]
     twin_prev: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
-    class_of: tuple[int, ...]
+    induced: bool
+    steps: tuple[tuple[tuple[int, int], ...], ...]
+    counts: tuple[tuple[tuple[int, int], ...], ...]
+    cuts: tuple[tuple[tuple[int, int, int], ...], ...]
 
 
 @lru_cache(maxsize=None)
-def _plan_for(poset: Poset, first: int | None = None) -> _Plan:
+def _plan_for(poset: Poset, induced: bool, first: int | None = None) -> _Plan:
     """Search plan; ``first`` (the first of its twin class) goes to the front,
     and its next twin may take any member, as the pinned one may be any class
     image. The class is still placed in class order, which the count check needs."""
-    if first is not None:
-        base = _plan_for(poset)
-        return replace(base, order=(first, *(e for e in base.order if e != first)),
-                       twin_prev=tuple(-1 if tp == first else tp for tp in base.twin_prev))
-    p = poset.size
+    p, below, above = poset.size, poset.below, poset.above
     groups: dict[tuple[int, int], list[int]] = {}
     for e in range(p):
-        groups.setdefault((poset.below[e], poset.above[e]), []).append(e)
-    classes = tuple(tuple(sorted(g)) for g in groups.values())
-    class_of = [0] * p
-    twin_prev = [-1] * p
-    for ci, cls in enumerate(classes):
-        for pos, e in enumerate(cls):
-            class_of[e] = ci
-            twin_prev[e] = cls[pos - 1] if pos else -1
+        groups.setdefault((below[e], above[e]), []).append(e)
+    classes = tuple(tuple(g) for g in groups.values())
+    class_of = {e: ci for ci, cls in enumerate(classes) for e in cls}
+    twin_prev = {e: cls[pos - 1] if pos and cls[pos - 1] != first else -1
+                 for cls in classes for pos, e in enumerate(cls)}
     deg = [c.bit_count() for c in poset.comparable]
-    order = tuple(
-        sorted(range(p), key=lambda e: (-deg[e], len(classes[class_of[e]]), poset.heights[e], e))
-    )
-    return _Plan(order=order, twin_prev=tuple(twin_prev), classes=classes,
-                 class_of=tuple(class_of))
+    order = sorted(range(p), key=lambda e: (-deg[e], len(classes[class_of[e]]),
+                                            poset.heights[e], e))
+    if first is not None:
+        order = [first, *(e for e in order if e != first)]
+    rest = set(range(p))
+    narrow = [[(e, k) for k in range(3)] for e in range(p)]  # shared by the p^2 / 2 steps
+    placed = [0] * len(classes)
+    steps, counts, cuts = [], [], []
+    for e in order:
+        rest.remove(e)
+        up, down = rest.intersection(_bits(above[e])), rest.intersection(_bits(below[e]))
+        later = (up, down, rest - up - down if induced else ())
+        placed[class_of[e]] += 1
+        count = [(cls[k], len(cls) - k) for cls, k in zip(classes, placed) if k < len(cls)]
+        steps.append(tuple(narrow[e2][k] for k, group in enumerate(later) for e2 in group))
+        counts.append(tuple(count))
+        cuts.append(tuple((rep, need, (1, 0, 2)[k]) for rep, need in count
+                          for k, group in enumerate(later) if rep in group))
+    return _Plan(tuple(order), tuple(twin_prev[e] for e in range(p)), classes, induced,
+                 tuple(steps), tuple(counts), tuple(cuts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,25 +218,27 @@ def _initial_domains(levels: Sequence[int], poset: Poset) -> list[int]:
     return domains
 
 
-def _search(rels: Relations, poset: Poset, plan: _Plan, domains: list[int], induced: bool,
-            budget: int, copies: dict[int, tuple[int, ...]] | None = None
+def _search(rels: Relations, plan: _Plan, domains: list[int], budget: int,
+            copies: dict[int, tuple[int, ...]] | None = None
             ) -> tuple[SearchStatus, tuple[int, ...] | None, int]:
     """Depth-first search with an explicit stack: one frame (element, untried
     candidates, domains) per placed element, so the pattern size is not
-    bounded by the interpreter's recursion limit. With ``copies`` each full
-    embedding is kept under its member bitset and the search goes on."""
+    bounded by the interpreter's recursion limit. Depth d follows the plan's
+    schedule; ``nodes`` counts the candidates tried. On the way down to depth
+    d, each cut (rep, need) of ``plan.cuts[d]`` drops every candidate i its
+    count check would reject: i stays when row[i] & S holds need members, S
+    the available candidates of rep, counted over the transposed rows of S's
+    members in thermometer bitsets that saturate at need. A cut runs when
+    |S| * need < |c|, so it costs fewer row operations than the candidates.
+    With ``copies`` each full embedding is kept under its member bitset and
+    the search goes on."""
     if not all(domains):
         return SearchStatus.FREE, None, 0
-    sup, sub, inc = rels.sup, rels.sub, rels.inc if induced else None
-    p = poset.size
-    below = poset.below
-    above = poset.above
-    order = plan.order
-    twin_prev = plan.twin_prev
-    classes = plan.classes
-    class_of = plan.class_of
+    rows = (rels.sup, rels.sub, rels.inc) if plan.induced else (rels.sup, rels.sub)
+    order, twin_prev = plan.order, plan.twin_prev
+    steps, counts, cuts = plan.steps, plan.counts, plan.cuts
+    p = len(order)
     img = [-1] * p
-    placed_in_class = [0] * len(classes)
     used = 0
     nodes = 0
     stack: list[tuple[int, int, list[int]]] = []
@@ -231,7 +253,6 @@ def _search(rels: Relations, poset: Poset, plan: _Plan, domains: list[int], indu
             e, c, cand = stack.pop()
             depth -= 1
             used ^= 1 << img[e]
-            placed_in_class[class_of[e]] -= 1
             continue
         if nodes >= budget:
             return SearchStatus.BUDGET, None, nodes
@@ -245,38 +266,34 @@ def _search(rels: Relations, poset: Poset, plan: _Plan, domains: list[int], indu
                 return SearchStatus.FOUND, tuple(img), nodes
             copies.setdefault(used | bit, tuple(img))
             continue
-        used |= bit
-        ce = class_of[e]
-        placed_in_class[ce] += 1
         nxt = list(cand)
-        for pos in range(depth + 1, p):
-            e2 = order[pos]
-            if below[e2] >> e & 1:
-                nxt[e2] &= sup[i]
-            elif above[e2] >> e & 1:
-                nxt[e2] &= sub[i]
-            elif induced:
-                nxt[e2] &= inc[i]
-        ok = True
-        for ci, cls in enumerate(classes):
-            unplaced = len(cls) - placed_in_class[ci]
-            if unplaced:
-                rep = cls[placed_in_class[ci]]
-                if (nxt[rep] & ~used).bit_count() < unplaced:
-                    ok = False
-                    break
-        if not ok:
-            placed_in_class[ce] -= 1
-            used ^= bit
-            continue
-        depth += 1
-        stack.append((e, c, cand))
-        cand = nxt
-        e = order[depth]
-        c = cand[e] & ~used
-        tp = twin_prev[e]
-        if tp >= 0:
-            c &= ~((1 << (img[tp] + 1)) - 1)
+        for e2, k in steps[depth]:
+            nxt[e2] &= rows[k][i]
+        avail = ~(used | bit)
+        for rep, need in counts[depth]:
+            if (nxt[rep] & avail).bit_count() < need:
+                break
+        else:
+            used |= bit
+            depth += 1
+            stack.append((e, c, cand))
+            cand = nxt
+            e = order[depth]
+            c = cand[e] & ~used
+            tp = twin_prev[e]
+            if tp >= 0:
+                c &= ~((1 << (img[tp] + 1)) - 1)
+            for rep, need, k in cuts[depth]:
+                s = cand[rep] & ~used
+                if s.bit_count() * need < c.bit_count():
+                    flip = rows[k]
+                    tally = [0] * need  # tally[t]: candidates seen at least t + 1 times
+                    for j in _bits(s):
+                        x = flip[j] & c
+                        for t in range(need - 1, 0, -1):
+                            tally[t] |= tally[t - 1] & x
+                        tally[0] |= x
+                    c &= tally[-1]
 
 
 def find_embedding(rels: Relations, live: int, poset: Poset, induced: bool = False,
@@ -300,7 +317,7 @@ def find_embedding(rels: Relations, live: int, poset: Poset, induced: bool = Fal
     if poset.size > live.bit_count():
         return SearchResult(SearchStatus.FREE, None, 0)
     levels = [level & live for level in rels.levels]
-    plan = _plan_for(poset)
+    plan = _plan_for(poset, induced)
     domains = _initial_domains(levels, poset)
     if require_member is not None:
         pins = [(cls[0], require_member, live) for cls in plan.classes]
@@ -310,7 +327,7 @@ def find_embedding(rels: Relations, live: int, poset: Poset, induced: bool = Fal
         n = len(levels) - 1
         band = sum(level for k, level in enumerate(levels) if level.bit_count() == comb(n, k))
         if not band:
-            return SearchResult(*_search(rels, poset, plan, domains, induced, budget))
+            return SearchResult(*_search(rels, plan, domains, budget))
         first, fringe = plan.order[0], live ^ band
         reps = [level & band & domains[first] for level in levels]  # any set represents its level
         pins = chain(((cls[0], f, band | fringe >> f << f) for f in _bits(fringe)
@@ -322,7 +339,7 @@ def find_embedding(rels: Relations, live: int, poset: Poset, induced: bool = Fal
             continue
         pinned = [d & allowed for d in domains]
         pinned[e] = 1 << member
-        status, emb, nodes = _search(rels, poset, _plan_for(poset, e), pinned, induced,
+        status, emb, nodes = _search(rels, _plan_for(poset, induced, e), pinned,
                                      budget - total, copies)
         total += nodes
         if status is not SearchStatus.FREE:

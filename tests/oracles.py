@@ -10,14 +10,18 @@ genuinely different algorithms.
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import contextmanager
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, permutations
 from random import Random
+from unittest import mock
 
 import pytest
 
 from subposet.chains import DEFAULT_CHAIN_CAP, EMPTY_LABEL, check_chain_cap
+from subposet import containment
+from subposet.containment import SearchStatus, find_embedding
 from subposet.lattice import set_str
 
 
@@ -217,6 +221,117 @@ def walk_la(n: int, posets, induced: bool = False, budget: int | None = None,
 
     exhausted = walk(0, [])
     return best[0], best[1], nodes, exhausted
+
+
+def search_reference(rels, plan, domains, budget, copies=None, *, poset):
+    """containment._search without its per-depth schedule and its count
+    filter: the class of each element, the rows each placement narrows and
+    each class's first unplaced element are worked out at every node from the
+    poset, and every candidate is tried. Same arguments (plus the pattern) and
+    the same (status, embedding, nodes) result."""
+    if not all(domains):
+        return SearchStatus.FREE, None, 0
+    induced = plan.induced
+    sup, sub, inc = rels.sup, rels.sub, rels.inc if induced else None
+    p = poset.size
+    below = poset.below
+    above = poset.above
+    order = plan.order
+    twin_prev = plan.twin_prev
+    classes = plan.classes
+    class_of = [0] * p
+    for ci, cls in enumerate(classes):
+        for e in cls:
+            class_of[e] = ci
+    img = [-1] * p
+    placed_in_class = [0] * len(classes)
+    used = 0
+    nodes = 0
+    stack = []
+    depth = 0
+    cand = domains
+    e = order[0]
+    c = cand[e]
+    while True:
+        if not c:
+            if not stack:
+                return SearchStatus.FREE, None, nodes
+            e, c, cand = stack.pop()
+            depth -= 1
+            used ^= 1 << img[e]
+            placed_in_class[class_of[e]] -= 1
+            continue
+        if nodes >= budget:
+            return SearchStatus.BUDGET, None, nodes
+        nodes += 1
+        bit = c & -c
+        c ^= bit
+        i = bit.bit_length() - 1
+        img[e] = i
+        if depth + 1 == p:
+            if copies is None:
+                return SearchStatus.FOUND, tuple(img), nodes
+            copies.setdefault(used | bit, tuple(img))
+            continue
+        used |= bit
+        ce = class_of[e]
+        placed_in_class[ce] += 1
+        nxt = list(cand)
+        for pos in range(depth + 1, p):
+            e2 = order[pos]
+            if below[e2] >> e & 1:
+                nxt[e2] &= sup[i]
+            elif above[e2] >> e & 1:
+                nxt[e2] &= sub[i]
+            elif induced:
+                nxt[e2] &= inc[i]
+        ok = True
+        for ci, cls in enumerate(classes):
+            unplaced = len(cls) - placed_in_class[ci]
+            if unplaced:
+                rep = cls[placed_in_class[ci]]
+                if (nxt[rep] & ~used).bit_count() < unplaced:
+                    ok = False
+                    break
+        if not ok:
+            placed_in_class[ce] -= 1
+            used ^= bit
+            continue
+        depth += 1
+        stack.append((e, c, cand))
+        cand = nxt
+        e = order[depth]
+        c = cand[e] & ~used
+        tp = twin_prev[e]
+        if tp >= 0:
+            c &= ~((1 << (img[tp] + 1)) - 1)
+
+
+@contextmanager
+def reference_search(poset):
+    """Containment searches for ``poset`` run search_reference in place of
+    containment._search inside the block."""
+    with mock.patch.object(containment, "_search", partial(search_reference, poset=poset)):
+        yield
+
+
+def compare_with_reference(rels, live, poset, induced, budget, require_member=None,
+                           listing=False):
+    """find_embedding against itself on search_reference: the same status,
+    witness and copy list (in order) unless the reference ran out of budget,
+    no more nodes, and BUDGET only where the reference has it. Returns both
+    results, the library's first."""
+    got, want = ({} if listing else None), ({} if listing else None)
+    res = find_embedding(rels, live, poset, induced, budget, require_member, got)
+    with reference_search(poset):
+        ref = find_embedding(rels, live, poset, induced, budget, require_member, want)
+    assert res.nodes <= ref.nodes
+    if ref.status is SearchStatus.BUDGET:
+        assert res.nodes <= budget
+    else:
+        assert (res.status, res.embedding) == (ref.status, ref.embedding)
+        assert got is None or list(got.items()) == list(want.items())
+    return res, ref
 
 
 def closure_relation_count(covers, size: int) -> int:

@@ -28,11 +28,13 @@ from oracles import (
     brute_s_minus,
     brute_s_plus,
     compare,
+    compare_with_reference,
     is_copy,
     kuhn_max_antichain,
     nx_max_antichain,
     pair_relations,
     random_family_masks,
+    reference_search,
 )
 
 
@@ -316,17 +318,86 @@ def test_contains_matches_brute_force_on_arbitrary_posets():
         assert res.found == brute_contains(fam.members, poset, induced)
 
 
-@pytest.mark.parametrize("build, args, widths, induced, nodes", [
-    (construct_rst_induced, (8, 2, 2, 2), (2, 2, 2), True, 14257),
-    (construct_rt, (10, 2, 2), (2, 2), True, 10703),
-    (construct_rst, (10, 2, 2, 2), (2, 2, 2), False, 210),
-], ids=["rsti8_K222_induced", "rt10_K22_induced", "rst10_K222"])
-def test_search_order_node_counts(build, args, widths, induced, nodes):
+# (family, pattern widths, induced, nodes, nodes of the reference loop)
+GOLDEN_SEARCHES = [
+    (construct_rst_induced, (8, 2, 2, 2), (2, 2, 2), True, 8338, 14257),
+    (construct_rt, (10, 2, 2), (2, 2), True, 1924, 10703),
+    (construct_rst, (10, 2, 2, 2), (2, 2, 2), False, 1, 210),
+]
+GOLDEN_IDS = ["rsti8_K222_induced", "rt10_K22_induced", "rst10_K222"]
+
+
+@pytest.mark.parametrize("build, args, widths, induced, nodes, reference_nodes",
+                         GOLDEN_SEARCHES, ids=GOLDEN_IDS)
+def test_search_order_node_counts(build, args, widths, induced, nodes, reference_nodes):
     # golden counts: any change to the search order, the pins of the band
-    # and fringe phases, or pruning moves them
+    # and fringe phases, or pruning moves them. The count filter drops the
+    # candidates whose class-count check fails before they are tried, so
+    # these are below the reference loop's counts (next test)
     res = contains_subposet(build(*args), complete_multilevel(widths), induced)
     assert res.free
     assert res.nodes == nodes
+
+
+@pytest.mark.parametrize("build, args, widths, induced, nodes, reference_nodes",
+                         GOLDEN_SEARCHES, ids=GOLDEN_IDS)
+def test_reference_search_node_counts(build, args, widths, induced, nodes, reference_nodes):
+    # the same searches on the loop without the schedule and the count
+    # filter, which tries every candidate: the counts before the filter
+    poset = complete_multilevel(widths)
+    with reference_search(poset):
+        res = contains_subposet(build(*args), poset, induced)
+    assert res.free
+    assert res.nodes == reference_nodes
+
+
+def test_search_matches_reference_loop():
+    # random families at n <= 6 and bands plus fringes at n = 6-7, random
+    # orders of 1-6 elements and the CLI patterns, plain and induced, over
+    # all members or a live subset, unpinned (band and fringe pins where the
+    # family has a full level) and pinned, first copy or all copies, under
+    # budgets from 0 to unbounded
+    from subposet.posets import Poset
+    from oracles import random_strict_order
+
+    rng = Random(9191)
+    fewer = budget_hits = 0
+    for trial in range(400):
+        if trial % 4:
+            n = rng.randint(1, 6)
+            masks = random_family_masks(rng, n, 40)
+        else:
+            n = rng.randint(6, 7)
+            ks = rng.sample(range(1, n), rng.randint(1, 2))
+            masks = sorted({x for x in range(1 << n) if x.bit_count() in ks}
+                           | set(rng.sample(range(1 << n), rng.randint(0, 8))))
+        if not masks:
+            continue
+        poset = (CLI_PATTERNS[trial // 2 % len(CLI_PATTERNS)] if trial % 2 else
+                 Poset(size := rng.randint(1, 6), random_strict_order(rng, size)))
+        rels = Relations(masks)
+        live = rels.full if trial % 3 else rng.randint(1, rels.full)
+        for induced in (False, True):
+            budget = rng.choice([0, 1, 10, 100, 1000, 10**6])
+            searches = [compare_with_reference(rels, live, poset, induced, budget)]
+            member = rng.choice(list(_bits(live)))
+            for listing in (False, True):
+                searches.append(compare_with_reference(rels, live, poset, induced, budget,
+                                                       member, listing))
+            fewer += sum(res.nodes < ref.nodes for res, ref in searches)
+            budget_hits += sum(ref.status is SearchStatus.BUDGET for _, ref in searches)
+    assert fewer > 80 and budget_hits > 200
+
+
+def test_deeper_band_verdicts_within_small_budgets():
+    # two-level constructions the count filter decides in a few thousand
+    # nodes; the loop without it needs 889,098 and 102,736
+    res = contains_subposet(construct_rt(11, 3, 3), complete_multilevel([3, 3]), True,
+                            budget=100_000)
+    assert res.free
+    res = contains_subposet(construct_rt(12, 2, 2), named_poset("butterfly"), True,
+                            budget=20_000)
+    assert res.free
 
 
 def test_containment_monotone_in_family():

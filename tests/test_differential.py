@@ -34,6 +34,7 @@ from oracles import (
     brute_copies,
     brute_la,
     comparable,
+    compare_with_reference,
     is_copy,
     pair_relations,
     random_strict_order,
@@ -161,8 +162,8 @@ def test_band_and_fringe_pins_match_unpinned_search():
             5, random_strict_order(rng, 5))
         for induced in (False, True):
             rels = Relations(family.members)
-            want, _, _ = _search(rels, poset, _plan_for(poset),
-                                 _initial_domains(rels.levels, poset), induced, 10**7)
+            want, _, _ = _search(rels, _plan_for(poset, induced),
+                                 _initial_domains(rels.levels, poset), 10**7)
             res = contains_subposet(family, poset, induced)
             assert res.status is want
             if res.found:
@@ -171,6 +172,21 @@ def test_band_and_fringe_pins_match_unpinned_search():
             else:
                 free += 1
     assert found > 40 and free > 40
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(families(max_n=6, max_size=30), banded_families(max_n=7, max_band=40)),
+       posets(max_size=6), st.booleans(), st.sampled_from([0, 3, 50, 10**6]), st.data())
+def test_search_matches_reference_loop(family, poset, induced, budget, data):
+    # the schedule and the count filter change no verdict, witness or copy
+    # list, only drop nodes, unpinned, pinned and listing all copies
+    if not family.members:
+        return
+    rels = Relations(family.members)
+    compare_with_reference(rels, rels.full, poset, induced, budget)
+    member = data.draw(st.integers(0, rels.full.bit_length() - 1))
+    listing = data.draw(st.booleans())
+    compare_with_reference(rels, rels.full, poset, induced, budget, member, listing)
 
 
 @settings(max_examples=40, deadline=None)
