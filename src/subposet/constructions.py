@@ -19,12 +19,17 @@ from .formulas import antichain_height, middle_height, positive_part, wide_ends
 from .lattice import SetFamily, largest_mod_classes, level
 
 
-def _banded_family(n: int, band_height: int, bottom_classes: int, top_classes: int) -> SetFamily:
+def _banded_family(n: int, band_height: int, bottom_classes: int, top_classes: int,
+                   widths: str) -> SetFamily:
     """Band of ``band_height`` full levels with residue-class fringes.
 
     The band starts above level k = ceil((n - band_height)/2) - 1; the bottom
     fringe sits on level k and the top fringe on level k + band_height + 1.
+    A level has n residue classes; errors name the builder's ``widths``.
     """
+    if max(bottom_classes, top_classes) > n:
+        raise ValueError(f"widths {widths} need {max(bottom_classes, top_classes)} residue "
+                         f"classes on a fringe, more than the n={n} of a level")
     k = -(-(n - band_height) // 2) - 1
     top = k + band_height + 1
     if k < 0 or top > n:
@@ -52,7 +57,7 @@ def construct_rt(n: int, r: int, t: int) -> SetFamily:
         raise ValueError(f"need n >= 6, got {n}")
     if r < 2 or t < 2:
         raise ValueError(f"need r, t >= 2, got r={r}, t={t}")
-    return _banded_family(n, 2, r - 1, t - 1)
+    return _banded_family(n, 2, r - 1, t - 1, f"r={r}, t={t}")
 
 
 def construct_rst(n: int, r: int, s: int, t: int) -> SetFamily:
@@ -68,7 +73,8 @@ def construct_rst(n: int, r: int, s: int, t: int) -> SetFamily:
             f"widths ({r}, {s}, {t}) unsupported: need s - wide_ends >= 2 or s=2 with a wide end"
         )
     band = middle_height(s, ends) + ends
-    return _banded_family(n, band, positive_part(r - 2), positive_part(t - 2))
+    return _banded_family(n, band, positive_part(r - 2), positive_part(t - 2),
+                          f"r={r}, s={s}, t={t}")
 
 
 def construct_rst_induced(n: int, r: int, s: int, t: int) -> SetFamily:
@@ -83,7 +89,7 @@ def construct_rst_induced(n: int, r: int, s: int, t: int) -> SetFamily:
     if min(r, t) < 1:
         raise ValueError(f"widths must be positive, got r={r}, t={t}")
     band = antichain_height(s) + wide_ends(r, t)
-    return _banded_family(n, band, r - 1, t - 1)
+    return _banded_family(n, band, r - 1, t - 1, f"r={r}, s={s}, t={t}")
 
 
 @dataclass(frozen=True)

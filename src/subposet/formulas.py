@@ -156,19 +156,17 @@ class Regime(Enum):
 def density_bounds_induced(r: int, s: int, t: int, regime: Regime) -> tuple[Fraction, Fraction]:
     """Density bounds for the induced three-level problem, per regime.
 
-    S4 (s must be 4) and LARGE_BOUNDED pin the density at
-    antichain_height + wide_ends; LARGE_GENERAL leaves an additive gap of 1.
+    S4 (s must be 4, so antichain_height is 4) and LARGE_BOUNDED pin the
+    density at antichain_height + wide_ends; LARGE_GENERAL leaves an additive
+    gap of 1.
     """
     if min(r, s, t) < 1:
         raise ValueError(f"widths must be positive, got ({r}, {s}, {t})")
+    if regime is Regime.S4 and s != 4:
+        raise ValueError(f"regime S4 requires s=4, got s={s}")
     ends = wide_ends(r, t)
-    if regime is Regime.S4:
-        if s != 4:
-            raise ValueError(f"regime S4 requires s=4, got s={s}")
-        value = Fraction(4 + ends)
-        return value, value
     height = antichain_height(s)
-    if regime is Regime.LARGE_BOUNDED:
+    if regime is not Regime.LARGE_GENERAL:
         value = Fraction(height + ends)
         return value, value
     return Fraction(height + ends), Fraction(height + 1 + ends)
@@ -179,17 +177,13 @@ def k1s1_pair_coeff(s: int) -> Fraction:
     K[1,s,1]: the number of (member, maximal chain) incidences is at most
     this times n factorial.
 
-    Follows the printed case intervals; in particular s=2 sits in the second
-    interval and yields 5/2, consistent with the classical bound for
-    diamond-free families.
+    It is the upper density bound of K[1,s,1], so it follows the printed
+    case intervals; in particular s=2 sits in the second interval and yields
+    5/2, consistent with the classical bound for diamond-free families.
     """
     if s < 2:
         raise ValueError(f"need s >= 2, got {s}")
-    label = classify(1, s, 1)
-    m = middle_height(s, 0)
-    if label is CaseLabel.CASE1:
-        return Fraction(m)
-    return Fraction(m + 1) - Fraction(2**m - s - 1, comb(m, (m + 1) // 2))
+    return density_bounds(1, s, 1)[1]
 
 
 def size_height_bound(poset: Poset) -> Fraction:

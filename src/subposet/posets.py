@@ -4,6 +4,9 @@ A poset on p elements (indexed 0..p-1 internally, 1-based in files) stores,
 for each element, the bitmask of elements strictly below it. The relation is
 validated to be irreflexive, antisymmetric and transitively closed on
 construction, so every Poset value in the program is a genuine strict order.
+Validation is cubic in a chain's length (P2000 builds in about 1.4 s), so a
+pattern has at most MAX_ELEMENTS elements, checked before any per-element list
+is built.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 import re
+
+MAX_ELEMENTS = 2_000
 
 
 class PosetParseError(ValueError):
@@ -37,8 +42,8 @@ class Poset:
     below: tuple[int, ...]
 
     def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("poset needs at least one element")
+        if not 1 <= self.size <= MAX_ELEMENTS:
+            raise ValueError(f"poset needs 1 to {MAX_ELEMENTS} elements, got {self.size}")
         if len(self.below) != self.size:
             raise ValueError("below relation length does not match size")
         full = (1 << self.size) - 1
@@ -112,6 +117,8 @@ def complete_multilevel(widths) -> Poset:
     widths = tuple(widths)
     if not widths or any(w < 1 for w in widths):
         raise ValueError(f"widths must be positive, got {widths}")
+    if sum(widths) > MAX_ELEMENTS:
+        raise ValueError(f"widths sum to {sum(widths)}, over the cap of {MAX_ELEMENTS} elements")
     below: list[int] = []
     lower = 0
     for w in widths:
@@ -123,8 +130,8 @@ def complete_multilevel(widths) -> Poset:
 
 def chain_poset(k: int) -> Poset:
     """Total order on k elements."""
-    if k < 1:
-        raise ValueError("chain needs at least one element")
+    if not 1 <= k <= MAX_ELEMENTS:
+        raise ValueError(f"chain needs 1 to {MAX_ELEMENTS} elements, got {k}")
     return complete_multilevel([1] * k)
 
 
@@ -181,8 +188,8 @@ def parse_poset(text: str) -> Poset:
             if not m:
                 raise PosetParseError(f"expected 'elements=<int>' header, got {line!r}", lineno)
             size = int(m.group(1))
-            if size < 1:
-                raise PosetParseError("need at least one element", lineno)
+            if not 1 <= size <= MAX_ELEMENTS:
+                raise PosetParseError(f"need 1 to {MAX_ELEMENTS} elements, got {size}", lineno)
             continue
         m = _COVER_RE.fullmatch(line)
         if not m:

@@ -2,17 +2,21 @@
 
 Branch and bound over all subsets of [n], taken in middle-out order
 (distance of the cardinality from n/2, then cardinality, then mask value),
-since extremal families concentrate around the middle levels. A branch is
-cut when the current size plus all remaining candidates cannot beat the
-incumbent. Chosen positions ascend along every branch, so a copy of a
-pattern that an include attempt at position ``pos`` completes has ``pos`` as
-its last member on every branch. The first attempt at ``pos`` lists every
-copy among positions 0..pos that uses ``pos``, as the bitset of its other
-positions, with find_embedding's all-copies mode over one
-containment.Relations record of all 2^n candidates; each attempt at ``pos``
-is then free exactly when no listed copy lies inside the chosen positions.
-Its rows take 2^n bits per candidate, so n >= 16 is refused before any
-candidate is listed, whatever ``max_n`` allows (containment.MAX_MEMBERS).
+since extremal families concentrate around the middle levels. The walk is
+depth first, include before exclude, over two bitsets of candidate
+positions: ``live``, the chosen ones, and ``best``, the first largest family
+reached. When ``live`` plus all remaining candidates cannot beat ``best``,
+the top bit of ``live`` is dropped and the walk goes on past it (the exclude
+branch of the last inclusion), until ``live`` is empty.
+
+Chosen positions ascend, so a copy of a pattern that an include attempt at
+position ``pos`` completes has ``pos`` as its last member on every branch.
+The copies ending at ``pos`` are listed once, as bitsets of their other
+positions, by find_embedding's all-copies mode over one containment.Relations
+record of all 2^n candidates, and an attempt is free exactly when no listed
+copy lies inside ``live``. The rows take 2^n bits per candidate, so n >= 16
+is refused before any candidate is listed, whatever ``max_n`` allows
+(containment.MAX_MEMBERS).
 
 The witness is the first optimum reached in this fixed order, which makes it
 the lexicographically smallest family the search encounters at the optimum;
@@ -22,6 +26,7 @@ results are fully deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 from .containment import (
@@ -80,10 +85,9 @@ def la_exact(n: int, posets: Sequence[Poset], induced: bool = False,
     is restricted to the minimal mask of its (centrality, size) class, which
     is sound under relabeling of the ground elements.
 
-    Each copy list is built on the first attempt at its position, one search
-    per pattern under the containment node budget (BUDGET ends the solve
-    unexhausted), and costs time and memory for every copy ending there
-    however few attempts ``budget`` allows: at n = 8 it is most of the work.
+    A position's copy list is built on its first attempt under the containment
+    node budget (BUDGET ends the solve unexhausted) and holds every copy ending
+    there, however few attempts ``budget`` allows: at n = 8 it is most of the work.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -98,61 +102,47 @@ def la_exact(n: int, posets: Sequence[Poset], induced: bool = False,
     if not posets:
         raise ValueError("need at least one forbidden poset")
 
-    candidates = sorted(
-        range(1 << n), key=lambda m: (abs(2 * m.bit_count() - n), m.bit_count(), m)
-    )
+    candidates = sorted(range(1 << n),
+                        key=lambda m: (abs(2 * m.bit_count() - n), m.bit_count(), m))
     rels = Relations(candidates)
-    chosen: list[int] = []  # candidate positions, ascending
-    live = 0  # bitset of the chosen positions
-    best_size = 0
-    best_witness = SetFamily.of(n, ())
-    nodes = 0
-    aborted = False
 
-    ends_at: list[list[int] | None] = [None] * len(candidates)  # copy lists by position
-
-    def copies_ending_at(pos: int) -> list[int] | None:
-        """The copy list of ``pos``, or None when a search ran out of budget."""
-        found: list[dict[int, tuple[int, ...]]] = [{} for _ in posets]
-        for poset, each in zip(posets, found):
+    @cache
+    def ends_at(pos: int) -> list[int] | None:
+        """The other positions of each copy ``pos`` ends; None if a search ran out."""
+        found: dict[int, tuple[int, ...]] = {}
+        for poset in posets:
             if find_embedding(rels, (2 << pos) - 1, poset, induced, require_member=pos,
-                              copies=each).status is SearchStatus.BUDGET:
+                              copies=found).status is SearchStatus.BUDGET:
                 return None
-        return list({c ^ 1 << pos: None for each in found for c in each})
+        return [c ^ 1 << pos for c in found]
 
-    # Positions still to visit; -1 undoes the last inclusion. The exclude
-    # branch is pushed before the include branch, so it is visited (and its
-    # bound tested) only after the include subtree is done.
-    stack = [0]
-    while stack:
-        pos = stack.pop()
-        if pos < 0:
-            live ^= 1 << chosen.pop()
+    pos = live = best = nodes = 0
+    exhausted = False
+    while True:
+        if live.bit_count() + len(candidates) - pos <= best.bit_count():
+            if not live:
+                exhausted = True
+                break
+            pos = live.bit_length()  # exclude the last inclusion instead
+            live ^= 1 << pos - 1
             continue
-        if len(chosen) + (len(candidates) - pos) <= best_size:
-            continue
-        stack.append(pos + 1)
         mask = candidates[pos]
-        if break_symmetry and not chosen and mask != (1 << mask.bit_count()) - 1:
+        if break_symmetry and not live and mask != (1 << mask.bit_count()) - 1:
+            pos += 1
             continue
         if budget is not None and nodes >= budget:
-            aborted = True
             break
-        nodes += 1
-        ends = ends_at[pos]
-        if ends is None and (ends := copies_ending_at(pos)) is None:
-            aborted = True
+        nodes += 1  # an attempt whose list runs out of budget still counts
+        if (ends := ends_at(pos)) is None:
             break
-        ends_at[pos] = ends
         if not any(c & live == c for c in ends):
-            chosen.append(pos)
             live |= 1 << pos
-            if len(chosen) > best_size:
-                best_size = len(chosen)
-                best_witness = SetFamily.of(n, [candidates[c] for c in chosen])
-            stack += (-1, pos + 1)
+            if live.bit_count() > best.bit_count():
+                best = live
+        pos += 1
 
-    return SolveResult(best_size, best_witness, nodes, not aborted)
+    witness = SetFamily.of(n, [m for i, m in enumerate(candidates) if best >> i & 1])
+    return SolveResult(witness.size, witness, nodes, exhausted)
 
 
 def certified_lower_bound(family: SetFamily, posets: Sequence[Poset], induced: bool = False,

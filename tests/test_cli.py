@@ -2,6 +2,7 @@
 
 import json
 from math import factorial
+from time import perf_counter
 
 import pytest
 
@@ -289,3 +290,30 @@ def test_poset_spec_loading(tmp_path):
     assert cli.load_poset_spec(str(pfile)).size == 2
     with pytest.raises(OSError):
         cli.load_poset_spec("no-such-poset")
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["rt", "6", "2", "9"], "r=2, t=9"),
+    (["rst", "9", "12", "2", "2"], "r=12, s=2, t=2"),
+    (["rst-ind", "9", "11", "2", "2"], "r=11, s=2, t=2")])
+def test_construct_names_the_given_widths(tmp_path, capsys, argv, named):
+    # a fringe needs more residue classes than a level of B_n has
+    assert cli.main(["construct", *argv, "-o", str(tmp_path / "x.txt")]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert named in json.loads(out)["payload"]["error"]
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_huge_patterns_are_refused_at_once(tmp_path, capsys):
+    # each would build a per-element list of 10^9 entries before validating
+    fam_file = tmp_path / "fam.txt"
+    fam_file.write_text("n=2\n{1}\n{1,2}\n")
+    poset_file = tmp_path / "huge.txt"
+    poset_file.write_text("elements=1000000000\n")
+    for spec in ("P1000000000", "K[1000000000]", str(poset_file)):
+        start = perf_counter()
+        assert cli.main(["check", str(fam_file), "--poset", spec]) == cli.EXIT_USAGE
+        assert perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert "2000" in json.loads(out)["payload"]["error"]
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -3,6 +3,7 @@
 import pytest
 
 from subposet.posets import (
+    MAX_ELEMENTS,
     Poset,
     PosetParseError,
     chain_poset,
@@ -147,3 +148,14 @@ def test_signatures():
         parse_signature("K[2,0]")
     with pytest.raises(ValueError):
         parse_signature("2,4,2")
+
+
+def test_element_cap():
+    # validation is cubic in a chain's length, so the cap bounds it
+    assert chain_poset(MAX_ELEMENTS).size == 2000
+    for build in (lambda: chain_poset(MAX_ELEMENTS + 1),
+                  lambda: complete_multilevel([1000, 1001]),
+                  lambda: parse_poset(f"elements={MAX_ELEMENTS + 1}\n"),
+                  lambda: Poset(MAX_ELEMENTS + 1, (0,) * (MAX_ELEMENTS + 1))):
+        with pytest.raises(ValueError, match=str(MAX_ELEMENTS)):
+            build()

@@ -3,8 +3,10 @@
 import pytest
 from random import Random
 
+from subposet import solver
 from subposet.constructions import construct_rst
-from subposet.containment import BudgetExceededError, contains_any, contains_subposet
+from subposet.containment import (BudgetExceededError, SearchResult, SearchStatus, contains_any,
+                                  contains_subposet)
 from subposet.lattice import SetFamily, sigma
 from subposet.posets import chain_poset, complete_multilevel, named_poset
 from subposet.solver import FreenessError, certified_lower_bound, la_exact
@@ -159,3 +161,26 @@ def test_walk_matches_per_attempt_oracle_walk(budget, break_symmetry):
             res = la_exact(n, posets, induced, budget=budget, break_symmetry=break_symmetry)
             want = walk_la(n, posets, induced, budget, break_symmetry)
             assert (res.optimum, res.witness.members, res.nodes_explored, res.exhausted) == want
+
+
+PAIRS_OF_4 = (0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100)
+
+
+@pytest.mark.parametrize("k, optimum, attempts, witness", [
+    (1, 0, 1, ()), (3, 2, 3, PAIRS_OF_4[:2]), (9, 6, 9, PAIRS_OF_4), (16, 6, 16, PAIRS_OF_4)])
+def test_copy_list_budget_ends_the_solve(monkeypatch, k, optimum, attempts, witness):
+    # the k-th copy listing runs out of budget: the solve stops unexhausted
+    # with the best family so far, and the attempt that asked counts
+    calls = []
+    search = solver.find_embedding
+
+    def budgeted(*args, **kwargs):
+        calls.append(kwargs["require_member"])
+        if len(calls) == k:
+            return SearchResult(SearchStatus.BUDGET, None, 0)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "find_embedding", budgeted)
+    res = la_exact(4, [chain_poset(2)])
+    assert (res.optimum, res.nodes_explored, res.exhausted) == (optimum, attempts, False)
+    assert res.witness.members == witness
