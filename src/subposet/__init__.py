@@ -23,13 +23,11 @@ from .constructions import (
     construct_rst,
     construct_rst_induced,
     construct_rt,
-    verify_mod_spread,
 )
 from .containment import (
     Relations,
     contains_any,
     contains_subposet,
-    empirical_free_levels,
     interval_has_antichain,
     max_antichain,
     s_minus,
@@ -46,7 +44,6 @@ from .formulas import (
     k1s1_pair_coeff,
     middle_height,
     positive_part,
-    size_height_bound,
     wide_ends,
 )
 from .lattice import (

@@ -10,11 +10,6 @@ the fringe sets from completing a forbidden configuration.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-from itertools import combinations
-from math import comb
-
 from .formulas import antichain_height, middle_height, positive_part, wide_ends
 from .lattice import SetFamily, largest_mod_classes, level
 
@@ -90,60 +85,3 @@ def construct_rst_induced(n: int, r: int, s: int, t: int) -> SetFamily:
         raise ValueError(f"widths must be positive, got r={r}, t={t}")
     band = antichain_height(s) + wide_ends(r, t)
     return _banded_family(n, band, r - 1, t - 1, f"r={r}, s={s}, t={t}")
-
-
-@dataclass(frozen=True)
-class SpreadReport:
-    """Result of checking the residue-class spread property."""
-
-    passed: bool
-    n: int
-    k: int
-    r: int
-    family_size: int
-    tuples_checked: int
-    exhaustive: bool
-    counterexample: tuple[int, ...] | None
-
-
-def verify_mod_spread(n: int, k: int, r: int, exhaustive_limit: int = 200_000,
-                      seed: int = 0, samples: int = 20_000) -> SpreadReport:
-    """Check that any r+1 distinct sets from the union of the r largest
-    residue classes of level k intersect in <= k-2 elements and union to
-    >= k+2 elements.
-
-    Checks every (r+1)-tuple when there are at most ``exhaustive_limit`` of
-    them, otherwise a seeded random sample. Tuples are scanned in
-    lexicographic member order, so a reported counterexample is the
-    lexicographically first one.
-    """
-    if not 1 <= r < n:
-        raise ValueError(f"need 1 <= r < n, got r={r}, n={n}")
-    if not 2 <= k <= n - 2:
-        raise ValueError(f"need 2 <= k <= n-2, got k={k}, n={n}")
-    fam = largest_mod_classes(n, k, r)
-    size = r + 1
-    total = comb(fam.size, size)
-    exhaustive = total <= exhaustive_limit
-    if exhaustive:
-        tuples = combinations(fam.members, size)
-    else:
-        rng = random.Random(seed)
-
-        def sampled():
-            for _ in range(samples):
-                idxs = sorted(rng.sample(range(fam.size), size))
-                yield tuple(fam.members[i] for i in idxs)
-
-        tuples = sampled()
-    checked = 0
-    for tup in tuples:
-        checked += 1
-        inter = tup[0]
-        union = tup[0]
-        for m in tup[1:]:
-            inter &= m
-            union |= m
-        if inter.bit_count() > k - 2 or union.bit_count() < k + 2:
-            return SpreadReport(False, n, k, r, fam.size, checked, exhaustive, tup)
-    return SpreadReport(True, n, k, r, fam.size, checked, exhaustive, None)

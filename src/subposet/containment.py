@@ -55,7 +55,7 @@ from math import comb
 from typing import NamedTuple, Sequence
 
 from .formulas import antichain_height
-from .lattice import SetFamily, consecutive_levels
+from .lattice import SetFamily
 from .posets import Poset, _bits
 
 DEFAULT_BUDGET = 10**8
@@ -482,26 +482,3 @@ def interval_has_antichain(lower: int, upper: int, s: int) -> bool:
     if lower & upper != lower:
         raise ValueError("lower must be a subset of upper")
     return (upper & ~lower).bit_count() >= antichain_height(s)
-
-
-def empirical_free_levels(poset: Poset, induced: bool, n: int, k_max: int,
-                          budget: int = DEFAULT_BUDGET) -> int:
-    """Largest k <= k_max such that every run of k consecutive levels of the
-    subset lattice of [n] avoids the pattern (probe at fixed n; an upper
-    bound on the always-free level count).
-
-    Raises BudgetExceededError if any underlying search is cut off.
-    """
-    if not 0 <= k_max <= n:
-        raise ValueError(f"need 0 <= k_max <= n, got k_max={k_max}, n={n}")
-    for k in range(1, k_max + 1):
-        for j in range(0, n - k + 1):
-            fam = consecutive_levels(n, j, k)
-            res = contains_subposet(fam, poset, induced, budget)
-            if res.status is SearchStatus.BUDGET:
-                raise BudgetExceededError(
-                    f"containment budget exhausted at n={n}, levels {j + 1}..{j + k}"
-                )
-            if res.found:
-                return k - 1
-    return k_max

@@ -20,8 +20,6 @@ from enum import Enum
 from fractions import Fraction
 from math import comb
 
-from .posets import Poset, longest_chain_size
-
 
 def positive_part(z: int) -> int:
     return z if z > 0 else 0
@@ -184,8 +182,3 @@ def k1s1_pair_coeff(s: int) -> Fraction:
     if s < 2:
         raise ValueError(f"need s >= 2, got {s}")
     return density_bounds(1, s, 1)[1]
-
-
-def size_height_bound(poset: Poset) -> Fraction:
-    """General density upper bound (|P| + longest chain size) / 2 - 1."""
-    return Fraction(poset.size + longest_chain_size(poset), 2) - 1

@@ -108,7 +108,8 @@ class SetFamily:
     @classmethod
     def of(cls, n: int, masks: Iterable[int]) -> "SetFamily":
         """Canonicalize: deduplicate and sort by (cardinality, mask value)."""
-        unique = sorted(set(masks), key=lambda m: (m.bit_count(), m))
+        unique = sorted(set(masks))
+        unique.sort(key=int.bit_count)  # stable: ties stay in mask order
         return cls(n, tuple(unique))
 
     @property
@@ -187,48 +188,82 @@ _HEADER_RE = re.compile(r"n=(\d+)")
 _SET_RE = re.compile(r"\{(\d+(?:,\d+)*)\}")
 
 
+def _number(digits: str) -> int | None:
+    """The value of a run of decimal digits, or None past the digit limit of
+    Python's int conversion (4,300 digits), which no valid number reaches."""
+    try:
+        return int(digits)
+    except ValueError:
+        return None
+
+
+def _parse_set(line: str, n: int, lineno: int) -> int:
+    """The mask of a set line the table pass did not accept, or its error."""
+    if line == "{}":
+        return 0
+    m = _SET_RE.fullmatch(line)
+    if not m:
+        raise FamilyParseError(f"malformed set {line!r}", lineno)
+    # an overlong number is larger than any element: it sorts last, out of range
+    elems = [n + 1 if e is None else e for e in map(_number, m.group(1).split(","))]
+    if any(b <= a for a, b in zip(elems, elems[1:])):
+        raise FamilyParseError(f"elements must be strictly ascending in {line!r}", lineno)
+    if not (1 <= elems[0] and elems[-1] <= n):
+        raise FamilyParseError(f"element out of range [1, {n}] in {line!r}", lineno)
+    return sum(1 << (e - 1) for e in elems)
+
+
 def parse_family(text: str) -> SetFamily:
     """Parse the family file format (v1).
 
     Lines starting with '#' and blank lines are skipped. The first
     significant line must be ``n=<int>``; each following line is one set,
-    ``{}`` or ``{a,b,c}`` with strictly ascending elements of [1, n].
+    ``{}`` or ``{a,b,c}`` with strictly ascending decimal elements of [1, n].
     Duplicate sets are rejected. The result is canonicalized.
+
+    One pass maps each set line to its mask through a table from the
+    canonical element strings "1" .. str(n) to their bits; the line is
+    accepted when the bits ascend and are distinct. Any other line (``{}``,
+    leading zeros, non-ASCII digits, or an error) goes through the regular
+    expression checks, and every error is a FamilyParseError that carries
+    the line number.
     """
-    n: int | None = None
-    masks: list[int] = []
-    seen: set[int] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, raw in lines:
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
+        m = _HEADER_RE.fullmatch(line)
+        if not m:
+            raise FamilyParseError(f"expected 'n=<int>' header, got {line!r}", lineno)
+        n = _number(m.group(1))
         if n is None:
-            m = _HEADER_RE.fullmatch(line)
-            if not m:
-                raise FamilyParseError(f"expected 'n=<int>' header, got {line!r}", lineno)
-            n = int(m.group(1))
-            if not 1 <= n <= MAX_GROUND:
-                raise FamilyParseError(f"ground size {n} out of [1, {MAX_GROUND}]", lineno)
+            raise FamilyParseError(f"ground size of {len(m.group(1))} digits out of "
+                                   f"[1, {MAX_GROUND}]", lineno)
+        if not 1 <= n <= MAX_GROUND:
+            raise FamilyParseError(f"ground size {n} out of [1, {MAX_GROUND}]", lineno)
+        break
+    else:
+        raise FamilyParseError("missing 'n=<int>' header", 1)
+    bit = {str(e): 1 << (e - 1) for e in range(1, n + 1)}.__getitem__
+    seen: set[int] = set()
+    for lineno, raw in lines:
+        line = raw.strip()
+        if not line or line[0] == "#":
             continue
-        if line == "{}":
-            elems: tuple[int, ...] = ()
-        else:
-            m = _SET_RE.fullmatch(line)
-            if not m:
-                raise FamilyParseError(f"malformed set {line!r}", lineno)
-            elems = tuple(int(x) for x in m.group(1).split(","))
-        if any(b <= a for a, b in zip(elems, elems[1:])):
-            raise FamilyParseError(f"elements must be strictly ascending in {line!r}", lineno)
-        if elems and not (1 <= elems[0] and elems[-1] <= n):
-            raise FamilyParseError(f"element out of range [1, {n}] in {line!r}", lineno)
-        mask = sum(1 << (e - 1) for e in elems)
+        bits = None
+        if line[0] == "{" and line[-1] == "}":
+            try:
+                bits = list(map(bit, line[1:-1].split(",")))
+            except KeyError:
+                pass
+        # sorted and distinct (the bits' sum has one bit per element) is ascending
+        if not (bits and sorted(bits) == bits and (mask := sum(bits)).bit_count() == len(bits)):
+            mask = _parse_set(line, n, lineno)
         if mask in seen:
             raise FamilyParseError(f"duplicate set {line!r}", lineno)
         seen.add(mask)
-        masks.append(mask)
-    if n is None:
-        raise FamilyParseError("missing 'n=<int>' header", 1)
-    return SetFamily.of(n, masks)
+    return SetFamily.of(n, seen)
 
 
 def serialize_family(family: SetFamily) -> str:
@@ -236,4 +271,3 @@ def serialize_family(family: SetFamily) -> str:
     lines = [f"n={family.n}"]
     lines.extend(set_str(m) for m in family.members)
     return "\n".join(lines) + "\n"
-

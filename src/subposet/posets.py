@@ -221,12 +221,3 @@ def parse_poset(text: str) -> Poset:
         if below[i] >> i & 1:
             raise PosetParseError(f"cycle detected through element {i + 1}")
     return Poset(size, tuple(below))
-
-
-def serialize_poset(poset: Poset) -> str:
-    """Emit the poset file text, listing the full strict relation as covers."""
-    lines = [f"elements={poset.size}"]
-    for j in range(poset.size):
-        for i in _bits(poset.below[j]):
-            lines.append(f"{i + 1}<{j + 1}")
-    return "\n".join(lines) + "\n"

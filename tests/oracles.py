@@ -9,11 +9,15 @@ genuinely different algorithms.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations, permutations
+from math import comb
 from random import Random
 from unittest import mock
 
@@ -21,8 +25,11 @@ import pytest
 
 from subposet.chains import DEFAULT_CHAIN_CAP, EMPTY_LABEL, check_chain_cap
 from subposet import containment
-from subposet.containment import SearchStatus, find_embedding
-from subposet.lattice import set_str
+from subposet.containment import (DEFAULT_BUDGET, BudgetExceededError, SearchStatus,
+                                  contains_subposet, find_embedding)
+from subposet.lattice import (MAX_GROUND, FamilyParseError, SetFamily, consecutive_levels,
+                              largest_mod_classes, set_str)
+from subposet.posets import Poset, _bits, longest_chain_size
 
 
 @lru_cache(maxsize=None)
@@ -473,3 +480,162 @@ def walk_partition(family, mode: str, r: int = 1, t: int = 1):
         chain_counts[label] += 1
         pair_counts[label] += sum(1 for pm in prefixes if pm in members)
     return dict(chain_counts), dict(pair_counts)
+
+
+# Code that only the tests use: probes that reach the library's closed forms
+# (free level counts, construction freeness, the size-height bound) by a
+# second route, and the poset file writer.
+
+
+def empirical_free_levels(poset: Poset, induced: bool, n: int, k_max: int,
+                          budget: int = DEFAULT_BUDGET) -> int:
+    """Largest k <= k_max such that every run of k consecutive levels of the
+    subset lattice of [n] avoids the pattern (probe at fixed n; an upper
+    bound on the always-free level count).
+
+    Raises BudgetExceededError if any underlying search is cut off.
+    """
+    if not 0 <= k_max <= n:
+        raise ValueError(f"need 0 <= k_max <= n, got k_max={k_max}, n={n}")
+    for k in range(1, k_max + 1):
+        for j in range(0, n - k + 1):
+            fam = consecutive_levels(n, j, k)
+            res = contains_subposet(fam, poset, induced, budget)
+            if res.status is SearchStatus.BUDGET:
+                raise BudgetExceededError(
+                    f"containment budget exhausted at n={n}, levels {j + 1}..{j + k}"
+                )
+            if res.found:
+                return k - 1
+    return k_max
+
+
+def size_height_bound(poset: Poset) -> Fraction:
+    """General density upper bound (|P| + longest chain size) / 2 - 1."""
+    return Fraction(poset.size + longest_chain_size(poset), 2) - 1
+
+
+def serialize_poset(poset: Poset) -> str:
+    """Emit the poset file text, listing the full strict relation as covers."""
+    lines = [f"elements={poset.size}"]
+    for j in range(poset.size):
+        for i in _bits(poset.below[j]):
+            lines.append(f"{i + 1}<{j + 1}")
+    return "\n".join(lines) + "\n"
+
+
+@dataclass(frozen=True)
+class SpreadReport:
+    """Result of checking the residue-class spread property."""
+
+    passed: bool
+    n: int
+    k: int
+    r: int
+    family_size: int
+    tuples_checked: int
+    exhaustive: bool
+    counterexample: tuple[int, ...] | None
+
+
+def verify_mod_spread(n: int, k: int, r: int, exhaustive_limit: int = 200_000,
+                      seed: int = 0, samples: int = 20_000) -> SpreadReport:
+    """Check that any r+1 distinct sets from the union of the r largest
+    residue classes of level k intersect in <= k-2 elements and union to
+    >= k+2 elements.
+
+    Checks every (r+1)-tuple when there are at most ``exhaustive_limit`` of
+    them, otherwise a seeded random sample. Tuples are scanned in
+    lexicographic member order, so a reported counterexample is the
+    lexicographically first one.
+    """
+    if not 1 <= r < n:
+        raise ValueError(f"need 1 <= r < n, got r={r}, n={n}")
+    if not 2 <= k <= n - 2:
+        raise ValueError(f"need 2 <= k <= n-2, got k={k}, n={n}")
+    fam = largest_mod_classes(n, k, r)
+    size = r + 1
+    total = comb(fam.size, size)
+    exhaustive = total <= exhaustive_limit
+    if exhaustive:
+        tuples = combinations(fam.members, size)
+    else:
+        rng = Random(seed)
+
+        def sampled():
+            for _ in range(samples):
+                idxs = sorted(rng.sample(range(fam.size), size))
+                yield tuple(fam.members[i] for i in idxs)
+
+        tuples = sampled()
+    checked = 0
+    for tup in tuples:
+        checked += 1
+        inter = tup[0]
+        union = tup[0]
+        for m in tup[1:]:
+            inter &= m
+            union |= m
+        if inter.bit_count() > k - 2 or union.bit_count() < k + 2:
+            return SpreadReport(False, n, k, r, fam.size, checked, exhaustive, tup)
+    return SpreadReport(True, n, k, r, fam.size, checked, exhaustive, None)
+
+
+# The family-file reader before its one-pass table version, kept verbatim as
+# the reference the tests compare it with.
+
+_HEADER_RE = re.compile(r"n=(\d+)")
+_SET_RE = re.compile(r"\{(\d+(?:,\d+)*)\}")
+
+
+def parse_family_reference(text: str) -> SetFamily:
+    """Parse the family file format (v1).
+
+    Lines starting with '#' and blank lines are skipped. The first
+    significant line must be ``n=<int>``; each following line is one set,
+    ``{}`` or ``{a,b,c}`` with strictly ascending elements of [1, n].
+    Duplicate sets are rejected. The result is canonicalized.
+    """
+    n: int | None = None
+    masks: list[int] = []
+    seen: set[int] = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if n is None:
+            m = _HEADER_RE.fullmatch(line)
+            if not m:
+                raise FamilyParseError(f"expected 'n=<int>' header, got {line!r}", lineno)
+            n = int(m.group(1))
+            if not 1 <= n <= MAX_GROUND:
+                raise FamilyParseError(f"ground size {n} out of [1, {MAX_GROUND}]", lineno)
+            continue
+        if line == "{}":
+            elems: tuple[int, ...] = ()
+        else:
+            m = _SET_RE.fullmatch(line)
+            if not m:
+                raise FamilyParseError(f"malformed set {line!r}", lineno)
+            elems = tuple(int(x) for x in m.group(1).split(","))
+        if any(b <= a for a, b in zip(elems, elems[1:])):
+            raise FamilyParseError(f"elements must be strictly ascending in {line!r}", lineno)
+        if elems and not (1 <= elems[0] and elems[-1] <= n):
+            raise FamilyParseError(f"element out of range [1, {n}] in {line!r}", lineno)
+        mask = sum(1 << (e - 1) for e in elems)
+        if mask in seen:
+            raise FamilyParseError(f"duplicate set {line!r}", lineno)
+        seen.add(mask)
+        masks.append(mask)
+    if n is None:
+        raise FamilyParseError("missing 'n=<int>' header", 1)
+    return SetFamily.of(n, masks)
+
+
+def parse_outcome(parse, text: str):
+    """What a reader makes of a text: its family, or its error and line."""
+    try:
+        family = parse(text)
+    except FamilyParseError as exc:
+        return ("error", str(exc), exc.line)
+    return ("family", family.n, family.members)

@@ -24,12 +24,10 @@ from subposet.constructions import (
     construct_rst,
     construct_rst_induced,
     construct_rt,
-    verify_mod_spread,
 )
 from subposet.containment import (
     SearchStatus,
     contains_subposet,
-    empirical_free_levels,
     max_antichain,
 )
 from subposet.formulas import (
@@ -54,7 +52,9 @@ from oracles import (
     brute_s_minus,
     brute_s_plus,
     chain_prefixes,
+    empirical_free_levels,
     enumerate_chains,
+    verify_mod_spread,
 )
 
 

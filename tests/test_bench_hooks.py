@@ -45,3 +45,16 @@ def test_traced_cli_runs_record_the_layer_spans(tmp_path, capsys):
     # the wrappers are gone again
     assert all(not hasattr(getattr(module, attr), "__wrapped__")
                for module, attr, _, _ in spans.targets(library()))
+
+
+def test_traced_check_records_the_parse_span(tmp_path, capsys):
+    spans = load_spans()
+    family = construct_rt(6, 2, 2)
+    fam_file = tmp_path / "rt6.txt"
+    fam_file.write_text(serialize_family(family))
+    tracer = spans.Tracer(library())
+    with tracer.installed():
+        assert cli.main(["check", str(fam_file), "--poset", "K[2,2]", "--induced"]) == 0
+    capsys.readouterr()
+    parsed = [span[5] for span in tracer.take() if span[0] == "lattice.parse"]
+    assert parsed == [{"members": family.size}]

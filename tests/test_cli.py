@@ -264,6 +264,18 @@ def test_usage_errors(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("n=3\n{" + "9" * 5000 + "}\n", "line 2: element out of range [1, 3]"),
+    ("# big\nn=" + "9" * 5000 + "\n{1}\n", "line 2: ground size of 5000 digits out of [1, 24]"),
+])
+def test_check_names_the_line_of_an_overlong_number(tmp_path, capsys, text, message):
+    fam_file = tmp_path / "big.txt"
+    fam_file.write_text(text)
+    code, doc, _ = run_cli(["check", str(fam_file), "--poset", "P2"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert doc["payload"]["error"].startswith(message)
+
+
 def test_determinism_and_threads_flag(tmp_path, capsys):
     fam_file = tmp_path / "fam.txt"
     fam_file.write_text("n=4\n{1}\n{2}\n{1,2}\n{1,3}\n")

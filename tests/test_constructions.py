@@ -7,12 +7,13 @@ from subposet.constructions import (
     construct_rst,
     construct_rst_induced,
     construct_rt,
-    verify_mod_spread,
 )
 from subposet.containment import contains_subposet
 from subposet.formulas import middle_height, positive_part, wide_ends
 from subposet.lattice import binomial, consecutive_levels, largest_mod_classes, sigma
 from subposet.posets import complete_multilevel
+
+from oracles import verify_mod_spread
 
 
 def levels_used(family):

@@ -9,7 +9,6 @@ from subposet.containment import (
     SearchStatus,
     contains_any,
     contains_subposet,
-    empirical_free_levels,
     find_embedding,
     interval_has_antichain,
     max_antichain,
@@ -29,6 +28,7 @@ from oracles import (
     brute_s_plus,
     compare,
     compare_with_reference,
+    empirical_free_levels,
     is_copy,
     kuhn_max_antichain,
     nx_max_antichain,

@@ -25,7 +25,7 @@ from subposet.containment import (
     find_embedding,
     max_antichain,
 )
-from subposet.lattice import SetFamily
+from subposet.lattice import SetFamily, parse_family, set_str
 from subposet.posets import Poset, chain_poset, complete_multilevel, named_poset
 from subposet.solver import la_exact
 
@@ -37,6 +37,8 @@ from oracles import (
     compare_with_reference,
     is_copy,
     pair_relations,
+    parse_family_reference,
+    parse_outcome,
     random_strict_order,
     strictly_less,
     walk_pairs,
@@ -197,3 +199,36 @@ def test_la_exact_matches_brute_force(n, patterns, induced):
     assert res.optimum == brute_la(n, patterns, induced)
     assert res.witness.size == res.optimum
     assert not any(brute_contains(res.witness.members, p, induced) for p in patterns)
+
+
+@st.composite
+def family_texts(draw, max_n=14):
+    """Family file texts near the format: a header (maybe odd or missing),
+    valid set lines, and up to three lines that are malformed, unsorted,
+    repeated, padded, out of range, non-ASCII or noise, with LF or CRLF
+    line ends."""
+    n = draw(st.integers(1, max_n))
+    header = draw(st.sampled_from([f"n={n}"] * 5 + [f" n={n}\t", f"n=0{n}", "n=0", "n=25", "{1}",
+                                                     "# h", ""]))
+    lines = [set_str(m) for m in draw(st.lists(st.integers(0, (1 << n) - 1), unique=True,
+                                               max_size=30))]
+    token = st.one_of(st.integers(0, n + 1).map(str),
+                      st.sampled_from(["01", "\u0661", " 2", "", "+1"]))
+    odd = st.one_of(
+        st.lists(token, max_size=5).map(lambda ts: "{" + ",".join(ts) + "}"),
+        st.lists(st.integers(1, n), min_size=2, max_size=4).map(
+            lambda es: "{" + ",".join(map(str, es)) + "}"),
+        st.text("{},0123456789 #n=\u0661", max_size=8),
+        st.sampled_from(["", "# c", "  ", "{}"]),
+        st.sampled_from(lines) if lines else st.just("{}"),
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(odd))
+    sep = draw(st.sampled_from(["\n", "\r\n"]))
+    return sep.join([header] + lines)
+
+
+@settings(max_examples=500, deadline=None)
+@given(family_texts())
+def test_parse_family_matches_reference_reader(text):
+    assert parse_outcome(parse_family, text) == parse_outcome(parse_family_reference, text)

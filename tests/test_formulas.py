@@ -17,12 +17,11 @@ from subposet.formulas import (
     middle_height,
     positive_part,
     reduce_signature,
-    size_height_bound,
     wide_ends,
 )
 from subposet.posets import chain_poset, complete_multilevel
 
-from oracles import antichain_subfamilies
+from oracles import antichain_subfamilies, size_height_bound
 
 
 def test_wide_ends():

@@ -3,6 +3,7 @@
 import pytest
 from fractions import Fraction
 from itertools import combinations
+from random import Random
 
 from subposet import lattice
 from subposet.lattice import (
@@ -16,10 +17,11 @@ from subposet.lattice import (
     modular_classes,
     parse_family,
     serialize_family,
+    set_str,
     sigma,
 )
 
-from oracles import pascal
+from oracles import parse_family_reference, parse_outcome, pascal, random_family_masks
 
 
 def test_binomial_basics():
@@ -164,3 +166,78 @@ def test_serialize_round_trip():
     # serialization of a parse is the canonical form of the input
     raw = "n=3\n{1,3}\n{}\n{2}"
     assert serialize_family(parse_family(raw)) == "n=3\n{}\n{2}\n{1,3}\n"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("n=3\n{1}\n{" + "9" * 5000 + "}", 3, "element out of range [1, 3]"),
+    ("n=3\n{1," + "9" * 5000 + "}", 2, "element out of range [1, 3]"),
+    ("# big\nn=" + "9" * 5000 + "\n{1}", 2, "ground size of 5000 digits out of [1, 24]"),
+])
+def test_parse_family_overlong_numbers(text, line, message):
+    # past Python's 4,300-digit int conversion limit: still a parse error with its line
+    with pytest.raises(FamilyParseError) as err:
+        parse_family(text)
+    assert err.value.line == line
+    assert str(err.value).startswith(f"line {line}: {message}")
+
+
+ODD_LINES = ["{}", "{01,3}", "{\u0661}", "{1, 2}", "{1,,2}", "{1,}", "{3,1}", "{1,1}", "{0}",
+             "# note", "", "   ", "{1}}", "1,2", "{ }", "n=3"]
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+
+def mangled_family_text(rng: Random) -> str:
+    """A random family file at n <= 14 with up to three edits that may or may
+    not break it: odd lines, duplicates, padding, leading zeros, non-ASCII
+    digits, a missing header or a set before it, and CRLF line ends."""
+    n = rng.randint(1, 14)
+    lines = [f"n={n}"] + [set_str(m) for m in random_family_masks(rng, n, 40)]
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.choices(range(7), weights=[6, 3, 3, 3, 3, 1, 1])[0]
+        at = rng.randrange(len(lines)) if lines else 0
+        if kind == 0:
+            lines.insert(at + 1, rng.choice(ODD_LINES + [f"{{{n}}}", f"{{{n + 1}}}"]))
+        elif kind == 1 and lines:
+            lines.insert(at + 1, rng.choice(lines))
+        elif kind == 2 and lines:
+            lines[at] = " " * rng.randint(1, 3) + lines[at] + rng.choice([" ", "\t", ""])
+        elif kind == 3 and lines:
+            lines[at] = lines[at].replace(",", ",0", 1).replace("{", "{0", 1)
+        elif kind == 4 and lines:
+            lines[at] = lines[at].translate(ARABIC_INDIC)
+        elif kind == 5 and lines:
+            lines.pop(0)
+        elif kind == 6:
+            lines.insert(0, set_str(rng.randrange(1 << n)))
+    sep = rng.choice(["\n", "\r\n"])
+    return sep.join(lines) + rng.choice(["", sep])
+
+
+def test_parse_family_matches_reference_reader():
+    rng = Random(11)
+    outcomes = {"family": 0, "error": 0}
+    for _ in range(1500):
+        text = mangled_family_text(rng)
+        got = parse_outcome(parse_family, text)
+        assert got == parse_outcome(parse_family_reference, text), text
+        outcomes[got[0]] += 1
+    assert min(outcomes.values()) >= 300, outcomes
+
+
+def test_parse_family_reads_the_edge_cases_as_before():
+    assert parse_family("n=4\n{01,3}\n{\u0661,\u0664}").members == (5, 9)
+    assert parse_family("\r\n n=3 \r\n  {2,3}\t\r\n{}\r\n").members == (0, 6)
+    for text in ["n=3\n{1, 2}", "n=3\n{1,,2}", "n=3\n{1,}", "n=3\n{3,1}", "n=3\n{1,1}",
+                 "n=3\n{0}", "n=3\n{4}", "n=3\n{2}\n{02}", "{1}\nn=3", "# only\n"]:
+        with pytest.raises(FamilyParseError):
+            parse_family(text)
+        assert parse_outcome(parse_family, text) == parse_outcome(parse_family_reference, text)
+
+
+def test_family_of_sorts_by_cardinality_then_value():
+    rng = Random(5)
+    for _ in range(200):
+        n = rng.randint(1, 14)
+        masks = [rng.randrange(1 << n) for _ in range(rng.randint(0, 300))]
+        want = tuple(sorted(set(masks), key=lambda m: (m.bit_count(), m)))
+        assert SetFamily.of(n, masks).members == want

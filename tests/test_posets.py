@@ -13,11 +13,10 @@ from subposet.posets import (
     named_poset,
     parse_poset,
     parse_signature,
-    serialize_poset,
     signature_str,
 )
 
-from oracles import closure_relation_count
+from oracles import closure_relation_count, serialize_poset
 
 
 def relation_pairs(poset):
