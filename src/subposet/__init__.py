@@ -26,7 +26,6 @@ from .constructions import (
 )
 from .containment import (
     Relations,
-    contains_any,
     contains_subposet,
     interval_has_antichain,
     max_antichain,

@@ -146,11 +146,9 @@ def count_pairs_enumerated(family: SetFamily, cap: int = DEFAULT_CHAIN_CAP) -> i
 
 
 def lym_sum(family: SetFamily) -> Fraction:
-    """Exact LYM sum: sum over members of 1 / C(n, |F|)."""
-    n = family.n
-    return sum(
-        (Fraction(1, comb(n, m.bit_count())) for m in family.members), Fraction(0)
-    )
+    """Exact LYM sum, sum over members of 1 / C(n, |F|): the incidence pairs
+    over n!, the mean number of members per maximal chain."""
+    return Fraction(count_pairs_formula(family), factorial(family.n))
 
 
 @dataclass

@@ -181,12 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="subposet",
         description="Exact computations for forbidden-subposet problems in the Boolean lattice.",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=0,
-        help="accepted for compatibility; computation is sequential and output never depends on it",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sigma", help="sum of the k largest binomial coefficients of order n")
@@ -284,12 +278,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, code = args.handler(args)
-    except (ValueError, chains.PartitionPreconditionError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         payload, code = {"error": str(exc)}, EXIT_USAGE
-    except containment.BudgetExceededError as exc:
-        print(f"budget: {exc}", file=sys.stderr)
-        payload, code = {"error": str(exc), "budget_exhausted": True}, EXIT_BUDGET
     except Exception as exc:  # a crash must not exit 1, which means "containment found"
         message = f"{type(exc).__name__}: {exc}"
         print(f"internal error: {message}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Subposet containment search, maximum antichains, and level-freeness probes.
+"""Subposet containment search and maximum antichains.
 
 The search and the antichain matcher read one Relations record per member
 list. Its ``has[e]`` is the bitset of the members containing element e, so
@@ -47,7 +47,7 @@ first copy in pin order, not the lexicographically smallest embedding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -78,15 +78,13 @@ class SearchResult:
     """Outcome of a containment search.
 
     ``embedding`` maps pattern element index to family member index when
-    status is FOUND. ``poset_index`` identifies the hit pattern for list
-    searches. FREE means the full tree was explored and no copy exists;
-    BUDGET means the verdict is unknown.
+    status is FOUND. FREE means the full tree was explored and no copy
+    exists; BUDGET means the verdict is unknown.
     """
 
     status: SearchStatus
     embedding: tuple[int, ...] | None
     nodes: int
-    poset_index: int | None = None
 
     @property
     def found(self) -> bool:
@@ -354,33 +352,13 @@ def contains_subposet(family: SetFamily, poset: Poset, induced: bool = False,
     """Does the family contain a (induced) copy of the pattern poset?
 
     FOUND carries the deterministic witness embedding; FREE is only reported
-    after full exhaustion; BUDGET is a distinct unknown outcome.
-    """
-    return replace(contains_any(family, [poset], induced, budget), poset_index=None)
-
-
-def contains_any(family: SetFamily, posets: Sequence[Poset], induced: bool = False,
-                 budget: int = DEFAULT_BUDGET) -> SearchResult:
-    """First containment hit over a pattern list, in list order, with the
-    member relations built once for all patterns and ``budget`` nodes for each.
-
-    FREE means the family avoids every pattern; if any per-pattern search ran
-    out of budget and no pattern was found, the overall status is BUDGET.
-    A negative budget is a ValueError.
+    after full exhaustion; BUDGET is a distinct unknown outcome. A negative
+    budget is a ValueError.
     """
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
     rels = Relations(family.members)
-    total = 0
-    budget_hit = False
-    for idx, poset in enumerate(posets):
-        res = find_embedding(rels, rels.full, poset, induced, budget)
-        total += res.nodes
-        if res.found:
-            return SearchResult(SearchStatus.FOUND, res.embedding, total, poset_index=idx)
-        if res.status is SearchStatus.BUDGET:
-            budget_hit = True
-    return SearchResult(SearchStatus.BUDGET if budget_hit else SearchStatus.FREE, None, total)
+    return find_embedding(rels, rels.full, poset, induced, budget)
 
 
 class AntichainResult(NamedTuple):

@@ -81,6 +81,13 @@ def element_sum(mask: int) -> int:
     return sum(elements_of(mask))
 
 
+def _canonical(masks: Iterable[int]) -> tuple[int, ...]:
+    """The masks sorted by cardinality, then by value."""
+    out = sorted(masks)
+    out.sort(key=int.bit_count)  # stable: ties stay in mask order
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class SetFamily:
     """A canonical family of subsets of [n].
@@ -95,22 +102,17 @@ class SetFamily:
 
     def __post_init__(self):
         check_ground(self.n)
-        full = (1 << self.n) - 1
-        prev = None
-        for m in self.members:
-            if m < 0 or m & ~full:
-                raise ValueError(f"mask {m} has bits outside [1, {self.n}]")
-            key = (m.bit_count(), m)
-            if prev is not None and key <= prev:
-                raise ValueError("members not in canonical order (or duplicated)")
-            prev = key
+        members, n = self.members, self.n
+        if members and (min(members) < 0 or max(members) >> n):
+            m = next(m for m in members if m < 0 or m >> n)
+            raise ValueError(f"mask {m} has bits outside [1, {n}]")
+        if _canonical(set(members)) != tuple(members):
+            raise ValueError("members not in canonical order (or duplicated)")
 
     @classmethod
     def of(cls, n: int, masks: Iterable[int]) -> "SetFamily":
         """Canonicalize: deduplicate and sort by (cardinality, mask value)."""
-        unique = sorted(set(masks))
-        unique.sort(key=int.bit_count)  # stable: ties stay in mask order
-        return cls(n, tuple(unique))
+        return cls(n, _canonical(set(masks)))
 
     @property
     def size(self) -> int:

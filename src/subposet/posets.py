@@ -34,6 +34,16 @@ def _bits(x: int):
         x ^= low
 
 
+def _longest_chains(rel: tuple[int, ...]) -> tuple[int, ...]:
+    """Per element i, the number of elements on a longest chain inside
+    ``rel[i]``, a transitively closed strict relation (below or above)."""
+    length = [0] * len(rel)
+    # each j in rel[i] has rel[j] inside rel[i], so fewer bits: it comes first
+    for i in sorted(range(len(rel)), key=lambda i: rel[i].bit_count()):
+        length[i] = max((length[j] + 1 for j in _bits(rel[i])), default=0)
+    return tuple(length)
+
+
 @dataclass(frozen=True)
 class Poset:
     """Strict order on ``size`` elements; ``below[i]`` masks the elements < i."""
@@ -77,20 +87,12 @@ class Poset:
     @cached_property
     def heights(self) -> tuple[int, ...]:
         """For each element, the number of elements on a longest chain strictly below it."""
-        order = sorted(range(self.size), key=lambda i: self.below[i].bit_count())
-        h = [0] * self.size
-        for i in order:
-            h[i] = max((h[j] + 1 for j in _bits(self.below[i])), default=0)
-        return tuple(h)
+        return _longest_chains(self.below)
 
     @cached_property
     def depths(self) -> tuple[int, ...]:
         """Dual of heights: longest chain strictly above each element."""
-        order = sorted(range(self.size), key=lambda i: self.above[i].bit_count())
-        d = [0] * self.size
-        for i in order:
-            d[i] = max((d[j] + 1 for j in _bits(self.above[i])), default=0)
-        return tuple(d)
+        return _longest_chains(self.above)
 
     @cached_property
     def relation_count(self) -> int:
@@ -100,11 +102,6 @@ class Poset:
 def dual(poset: Poset) -> Poset:
     """Reverse the order."""
     return Poset(poset.size, poset.above)
-
-
-def longest_chain_size(poset: Poset) -> int:
-    """Number of elements on a longest chain."""
-    return max(poset.heights) + 1
 
 
 def complete_multilevel(widths) -> Poset:

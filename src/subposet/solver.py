@@ -35,7 +35,7 @@ from .containment import (
     MAX_MEMBERS,
     Relations,
     SearchStatus,
-    contains_any,
+    contains_subposet,
     find_embedding,
 )
 from .lattice import SetFamily, serialize_family
@@ -147,16 +147,20 @@ def la_exact(n: int, posets: Sequence[Poset], induced: bool = False,
 
 def certified_lower_bound(family: SetFamily, posets: Sequence[Poset], induced: bool = False,
                           budget: int = DEFAULT_BUDGET) -> int:
-    """Size of a family after verifying it avoids every pattern.
+    """Size of a family after checking, pattern by pattern in list order and
+    with ``budget`` nodes each, that it avoids every pattern.
 
-    Raises FreenessError (carrying the violating embedding) if verification
-    fails, and BudgetExceededError when the check could not be completed.
+    Raises FreenessError (carrying the first pattern found and its embedding)
+    if the check fails, even after a pattern ran out of budget, and
+    BudgetExceededError when no pattern was found but some check could not be
+    completed.
     """
-    res = contains_any(family, posets, induced, budget)
-    if res.found:
-        assert res.embedding is not None and res.poset_index is not None
-        raise FreenessError(res.poset_index, res.embedding)
-    if res.status is SearchStatus.BUDGET:
+    budget_hit = False
+    for idx, poset in enumerate(posets):
+        res = contains_subposet(family, poset, induced, budget)
+        if res.found:
+            raise FreenessError(idx, res.embedding)
+        budget_hit |= res.status is SearchStatus.BUDGET
+    if budget_hit:
         raise BudgetExceededError("freeness verification ran out of budget")
     return family.size
-

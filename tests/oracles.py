@@ -29,7 +29,7 @@ from subposet.containment import (DEFAULT_BUDGET, BudgetExceededError, SearchSta
                                   contains_subposet, find_embedding)
 from subposet.lattice import (MAX_GROUND, FamilyParseError, SetFamily, consecutive_levels,
                               largest_mod_classes, set_str)
-from subposet.posets import Poset, _bits, longest_chain_size
+from subposet.posets import Poset, _bits
 
 
 @lru_cache(maxsize=None)
@@ -484,7 +484,7 @@ def walk_partition(family, mode: str, r: int = 1, t: int = 1):
 
 # Code that only the tests use: probes that reach the library's closed forms
 # (free level counts, construction freeness, the size-height bound) by a
-# second route, and the poset file writer.
+# second route, the longest chain size, and the poset file writer.
 
 
 def empirical_free_levels(poset: Poset, induced: bool, n: int, k_max: int,
@@ -508,6 +508,11 @@ def empirical_free_levels(poset: Poset, induced: bool, n: int, k_max: int,
             if res.found:
                 return k - 1
     return k_max
+
+
+def longest_chain_size(poset: Poset) -> int:
+    """Number of elements on a longest chain."""
+    return max(poset.heights) + 1
 
 
 def size_height_bound(poset: Poset) -> Fraction:
@@ -639,3 +644,18 @@ def parse_outcome(parse, text: str):
     except FamilyParseError as exc:
         return ("error", str(exc), exc.line)
     return ("family", family.n, family.members)
+
+
+def check_members_reference(n: int, members) -> None:
+    """SetFamily's member check before its one-sort version: each member in
+    turn must lie in [1, n] and sort strictly after the one before it by
+    (cardinality, value). Raises the first defect's ValueError."""
+    full = (1 << n) - 1
+    prev = None
+    for m in members:
+        if m < 0 or m & ~full:
+            raise ValueError(f"mask {m} has bits outside [1, {n}]")
+        key = (m.bit_count(), m)
+        if prev is not None and key <= prev:
+            raise ValueError("members not in canonical order (or duplicated)")
+        prev = key

@@ -276,7 +276,7 @@ def test_check_names_the_line_of_an_overlong_number(tmp_path, capsys, text, mess
     assert doc["payload"]["error"].startswith(message)
 
 
-def test_determinism_and_threads_flag(tmp_path, capsys):
+def test_determinism(tmp_path, capsys):
     fam_file = tmp_path / "fam.txt"
     fam_file.write_text("n=4\n{1}\n{2}\n{1,2}\n{1,3}\n")
     outputs = set()
@@ -287,10 +287,6 @@ def test_determinism_and_threads_flag(tmp_path, capsys):
         _, _, raw = run_cli(argv, capsys)
         outputs.add(raw)
     assert len(outputs) == 1
-    # --threads is accepted and does not change the payload
-    _, doc1, _ = run_cli(["--threads", "1", "solve", "3", "--poset", "P2"], capsys)
-    _, doc8, _ = run_cli(["--threads", "8", "solve", "3", "--poset", "P2"], capsys)
-    assert doc1["payload"] == doc8["payload"]
 
 
 def test_poset_spec_loading(tmp_path):

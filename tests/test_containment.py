@@ -1,4 +1,4 @@
-"""Containment search, antichain machinery, and the level-freeness probe."""
+"""Containment search and antichain machinery."""
 
 import pytest
 from random import Random
@@ -7,7 +7,6 @@ from subposet.containment import (
     MAX_MEMBERS,
     Relations,
     SearchStatus,
-    contains_any,
     contains_subposet,
     find_embedding,
     interval_has_antichain,
@@ -74,37 +73,6 @@ def test_contains_embedding_is_valid():
                         assert images[i] != images[j] and images[i] & images[j] == images[i]
                     elif induced and i != j and not poset.less(j, i):
                         assert compare(images[i], images[j]) is Relation.INCOMPARABLE
-
-
-def test_contains_any():
-    vee, wedge = named_poset("vee"), named_poset("wedge")
-    full = SetFamily.of(2, range(4))
-    res = contains_any(full, [vee, wedge])
-    assert res.found and res.poset_index == 0
-    res = contains_any(level(4, 2), [vee, wedge])
-    assert res.free
-    fam = SetFamily.of(2, [0, 1, 2])  # {}, {1}, {2}
-    assert contains_any(fam, [wedge]).free
-    hit = contains_any(fam, [vee])
-    assert hit.found and hit.poset_index == 0
-
-
-def test_contains_any_reports_first_hit_and_budget():
-    vee, wedge = named_poset("vee"), named_poset("wedge")
-    fam = SetFamily.of(2, [0, 1, 2])  # {}, {1}, {2}
-    res = contains_any(fam, [wedge, vee, chain_poset(3)])
-    assert res.found and res.poset_index == 1
-    assert res.nodes == contains_subposet(fam, wedge).nodes + contains_subposet(fam, vee).nodes
-    bottom, left, right = (fam.members[i] for i in res.embedding)
-    assert bottom & left == bottom != left and bottom & right == bottom != right
-
-    # a pattern cut off by the budget makes the overall verdict BUDGET unless
-    # a later pattern is found
-    antichain = level(4, 2)
-    res = contains_any(antichain, [complete_multilevel([4]), chain_poset(2)], budget=1)
-    assert res.status is SearchStatus.BUDGET and res.embedding is None and res.nodes == 1
-    res = contains_any(antichain, [complete_multilevel([4]), chain_poset(1)], budget=1)
-    assert res.found and res.poset_index == 1 and res.nodes == 2
 
 
 def rows(masks):

@@ -21,7 +21,8 @@ from subposet.lattice import (
     sigma,
 )
 
-from oracles import parse_family_reference, parse_outcome, pascal, random_family_masks
+from oracles import (check_members_reference, parse_family_reference, parse_outcome, pascal,
+                     random_family_masks)
 
 
 def test_binomial_basics():
@@ -132,6 +133,49 @@ def test_family_canonical_order():
         SetFamily(0, ())
     with pytest.raises(ValueError):
         SetFamily(lattice.MAX_GROUND + 1, ())
+
+
+def member_check_outcome(check, n, members):
+    try:
+        check(n, members)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_member_check_matches_reference_loop():
+    # SetFamily's range test plus one sort must accept and reject the member
+    # tuples the per-member loop does, with the same message; a tuple with
+    # both defects may now get the range message first
+    rng = Random(12)
+    range_message = "mask {} has bits outside [1, {}]"
+    for _ in range(3000):
+        n = rng.randint(1, 7)
+        members = list(SetFamily.of(n, random_family_masks(rng, n, 12)).members)
+        for _ in range(rng.randint(0, 3)):
+            kind = rng.randrange(4)
+            if kind == 0 and members:  # duplicate a member in place
+                i = rng.randrange(len(members))
+                members.insert(i, members[i])
+            elif kind == 1 and len(members) > 1:  # swap neighbours
+                i = rng.randrange(len(members) - 1)
+                members[i], members[i + 1] = members[i + 1], members[i]
+            elif kind == 2:  # a negative mask
+                members.insert(rng.randint(0, len(members)), -rng.randint(1, 1 << n))
+            elif kind == 3:  # a mask past n
+                members.insert(rng.randint(0, len(members)), rng.randrange(1 << n, 4 << n))
+        members = tuple(members)
+        ref = member_check_outcome(check_members_reference, n, members)
+        new = member_check_outcome(SetFamily, n, members)
+        if ref is not None and ref.startswith("members not in"):
+            outside = [m for m in members if m < 0 or m >> n]
+            if outside:
+                assert new == range_message.format(outside[0], n), (n, members)
+                continue
+        assert new == ref, (n, members)
+    for n in (1, 5):
+        assert member_check_outcome(SetFamily, n, ()) is None
+        assert member_check_outcome(check_members_reference, n, ()) is None
 
 
 def test_parse_family():

@@ -9,14 +9,13 @@ from subposet.posets import (
     chain_poset,
     complete_multilevel,
     dual,
-    longest_chain_size,
     named_poset,
     parse_poset,
     parse_signature,
     signature_str,
 )
 
-from oracles import closure_relation_count, serialize_poset
+from oracles import closure_relation_count, longest_chain_size, serialize_poset
 
 
 def relation_pairs(poset):

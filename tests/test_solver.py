@@ -5,9 +5,9 @@ from random import Random
 
 from subposet import solver
 from subposet.constructions import construct_rst
-from subposet.containment import (BudgetExceededError, SearchResult, SearchStatus, contains_any,
+from subposet.containment import (BudgetExceededError, SearchResult, SearchStatus,
                                   contains_subposet)
-from subposet.lattice import SetFamily, sigma
+from subposet.lattice import SetFamily, level, sigma
 from subposet.posets import chain_poset, complete_multilevel, named_poset
 from subposet.solver import FreenessError, certified_lower_bound, la_exact
 
@@ -136,6 +136,47 @@ def test_certified_lower_bound_budget():
         certified_lower_bound(fam, [complete_multilevel([2, 3, 2])], budget=1)
 
 
+def test_certified_lower_bound_over_patterns():
+    vee, wedge = named_poset("vee"), named_poset("wedge")
+    with pytest.raises(FreenessError) as err:
+        certified_lower_bound(SetFamily.of(2, range(4)), [vee, wedge])
+    assert err.value.poset_index == 0
+    assert certified_lower_bound(level(4, 2), [vee, wedge]) == 6
+    fam = SetFamily.of(2, [0, 1, 2])  # {}, {1}, {2}
+    assert contains_subposet(fam, wedge).free
+    assert certified_lower_bound(fam, [wedge]) == 3
+    hit = contains_subposet(fam, vee)
+    assert hit.found
+    with pytest.raises(FreenessError) as err:
+        certified_lower_bound(fam, [vee])
+    assert err.value.poset_index == 0 and err.value.embedding == hit.embedding
+
+
+def test_certified_lower_bound_reports_first_hit_and_budget():
+    vee, wedge = named_poset("vee"), named_poset("wedge")
+    fam = SetFamily.of(2, [0, 1, 2])  # {}, {1}, {2}
+    with pytest.raises(FreenessError) as err:
+        certified_lower_bound(fam, [wedge, vee, chain_poset(3)])
+    assert err.value.poset_index == 1
+    assert err.value.embedding == contains_subposet(fam, vee).embedding
+    bottom, left, right = (fam.members[i] for i in err.value.embedding)
+    assert bottom & left == bottom != left and bottom & right == bottom != right
+
+    # a pattern cut off by the budget makes the verdict BUDGET unless a later
+    # pattern is found, and each pattern gets the whole budget
+    antichain, wide = level(4, 2), complete_multilevel([4])
+    res = contains_subposet(antichain, wide, budget=1)
+    assert res.status is SearchStatus.BUDGET and res.embedding is None and res.nodes == 1
+    assert contains_subposet(antichain, chain_poset(2), budget=1).free
+    with pytest.raises(BudgetExceededError):
+        certified_lower_bound(antichain, [wide, chain_poset(2)], budget=1)
+    res = contains_subposet(antichain, chain_poset(1), budget=1)
+    assert res.found and res.nodes == 1
+    with pytest.raises(FreenessError) as err:
+        certified_lower_bound(antichain, [wide, chain_poset(1)], budget=1)
+    assert err.value.poset_index == 1 and err.value.embedding == res.embedding
+
+
 def test_random_instances_match_oracle():
     rng = Random(77)
     patterns = [chain_poset(2), chain_poset(3), named_poset("vee"), complete_multilevel([2, 2])]
@@ -145,7 +186,7 @@ def test_random_instances_match_oracle():
         res = la_exact(3, [poset], induced=induced)
         assert res.exhausted
         assert res.optimum == brute_la(3, [poset], induced)
-        assert contains_any(res.witness, [poset], induced).free
+        assert contains_subposet(res.witness, poset, induced).free
 
 
 @pytest.mark.parametrize("break_symmetry", [False, True])
