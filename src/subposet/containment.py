@@ -4,12 +4,15 @@ The search and the antichain matcher read one Relations record per member
 list. Its ``has[e]`` is the bitset of the members containing element e, so
 ``above(S)`` (members containing S) is the AND of ``has[e]`` over e in S
 and ``below(S)`` (members inside S) the complement of the OR over e not in
-S, n big-int operations each. The rows, built per kind when first read,
-are ``sup[i]`` and ``sub[i]``, ``above``/``below`` of member i without i,
-and ``inc[i]``, the rest; a domain narrows by one AND with a row. They cost
-n * m operations instead of m^2 / 2 pair tests (about 1 s for the 35,750
-sets of levels 7-9 of B_16 on one core of a 2-core VM) and hold 3 * m^2
-bits (380 MB there), so lists over MAX_MEMBERS masks are refused first.
+S, n big-int operations each. The rows are ``sup[i]`` and ``sub[i]``,
+``above``/``below`` of member i without i, and ``inc[i]``, the rest; a
+domain narrows by one AND with a row. Every entry starts as None and is
+built from ``has`` when first read: the search builds a member's rows when
+it tries the member or a count-filter cut reads it, the antichain matcher
+the ``sup`` rows of the live members. A search decided in a few nodes so
+pays for a few rows, not for all m. A search or matcher may still read
+every row, n * m operations and 3 * m^2 bits (380 MB for the 35,750 sets of
+levels 7-9 of B_16), so lists over MAX_MEMBERS masks are refused first.
 Plain searches never build ``inc``; s_minus and s_plus match on
 ``below``/``above`` of a set, reading ``sup`` alone.
 
@@ -49,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain
 from math import comb
 from typing import NamedTuple, Sequence
@@ -152,12 +155,16 @@ def _plan_for(poset: Poset, induced: bool, first: int | None = None) -> _Plan:
 @dataclass(frozen=True, eq=False)
 class Relations:
     """Member data of distinct masks (module docstring): ``full`` holds all
-    members and ``levels[k]`` the k-sets; the rows are built when first read."""
+    members and ``levels[k]`` the k-sets. Each row list starts as None per
+    member; ``fill`` builds a member's rows when a reader first needs them."""
 
     masks: tuple[int, ...]
     full: int = field(init=False)
     has: tuple[int, ...] = field(init=False)
     levels: tuple[int, ...] = field(init=False)
+    sup: list[int | None] = field(init=False)
+    sub: list[int | None] = field(init=False)
+    inc: list[int | None] = field(init=False)
 
     def __post_init__(self):
         m = len(self.masks)
@@ -165,13 +172,15 @@ class Relations:
             raise ValueError(f"{m} members exceed the relation precompute cap of {MAX_MEMBERS}")
         masks = tuple(self.masks)
         n = max(masks, default=0).bit_length()
-        rev = masks[::-1]  # has[e] read as one string of bits
+        # n binary digits per member, member 0 last: every n-th digit is one has[e]
+        text = "".join([format(x, f"0{n}b") for x in reversed(masks)])
         levels = [0] * (n + 1)
         for i, x in enumerate(masks):
             levels[x.bit_count()] |= 1 << i
-        vars(self).update(  # written once, here, as the cached rows are
+        vars(self).update(  # written once, here; fill writes the row entries
             masks=masks, full=(1 << m) - 1, levels=tuple(levels),
-            has=tuple(int(bytes([48 + (x >> e & 1) for x in rev]), 2) for e in range(n)))
+            has=tuple(int(text[n - 1 - e::n], 2) for e in range(n)),
+            sup=[None] * m, sub=[None] * m, inc=[None] * m)
 
     def above(self, mask: int) -> int:
         """The members containing ``mask``."""
@@ -191,18 +200,15 @@ class Relations:
                 out |= has
         return self.full ^ out
 
-    @cached_property
-    def sup(self) -> list[int]:
-        return [self.above(x) ^ 1 << i for i, x in enumerate(self.masks)]
-
-    @cached_property
-    def sub(self) -> list[int]:
-        return [self.below(x) ^ 1 << i for i, x in enumerate(self.masks)]
-
-    @cached_property
-    def inc(self) -> list[int]:
-        full = self.full
-        return [full ^ up ^ down ^ 1 << i for i, (up, down) in enumerate(zip(self.sup, self.sub))]
+    def fill(self, i: int, kinds: int) -> None:
+        """Build member i's first ``kinds`` rows of sup, sub and inc."""
+        x, bit = self.masks[i], 1 << i
+        if self.sup[i] is None:
+            self.sup[i] = self.above(x) ^ bit
+        if kinds > 1 and self.sub[i] is None:
+            self.sub[i] = self.below(x) ^ bit
+        if kinds > 2:
+            self.inc[i] = self.full ^ self.sup[i] ^ self.sub[i] ^ bit
 
 
 def _initial_domains(levels: Sequence[int], poset: Poset) -> list[int]:
@@ -232,7 +238,9 @@ def _search(rels: Relations, plan: _Plan, domains: list[int], budget: int,
     the search goes on."""
     if not all(domains):
         return SearchStatus.FREE, None, 0
-    rows = (rels.sup, rels.sub, rels.inc) if plan.induced else (rels.sup, rels.sub)
+    kinds = 3 if plan.induced else 2
+    rows = (rels.sup, rels.sub, rels.inc)[:kinds]
+    last, fill = rows[-1], rels.fill  # last[i] is set once all of member i's rows are
     order, twin_prev = plan.order, plan.twin_prev
     steps, counts, cuts = plan.steps, plan.counts, plan.cuts
     p = len(order)
@@ -264,6 +272,8 @@ def _search(rels: Relations, plan: _Plan, domains: list[int], budget: int,
                 return SearchStatus.FOUND, tuple(img), nodes
             copies.setdefault(used | bit, tuple(img))
             continue
+        if last[i] is None:
+            fill(i, kinds)
         nxt = list(cand)
         for e2, k in steps[depth]:
             nxt[e2] &= rows[k][i]
@@ -287,6 +297,8 @@ def _search(rels: Relations, plan: _Plan, domains: list[int], budget: int,
                     flip = rows[k]
                     tally = [0] * need  # tally[t]: candidates seen at least t + 1 times
                     for j in _bits(s):
+                        if last[j] is None:
+                            fill(j, kinds)
                         x = flip[j] & c
                         for t in range(need - 1, 0, -1):
                             tally[t] |= tally[t - 1] & x
@@ -366,13 +378,15 @@ class AntichainResult(NamedTuple):
     witness: tuple[int, ...]
 
 
-def _max_antichain(sup: Sequence[int], live: int) -> AntichainResult:
+def _max_antichain(rels: Relations, live: int) -> AntichainResult:
     """Maximum antichain of the members in ``live`` via minimum chain cover.
 
     The bipartite graph has an edge (u, v) whenever member u is a proper
-    subset of member v, both live: bit v of ``sup[u] & live``. A maximum
-    matching gives a minimum chain cover, and the complement of its minimum
-    vertex cover (König) is a maximum antichain of size |live| - matching.
+    subset of member v, both live: bit v of ``sup[u] & live``. Row ``sup[u]``
+    is built when u becomes a root, as paths from a root meet earlier roots
+    only; no other row is built. A maximum matching gives a minimum chain
+    cover, and the complement of its minimum vertex cover (König) is a
+    maximum antichain of size |live| - matching.
 
     Augmenting paths come from an iterative depth-first search that keeps the
     path explicitly and steps to a free right vertex first when the node has
@@ -380,10 +394,13 @@ def _max_antichain(sup: Sequence[int], live: int) -> AntichainResult:
     augmentation: until the matching changes, no augmenting path can pass
     through them.
     """
+    sup, fill = rels.sup, rels.fill
     match_right: dict[int, int] = {}
     free = live
     seen = 0
     for root in _bits(live):
+        if sup[root] is None:
+            fill(root, 1)
         u = root
         path: list[int] = []
         while True:
@@ -436,17 +453,17 @@ def _max_antichain(sup: Sequence[int], live: int) -> AntichainResult:
 def max_antichain(family: SetFamily) -> AntichainResult:
     """Exact maximum antichain size plus a deterministic witness (member indices)."""
     rels = Relations(family.members)
-    return _max_antichain(rels.sup, rels.full)
+    return _max_antichain(rels, rels.full)
 
 
 def s_minus(rels: Relations, mask: int) -> int:
     """Maximum antichain size among members contained in ``mask``."""
-    return _max_antichain(rels.sup, rels.below(mask)).size
+    return _max_antichain(rels, rels.below(mask)).size
 
 
 def s_plus(rels: Relations, mask: int) -> int:
     """Maximum antichain size among members containing ``mask``."""
-    return _max_antichain(rels.sup, rels.above(mask)).size
+    return _max_antichain(rels, rels.above(mask)).size
 
 
 def interval_has_antichain(lower: int, upper: int, s: int) -> bool:

@@ -101,18 +101,24 @@ class SetFamily:
     members: tuple[int, ...]
 
     def __post_init__(self):
+        self._check_range()
+        if _canonical(set(self.members)) != tuple(self.members):
+            raise ValueError("members not in canonical order (or duplicated)")
+
+    def _check_range(self) -> None:
         check_ground(self.n)
         members, n = self.members, self.n
         if members and (min(members) < 0 or max(members) >> n):
             m = next(m for m in members if m < 0 or m >> n)
             raise ValueError(f"mask {m} has bits outside [1, {n}]")
-        if _canonical(set(members)) != tuple(members):
-            raise ValueError("members not in canonical order (or duplicated)")
 
     @classmethod
     def of(cls, n: int, masks: Iterable[int]) -> "SetFamily":
         """Canonicalize: deduplicate and sort by (cardinality, mask value)."""
-        return cls(n, _canonical(set(masks)))
+        family = cls.__new__(cls)  # sorted here, so only the range is checked
+        vars(family).update(n=n, members=_canonical(set(masks)))
+        family._check_range()
+        return family
 
     @property
     def size(self) -> int:

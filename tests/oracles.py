@@ -90,6 +90,31 @@ def pair_relations(masks) -> tuple[list[int], list[int], list[int]]:
     return sup, sub, inc
 
 
+def has_reference(masks) -> tuple[int, ...]:
+    """Relations.has by the per-bit loop it replaced: bitset e holds bit e of
+    every member, read as one string of binary digits, member 0 last."""
+    rev = list(masks)[::-1]
+    n = max(rev, default=0).bit_length()
+    return tuple(int(bytes([48 + (x >> e & 1) for x in rev]), 2) for e in range(n))
+
+
+def eager_rows(rels) -> tuple[list[int], list[int], list[int]]:
+    """The whole-list rows (sup, sub, inc) Relations built before its rows
+    were filled per member: every member's above/below without itself."""
+    sup = [rels.above(x) ^ 1 << i for i, x in enumerate(rels.masks)]
+    sub = [rels.below(x) ^ 1 << i for i, x in enumerate(rels.masks)]
+    inc = [rels.full ^ up ^ down ^ 1 << i for i, (up, down) in enumerate(zip(sup, sub))]
+    return sup, sub, inc
+
+
+def read_rows(rels, kinds: int = 3) -> tuple[list, list, list]:
+    """Fill the first ``kinds`` rows (sup, sub, inc) of every member of
+    ``rels`` and return its three row lists."""
+    for i in range(len(rels.masks)):
+        rels.fill(i, kinds)
+    return rels.sup, rels.sub, rels.inc
+
+
 def brute_max_antichain(masks) -> int:
     """Maximum antichain by enumerating all 2^|F| subfamilies.
 
@@ -239,7 +264,7 @@ def search_reference(rels, plan, domains, budget, copies=None, *, poset):
     if not all(domains):
         return SearchStatus.FREE, None, 0
     induced = plan.induced
-    sup, sub, inc = rels.sup, rels.sub, rels.inc if induced else None
+    sup, sub, inc = read_rows(rels, 3 if induced else 2)
     p = poset.size
     below = poset.below
     above = poset.above

@@ -3,6 +3,7 @@
 import pytest
 from random import Random
 
+from subposet import containment
 from subposet.containment import (
     MAX_MEMBERS,
     Relations,
@@ -33,6 +34,7 @@ from oracles import (
     nx_max_antichain,
     pair_relations,
     random_family_masks,
+    read_rows,
     reference_search,
 )
 
@@ -76,8 +78,7 @@ def test_contains_embedding_is_valid():
 
 
 def rows(masks):
-    rels = Relations(masks)
-    return rels.sup, rels.sub, rels.inc
+    return read_rows(Relations(masks))
 
 
 def test_member_relations_match_pair_loop():
@@ -90,6 +91,11 @@ def test_member_relations_match_pair_loop():
         assert rows(masks) == pair_relations(masks)
 
 
+def built(row_list) -> list[int]:
+    """The members whose entry in one row list has been filled."""
+    return [i for i, row in enumerate(row_list) if row is not None]
+
+
 def test_relations_build_each_row_kind_when_first_read():
     rng = Random(516)
     for _ in range(60):
@@ -97,15 +103,15 @@ def test_relations_build_each_row_kind_when_first_read():
         masks = rng.sample(range(1 << n), rng.randint(1, min(60, 1 << n)))
         sup, sub, inc = pair_relations(masks)
         rels = Relations(masks)
-        assert not {"sup", "sub", "inc"} & set(vars(rels))
-        assert rels.sup == sup
-        assert not {"sub", "inc"} & set(vars(rels))
-        assert rels.sub == sub and "inc" not in vars(rels)
-        assert rels.inc == inc
+        assert not built(rels.sup) + built(rels.sub) + built(rels.inc)
+        assert read_rows(rels, 1)[0] == sup
+        assert not built(rels.sub) + built(rels.inc)
+        assert read_rows(rels, 2)[1] == sub and not built(rels.inc)
+        assert read_rows(rels, 3)[2] == inc
         # a plain search reads the sup and sub rows only
         rels = Relations(masks)
         find_embedding(rels, rels.full, complete_multilevel([1, 2, 1]))
-        assert "inc" not in vars(rels)
+        assert not built(rels.inc)
 
 
 def test_member_relations_refuse_oversized_families():
@@ -162,6 +168,66 @@ def test_live_set_search_matches_compact_search():
                         assert list(full_copies.items()) == [
                             (bitset(kept[i] for i in _bits(b)), tuple(kept[i] for i in emb))
                             for b, emb in compact_copies.items()]
+
+
+def test_plain_searches_fill_no_inc_entry():
+    rng = Random(5151)
+    for trial in range(40):
+        n = rng.randint(3, 6)
+        masks = SetFamily.of(n, random_family_masks(rng, n, 40)).members
+        if not masks:
+            continue
+        poset = CLI_PATTERNS[trial % len(CLI_PATTERNS)]
+        rels = Relations(masks)
+        find_embedding(rels, rels.full, poset)
+        find_embedding(rels, rels.full, poset, require_member=trial % len(masks), copies={})
+        assert not built(rels.inc)
+        assert built(rels.sup) == built(rels.sub)  # a search fills both of a member's rows
+
+
+def test_antichains_fill_only_live_sup_entries(monkeypatch):
+    made = []
+
+    class Recorded(Relations):
+        def __post_init__(self):
+            super().__post_init__()
+            made.append(self)
+
+    monkeypatch.setattr(containment, "Relations", Recorded)
+    rng = Random(5252)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        fam = SetFamily.of(n, random_family_masks(rng, n, 40))
+        assert max_antichain(fam).size == kuhn_max_antichain(fam.members)
+        rels = made.pop()
+        assert built(rels.sup) == list(range(len(fam))) and not built(rels.sub) + built(rels.inc)
+        rels, union = Relations(fam.members), 0
+        for _ in range(3):
+            bound = rng.randrange(1 << n)
+            for antichain, live in ((s_minus, rels.below(bound)), (s_plus, rels.above(bound))):
+                fresh = Relations(fam.members)
+                antichain(fresh, bound)
+                assert built(fresh.sup) == list(_bits(live))
+                assert not built(fresh.sub) + built(fresh.inc)
+                antichain(rels, bound)
+                union |= live
+        assert built(rels.sup) == list(_bits(union))
+        assert not built(rels.sub) + built(rels.inc)
+
+
+def test_quick_find_fills_few_rows():
+    # induced K[1,2,1] in levels 6-8 of B_14 (9,438 members) is found in 4
+    # nodes of the first band pin: its first two placements fill their own
+    # rows, one count-filter cut reads 8 members of level 7, and the last
+    # placement reads no row, so 10 of the 9,438 members get rows
+    fam = consecutive_levels(14, 5, 3)
+    assert len(fam) == 9438
+    rels = Relations(fam.members)
+    res = find_embedding(rels, rels.full, complete_multilevel([1, 2, 1]), induced=True)
+    assert res.found and res.nodes == 4
+    assert is_copy([fam.members[i] for i in res.embedding], complete_multilevel([1, 2, 1]), True)
+    assert len(built(rels.inc)) <= 10
+    assert built(rels.sup) == built(rels.sub) == built(rels.inc)
 
 
 def check_copies(masks, poset, induced, member):

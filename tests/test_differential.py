@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from subposet.chains import (
     count_pairs_enumerated,
@@ -35,11 +35,14 @@ from oracles import (
     brute_la,
     comparable,
     compare_with_reference,
+    eager_rows,
+    has_reference,
     is_copy,
     pair_relations,
     parse_family_reference,
     parse_outcome,
     random_strict_order,
+    read_rows,
     strictly_less,
     walk_pairs,
     walk_partition,
@@ -91,7 +94,37 @@ def mask_lists(draw, max_n=8, max_size=60):
 @given(mask_lists())
 def test_member_relations_match_pair_loop(masks):
     rels = Relations(masks)
-    assert (rels.sup, rels.sub, rels.inc) == pair_relations(masks)
+    assert read_rows(rels) == pair_relations(masks)
+
+
+@st.composite
+def row_reads(draw):
+    """Distinct masks and reads (member, kinds) of their rows, in any order,
+    repeated or not, over any subset of the members."""
+    masks = draw(mask_lists())
+    member = st.integers(0, len(masks) - 1) if masks else st.nothing()
+    return masks, draw(st.lists(st.tuples(member, st.integers(1, 3)), max_size=2 * len(masks)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_reads())
+@example(([], []))
+@example(([0], [(0, 3)]))
+@example(([1, 0], [(1, 1), (0, 3), (1, 2)]))
+def test_rows_read_in_any_order_match_pair_loop(case):
+    # a member's entries are filled by the reads of it alone, and equal the
+    # pair loop and the whole-list rows whatever was read before
+    masks, reads = case
+    rels = Relations(masks)
+    assert rels.has == has_reference(masks)
+    want = pair_relations(masks)
+    assert eager_rows(rels) == want
+    kinds = [0] * len(masks)
+    for i, k in reads:
+        rels.fill(i, k)
+        kinds[i] = max(kinds[i], k)
+    for kind, row_list, want_rows in zip((1, 2, 3), (rels.sup, rels.sub, rels.inc), want):
+        assert row_list == [w if k >= kind else None for w, k in zip(want_rows, kinds)]
 
 
 @settings(max_examples=150, deadline=None)

@@ -178,6 +178,24 @@ def test_member_check_matches_reference_loop():
         assert member_check_outcome(check_members_reference, n, ()) is None
 
 
+def test_of_sorts_once_and_checks_the_range(monkeypatch):
+    calls = []
+    canonical = lattice._canonical
+    monkeypatch.setattr(lattice, "_canonical", lambda masks: calls.append(1) or canonical(masks))
+    fam = SetFamily.of(4, [9, 0, 3, 9, 6])
+    assert calls == [1]  # no second sort to check the order it just made
+    assert fam == SetFamily(4, (0, 3, 6, 9)) and fam.member_set == {0, 3, 6, 9}
+    assert SetFamily.of(2, []) == SetFamily(2, ())
+    with pytest.raises(ValueError, match=r"mask 8 has bits outside \[1, 3\]"):
+        SetFamily.of(3, [1, 8])
+    with pytest.raises(ValueError, match=r"mask -1 has bits outside \[1, 3\]"):
+        SetFamily.of(3, [-1, 2])
+    with pytest.raises(ValueError, match="ground size"):
+        SetFamily.of(0, [])
+    with pytest.raises(ValueError, match="canonical order"):
+        SetFamily(4, (3, 0))
+
+
 def test_parse_family():
     fam = parse_family("n=3\n{}\n{1,3}")
     assert fam.n == 3 and fam.members == (0, 5)
