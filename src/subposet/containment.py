@@ -53,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, groupby
 from math import comb
 from typing import NamedTuple, Sequence
 
@@ -175,8 +175,11 @@ class Relations:
         # n binary digits per member, member 0 last: every n-th digit is one has[e]
         text = "".join([format(x, f"0{n}b") for x in reversed(masks)])
         levels = [0] * (n + 1)
-        for i, x in enumerate(masks):
-            levels[x.bit_count()] |= 1 << i
+        start = 0
+        for k, run in groupby(masks, int.bit_count):  # one block per run of k-sets
+            end = start + len(list(run))
+            levels[k] |= (1 << end) - (1 << start)
+            start = end
         vars(self).update(  # written once, here; fill writes the row entries
             masks=masks, full=(1 << m) - 1, levels=tuple(levels),
             has=tuple(int(text[n - 1 - e::n], 2) for e in range(n)),

@@ -5,21 +5,40 @@ Branch and bound over all subsets of [n], taken in middle-out order
 since extremal families concentrate around the middle levels. The walk is
 depth first, include before exclude, over two bitsets of candidate
 positions: ``live``, the chosen ones, and ``best``, the first largest family
-reached. When ``live`` plus all remaining candidates cannot beat ``best``,
-the top bit of ``live`` is dropped and the walk goes on past it (the exclude
-branch of the last inclusion), until ``live`` is empty.
+reached. A cut branch drops the top bit of ``live`` and goes on past it (the
+exclude branch of the last inclusion), until ``live`` is empty.
+
+The bound is a Russian-doll one (Verfaillie, Lemaître and Schiex, AAAI 1996;
+Östergård's Cliquer, 2002): R[q], the largest free family inside the suffix
+candidates[q:], bounds what the positions from q on can add. A solve runs in
+three phases over N = 2^n candidates:
+
+1. The walk's first path: each candidate in turn, included when free. Its
+   family seeds ``best``.
+2. For q = N-1 down to 1, R[q] is R[q+1] or R[q+1] + 1: a walk with q forced
+   in, cut where |live| + R[pos] < R[q+1] + 1, stops at the first family of
+   R[q+1] + 1 members. Once q + R[q] <= |best|, nothing beats ``best``: the
+   solve ends, proven.
+3. The walk from the start, seeded with ``best`` and cut where
+   |live| + R[pos] <= |best| (R[0] is taken as R[1] + 1).
+
+A cut drops only branches that cannot strictly beat ``best``, so a finished
+solve has the optimum and the witness of the same walk bounded by
+|live| + (N - pos) alone; only the number of include attempts falls.
 
 Chosen positions ascend, so a copy of a pattern that an include attempt at
 position ``pos`` completes has ``pos`` as its last member on every branch.
 The copies ending at ``pos`` are listed once, as bitsets of their other
 positions, by find_embedding's all-copies mode over one containment.Relations
 record of all 2^n candidates, and an attempt is free exactly when no listed
-copy lies inside ``live``. The rows take 2^n bits per candidate, so n >= 16
-is refused before any candidate is listed, whatever ``max_n`` allows
-(containment.MAX_MEMBERS).
+copy lies inside ``live``. A walk over a suffix reads only the copies inside
+it: a copy moves from its list to the walks' list of its end position once q
+reaches its lowest position, so each copy is stored once. The rows take 2^n
+bits per candidate, so n >= 16 is refused before any candidate is listed,
+whatever ``max_n`` allows (containment.MAX_MEMBERS).
 
-The witness is the first optimum reached in this fixed order, which makes it
-the lexicographically smallest family the search encounters at the optimum;
+The witness is the first optimum reached in walk order, which makes it the
+lexicographically smallest family the search encounters at the optimum;
 results are fully deterministic.
 """
 
@@ -79,15 +98,18 @@ def la_exact(n: int, posets: Sequence[Poset], induced: bool = False,
              break_symmetry: bool = False) -> SolveResult:
     """Maximum size of a subset family of [n] avoiding every given pattern.
 
-    ``budget`` caps the number of include attempts (a negative one is a
-    ValueError); when it runs out the best family seen so far is returned
-    with ``exhausted=False``. With ``break_symmetry`` the first included set
-    is restricted to the minimal mask of its (centrality, size) class, which
-    is sound under relabeling of the ground elements.
+    ``budget`` caps the include attempts of all three phases together (a
+    negative one is a ValueError); when it runs out the best family of phase 3
+    so far, at least the first path's, is returned with ``exhausted=False``.
+    With ``break_symmetry`` the first included set of phases 1 and 3 is
+    restricted to the minimal mask of its (centrality, size) class, which is
+    sound under relabeling of the ground elements; phase 2 ignores it, so the
+    suffix optima stay upper bounds.
 
-    A position's copy list is built on its first attempt under the containment
-    node budget (BUDGET ends the solve unexhausted) and holds every copy ending
-    there, however few attempts ``budget`` allows: at n = 8 it is most of the work.
+    A position's copy list is built on its first attempt in phase 1, or before
+    phase 2 for a position phase 1 skipped, under the containment node budget
+    (BUDGET ends the solve unexhausted), and holds every copy ending there,
+    however few attempts ``budget`` allows: at n = 8 it is most of the work.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -105,6 +127,7 @@ def la_exact(n: int, posets: Sequence[Poset], induced: bool = False,
     candidates = sorted(range(1 << n),
                         key=lambda m: (abs(2 * m.bit_count() - n), m.bit_count(), m))
     rels = Relations(candidates)
+    size = len(candidates)
 
     @cache
     def ends_at(pos: int) -> list[int] | None:
@@ -116,31 +139,75 @@ def la_exact(n: int, posets: Sequence[Poset], induced: bool = False,
                 return None
         return [c ^ 1 << pos for c in found]
 
-    pos = live = best = nodes = 0
-    exhausted = False
-    while True:
-        if live.bit_count() + len(candidates) - pos <= best.bit_count():
-            if not live:
-                exhausted = True
-                break
-            pos = live.bit_length()  # exclude the last inclusion instead
-            live ^= 1 << pos - 1
-            continue
-        mask = candidates[pos]
-        if break_symmetry and not live and mask != (1 << mask.bit_count()) - 1:
-            pos += 1
-            continue
-        if budget is not None and nodes >= budget:
-            break
-        nodes += 1  # an attempt whose list runs out of budget still counts
-        if (ends := ends_at(pos)) is None:
-            break
-        if not any(c & live == c for c in ends):
-            live |= 1 << pos
-            if live.bit_count() > best.bit_count():
-                best = live
-        pos += 1
+    suffix_optima = [0] * (size + 1)  # [q]: largest free family in candidates[q:]
+    inside: list[list[int]] = [[] for _ in range(size)]  # copies in the suffix walked
+    best = nodes = 0
 
+    def walk(q: int, need: int, first: bool) -> bool | None:
+        """Include first from position q, cutting every branch whose chosen
+        positions plus the suffix optimum after them fall short of ``need``,
+        until no chosen position is left. In phase 2 (``first``) a family of
+        ``need`` members returns True; in phase 3 it becomes ``best`` and
+        ``need`` grows. None when the budget ran out, else False."""
+        nonlocal best, nodes
+        symmetric = break_symmetry and not first
+        live, pos = 0, q
+        while True:
+            if live.bit_count() + suffix_optima[pos] < need:
+                if not live:
+                    return False
+                pos = live.bit_length()  # exclude the last inclusion instead
+                live ^= 1 << pos - 1
+                continue
+            mask = candidates[pos]
+            if symmetric and not live and mask != (1 << mask.bit_count()) - 1:
+                pos += 1
+                continue
+            if budget is not None and nodes >= budget:
+                return None
+            nodes += 1
+            if all(map((~live).__and__, inside[pos])):
+                live |= 1 << pos
+                if live.bit_count() == need:
+                    if first:
+                        return True
+                    best, need = live, need + 1
+            pos += 1
+
+    def search() -> bool:
+        """The three phases; False when the budget or a listing ran out."""
+        nonlocal best, nodes
+        for pos, mask in enumerate(candidates):  # 1: the walk's first path
+            if break_symmetry and not best and mask != (1 << mask.bit_count()) - 1:
+                continue
+            if budget is not None and nodes >= budget:
+                return False
+            nodes += 1  # an attempt whose list runs out of budget still counts
+            if (ends := ends_at(pos)) is None:
+                return False
+            if all(map((~best).__and__, ends)):
+                best |= 1 << pos
+        lists = [ends_at(pos) for pos in range(size)]
+        if None in lists:
+            return False
+        for pos, ends in enumerate(lists):  # by lowest position, the highest last
+            ends.sort(key=lambda c, end=1 << pos: c & -c or end)
+        for q in range(size - 1, -1, -1):
+            low = 1 << q
+            for pos in range(q, size):  # move over the copies whose lowest position is q
+                ends = lists[pos]
+                while ends and (ends[-1] & -ends[-1] or 1 << pos) == low:
+                    inside[pos].append(ends.pop())
+            suffix_optima[q] = suffix_optima[q + 1] + 1  # an upper bound until walked
+            if q + suffix_optima[q] <= best.bit_count():
+                return True  # no family beats the first path's
+            if not q:  # 3: the walk itself, seeded with the first path's family
+                return walk(0, best.bit_count() + 1, False) is not None
+            if (grew := walk(q, suffix_optima[q], True)) is None:  # 2
+                return False
+            suffix_optima[q] -= not grew
+
+    exhausted = search()
     witness = SetFamily.of(n, [m for i, m in enumerate(candidates) if best >> i & 1])
     return SolveResult(witness.size, witness, nodes, exhausted)
 

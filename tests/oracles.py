@@ -98,6 +98,15 @@ def has_reference(masks) -> tuple[int, ...]:
     return tuple(int(bytes([48 + (x >> e & 1) for x in rev]), 2) for e in range(n))
 
 
+def levels_reference(masks) -> tuple[int, ...]:
+    """Relations.levels by the per-member loop it replaced: bitset k holds
+    the positions of the k-sets, one OR per member."""
+    levels = [0] * (max(masks, default=0).bit_length() + 1)
+    for i, x in enumerate(masks):
+        levels[x.bit_count()] |= 1 << i
+    return tuple(levels)
+
+
 def eager_rows(rels) -> tuple[list[int], list[int], list[int]]:
     """The whole-list rows (sup, sub, inc) Relations built before its rows
     were filled per member: every member's above/below without itself."""
@@ -253,6 +262,77 @@ def walk_la(n: int, posets, induced: bool = False, budget: int | None = None,
 
     exhausted = walk(0, [])
     return best[0], best[1], nodes, exhausted
+
+
+class _OutOfAttempts(Exception):
+    pass
+
+
+def doll_walk_la(n: int, posets, induced: bool = False, budget: int | None = None,
+                 break_symmetry: bool = False):
+    """(optimum, witness masks, include attempts, exhausted, suffix optima) of
+    the solver's three phases, walked recursively as its module docstring
+    states them, with freeness of each include attempt decided by
+    brute_contains. The suffix optima are {q: R[q]} for every q that phase 2
+    walked: R[q] is the largest free family inside candidates[q:]."""
+    candidates = sorted(range(1 << n),
+                        key=lambda m: (abs(2 * m.bit_count() - n), m.bit_count(), m))
+    size = len(candidates)
+    nodes = 0
+
+    def free(chosen: list[int], mask: int) -> bool:
+        nonlocal nodes
+        if budget is not None and nodes >= budget:
+            raise _OutOfAttempts
+        nodes += 1
+        family = chosen + [mask]
+        return not any(brute_contains(family, poset, induced, mask) for poset in posets)
+
+    def skipped(chosen: list[int], mask: int, symmetric: bool) -> bool:
+        return symmetric and not chosen and mask != (1 << mask.bit_count()) - 1
+
+    greedy: list[int] = []  # phase 1: include every free candidate in turn
+    best = greedy
+    bound = [0] * (size + 1)
+    solved: dict[int, int] = {}
+    try:
+        for mask in candidates:
+            if not skipped(greedy, mask, break_symmetry) and free(greedy, mask):
+                greedy.append(mask)
+
+        def walk(pos: int, chosen: list[int], goal: int | None, symmetric: bool) -> bool:
+            """Phase 2 (goal set): is there a family of goal members? Phase 3
+            (goal None): raise best to every larger family, in walk order."""
+            nonlocal best
+            for pos in range(pos, size):
+                need = goal if goal is not None else len(best) + 1
+                if len(chosen) + bound[pos] < need:
+                    return False
+                mask = candidates[pos]
+                if skipped(chosen, mask, symmetric) or not free(chosen, mask):
+                    continue
+                family = chosen + [mask]
+                if len(family) == need:
+                    if goal is not None:
+                        return True
+                    best = family
+                if walk(pos + 1, family, goal, symmetric):
+                    return True
+            return False
+
+        exhausted = True
+        for q in range(size - 1, -1, -1):
+            bound[q] = bound[q + 1] + 1
+            if q + bound[q] <= len(greedy):
+                break
+            if not q:
+                walk(0, [], None, break_symmetry)
+                break
+            bound[q] = solved[q] = bound[q + 1] + walk(q, [], bound[q], False)
+    except _OutOfAttempts:
+        exhausted = False
+    witness = tuple(sorted(best, key=lambda m: (m.bit_count(), m)))
+    return len(witness), witness, nodes, exhausted, solved
 
 
 def search_reference(rels, plan, domains, budget, copies=None, *, poset):
@@ -417,9 +497,10 @@ def brute_s_plus(masks, bound: int) -> int:
     return brute_max_antichain([m for m in masks if m & bound == bound])
 
 
-def brute_la(n: int, posets, induced: bool) -> int:
-    """Exact optimum by enumerating all 2^(2^n) subfamilies (n <= 3)."""
-    universe = list(range(1 << n))
+def brute_la(n: int, posets, induced: bool, universe=None) -> int:
+    """Exact optimum by enumerating all 2^(2^n) subfamilies (n <= 3), or all
+    subfamilies of ``universe``, a list of masks, when it is given."""
+    universe = list(range(1 << n)) if universe is None else list(universe)
     best = 0
     for pick in range(1 << len(universe)):
         if pick.bit_count() <= best:
@@ -427,6 +508,32 @@ def brute_la(n: int, posets, induced: bool) -> int:
         masks = [universe[i] for i in range(len(universe)) if pick >> i & 1]
         if not any(brute_contains(masks, poset, induced) for poset in posets):
             best = len(masks)
+    return best
+
+
+def brute_suffix_la(n: int, posets, induced: bool) -> list[int]:
+    """[q]: the largest free subfamily of candidates[q:] (the solver's
+    middle-out order), for q = 0 .. 2^n, deciding every subfamily of B_n in
+    turn. Freeness is hereditary, so a subfamily is free exactly when it is
+    free without its last candidate and no copy uses that candidate."""
+    candidates = sorted(range(1 << n),
+                        key=lambda m: (abs(2 * m.bit_count() - n), m.bit_count(), m))
+    size = len(candidates)
+    free = bytearray(1 << size)
+    free[0] = 1
+    best = [0] * (size + 1)
+    for pick in range(1, 1 << size):
+        top = pick.bit_length() - 1
+        if not free[pick ^ 1 << top]:
+            continue
+        masks = [candidates[i] for i in range(top + 1) if pick >> i & 1]
+        if any(brute_contains(masks, poset, induced, candidates[top]) for poset in posets):
+            continue
+        free[pick] = 1
+        low = (pick & -pick).bit_length() - 1
+        best[low] = max(best[low], len(masks))
+    for q in range(size - 1, -1, -1):
+        best[q] = max(best[q], best[q + 1])
     return best
 
 

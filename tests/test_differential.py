@@ -35,9 +35,11 @@ from oracles import (
     brute_la,
     comparable,
     compare_with_reference,
+    doll_walk_la,
     eager_rows,
     has_reference,
     is_copy,
+    levels_reference,
     pair_relations,
     parse_family_reference,
     parse_outcome,
@@ -90,10 +92,16 @@ def mask_lists(draw, max_n=8, max_size=60):
     return draw(st.lists(st.integers(0, (1 << n) - 1), unique=True, max_size=max_size))
 
 
+MIDDLE_OUT_6 = sorted(range(1 << 6), key=lambda m: (abs(2 * m.bit_count() - 6), m.bit_count(), m))
+
+
 @settings(max_examples=300, deadline=None)
 @given(mask_lists())
+@example(MIDDLE_OUT_6)  # the solver's candidate order
+@example(MIDDLE_OUT_6[::-1])
 def test_member_relations_match_pair_loop(masks):
     rels = Relations(masks)
+    assert rels.levels == levels_reference(masks)
     assert read_rows(rels) == pair_relations(masks)
 
 
@@ -197,6 +205,7 @@ def test_band_and_fringe_pins_match_unpinned_search():
             5, random_strict_order(rng, 5))
         for induced in (False, True):
             rels = Relations(family.members)
+            assert rels.levels == levels_reference(family.members)
             want, _, _ = _search(rels, _plan_for(poset, induced),
                                  _initial_domains(rels.levels, poset), 10**7)
             res = contains_subposet(family, poset, induced)
@@ -232,6 +241,16 @@ def test_la_exact_matches_brute_force(n, patterns, induced):
     assert res.optimum == brute_la(n, patterns, induced)
     assert res.witness.size == res.optimum
     assert not any(brute_contains(res.witness.members, p, induced) for p in patterns)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.lists(posets(max_size=3), min_size=1, max_size=2), st.booleans(),
+       st.one_of(st.none(), st.integers(0, 80)), st.booleans())
+def test_la_exact_walks_as_the_three_phase_oracle(n, patterns, induced, budget, break_symmetry):
+    # one-element patterns too: every set is then a copy of its own
+    res = la_exact(n, patterns, induced, budget=budget, break_symmetry=break_symmetry)
+    got = (res.optimum, res.witness.members, res.nodes_explored, res.exhausted)
+    assert got == doll_walk_la(n, patterns, induced, budget, break_symmetry)[:4]
 
 
 @st.composite

@@ -8,10 +8,10 @@ from subposet.constructions import construct_rst
 from subposet.containment import (BudgetExceededError, SearchResult, SearchStatus,
                                   contains_subposet)
 from subposet.lattice import SetFamily, level, sigma
-from subposet.posets import chain_poset, complete_multilevel, named_poset
+from subposet.posets import Poset, chain_poset, complete_multilevel, named_poset
 from subposet.solver import FreenessError, certified_lower_bound, la_exact
 
-from oracles import brute_la, walk_la
+from oracles import brute_la, brute_suffix_la, doll_walk_la, walk_la
 
 CLI_PATTERNS = [named_poset("vee"), named_poset("wedge"), named_poset("butterfly"),
                 chain_poset(2), chain_poset(3), complete_multilevel([1, 2, 1]),
@@ -47,16 +47,30 @@ def test_agrees_with_naive_enumeration():
 
 
 def test_solver_node_counts():
-    # golden include-attempt counts: any change to the walk order or the
-    # bound moves them
+    # golden include-attempt counts of all three phases: any change to the
+    # walk order or the bounds moves them (the "chosen + remaining" walk took
+    # 68,459 and 3,350)
     res = la_exact(5, [chain_poset(2)])
-    assert (res.optimum, res.nodes_explored, res.exhausted) == (10, 68459, True)
+    assert (res.optimum, res.nodes_explored, res.exhausted) == (10, 16863, True)
     res = la_exact(4, [named_poset("butterfly")])
-    assert (res.optimum, res.nodes_explored, res.exhausted) == (10, 3350, True)
+    assert (res.optimum, res.nodes_explored, res.exhausted) == (10, 911, True)
+
+
+@pytest.mark.parametrize("posets, induced, optimum, attempts", [
+    ([chain_poset(3)], False, 20, 159966),
+    ([named_poset("butterfly")], False, 20, 108797),
+    ([complete_multilevel([2, 2])], True, 24, 40961),
+])
+def test_n5_optima_are_proven(posets, induced, optimum, attempts):
+    # La(5, P3), La(5, butterfly) and La*(5, K[2,2]); the "chosen + remaining"
+    # walk needed 1,886,616, 2,321,288 and 679,114 attempts
+    res = la_exact(5, posets, induced, break_symmetry=True)
+    assert (res.optimum, res.nodes_explored, res.exhausted) == (optimum, attempts, True)
+    assert all(contains_subposet(res.witness, poset, induced).free for poset in posets)
 
 
 def test_chain_optima_match_middle_level_sums():
-    for n in range(1, 5):
+    for n in range(1, 6):
         for k in range(1, 4):
             res = la_exact(n, [chain_poset(k + 1)])
             assert res.exhausted
@@ -189,19 +203,59 @@ def test_random_instances_match_oracle():
         assert contains_subposet(res.witness, poset, induced).free
 
 
+WALK_CASES = [(n, [poset]) for n in (1, 2, 3) for poset in CLI_PATTERNS]
+WALK_CASES += [(4, [poset]) for poset in CLI_PATTERNS if 2 <= poset.size <= 3]
+WALK_CASES += [(3, CLI_PATTERNS[:2]), (3, [chain_poset(3), named_poset("butterfly")])]
+
+
 @pytest.mark.parametrize("break_symmetry", [False, True])
 @pytest.mark.parametrize("budget", [None, 0, 5, 50])
 def test_walk_matches_per_attempt_oracle_walk(budget, break_symmetry):
-    # the copy lists must decide every include attempt as a fresh brute-force
-    # search would, so the walk, its attempt count and the witness are unchanged
-    cases = [(n, [poset]) for n in (1, 2, 3) for poset in CLI_PATTERNS]
-    cases += [(4, [poset]) for poset in CLI_PATTERNS if 2 <= poset.size <= 3]
-    cases += [(3, CLI_PATTERNS[:2]), (3, [chain_poset(3), named_poset("butterfly")])]
-    for n, posets in cases:
+    # the copy lists and the suffix bounds must walk as the recursive three
+    # phases with a fresh brute-force search per include attempt: same
+    # optimum, witness, attempts and exhausted; a finished walk also keeps the
+    # optimum and witness of the "chosen + remaining" walk
+    for n, posets in WALK_CASES:
         for induced in (False, True):
             res = la_exact(n, posets, induced, budget=budget, break_symmetry=break_symmetry)
-            want = walk_la(n, posets, induced, budget, break_symmetry)
-            assert (res.optimum, res.witness.members, res.nodes_explored, res.exhausted) == want
+            got = (res.optimum, res.witness.members, res.nodes_explored, res.exhausted)
+            assert got == doll_walk_la(n, posets, induced, budget, break_symmetry)[:4]
+            if budget is None:
+                optimum, witness, _, exhausted = walk_la(n, posets, induced, None, break_symmetry)
+                assert (got[0], got[1], got[3]) == (optimum, witness, exhausted)
+
+
+@pytest.mark.parametrize("break_symmetry, attempts", [(False, 1686), (True, 961)])
+def test_phase_3_walks_past_the_first_candidate(break_symmetry, attempts):
+    # the only optimum of induced P3 and "a 2-chain plus two free elements"
+    # at n = 4 is levels 1 and 3, away from the first class, so phase 3 goes
+    # on from an empty family past position 0, where symmetry breaking skips
+    posets = [Poset(4, (0, 0, 2, 0)), chain_poset(3)]
+    res = la_exact(4, posets, True, break_symmetry=break_symmetry)
+    got = (res.optimum, res.witness.members, res.nodes_explored, res.exhausted)
+    assert got == (8, (1, 2, 4, 8, 7, 11, 13, 14), attempts, True)
+    assert got == doll_walk_la(4, posets, True, None, break_symmetry)[:4]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_suffix_optima_match_brute_force(n):
+    # every suffix optimum R[q] phase 2 settles is the largest free family
+    # inside candidates[q:], found by deciding every subfamily
+    candidates = sorted(range(1 << n), key=lambda m: (abs(2 * m.bit_count() - n), m.bit_count(), m))
+    settled = 0
+    for poset in CLI_PATTERNS:
+        if n == 4 and not 2 <= poset.size <= 3:
+            continue
+        for induced in (False, True):
+            want = brute_suffix_la(n, [poset], induced)
+            if n <= 3:
+                assert want == [brute_la(n, [poset], induced, candidates[q:])
+                                for q in range(len(candidates) + 1)]
+            optimum, _, _, _, suffix_optima = doll_walk_la(n, [poset], induced)
+            assert optimum == want[0]
+            assert suffix_optima == {q: want[q] for q in suffix_optima}
+            settled += len(suffix_optima)
+    assert settled >= {1: 2, 2: 30, 3: 82, 4: 116}[n]
 
 
 PAIRS_OF_4 = (0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100)

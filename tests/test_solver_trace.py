@@ -20,12 +20,12 @@ def test_traced_solve_searches_each_position_once(capsys, monkeypatch):
     spans = tracer.take()
     embeds = [span for span in spans if span[0] == "solver.embed"]
     assert 0 < len(embeds) <= 16  # 2^4 positions, one pattern
-    assert [span[5]["attempts"] for span in spans if span[0] == "solver.solve"] == [3350]
+    assert [span[5]["attempts"] for span in spans if span[0] == "solver.solve"] == [911]
 
     assert cli.main(ARGV) == 0
     untraced = capsys.readouterr().out
     assert untraced == traced
-    assert json.loads(untraced)["payload"]["nodes"] == "3350"
+    assert json.loads(untraced)["payload"]["nodes"] == "911"
 
     # the searches pin distinct positions
     pinned = []
@@ -36,5 +36,5 @@ def test_traced_solve_searches_each_position_once(capsys, monkeypatch):
         return search(*args, **kwargs)
 
     monkeypatch.setattr(solver, "find_embedding", recording)
-    assert solver.la_exact(4, [named_poset("butterfly")]).nodes_explored == 3350
+    assert solver.la_exact(4, [named_poset("butterfly")]).nodes_explored == 911
     assert len(pinned) == len(set(pinned)) == len(embeds)
