@@ -176,12 +176,16 @@ class PartitionReport:
         return out
 
 
-def _render(label: tuple | str) -> str:
-    """``EMPTY_LABEL`` as is; a tuple (kind, *sets) as "kind:{..}|{..}"."""
+def _render(label: tuple | str, text: dict[int, str]) -> str:
+    """``EMPTY_LABEL`` as is; a tuple (kind, *sets) as "kind:{..}|{..}",
+    each set rendered once into ``text`` (mask to string) on first use."""
     if label == EMPTY_LABEL:
         return label
     kind, *sets = label
-    return kind + ":" + "|".join(set_str(m) for m in sets)
+    for m in sets:
+        if m not in text:
+            text[m] = set_str(m)
+    return kind + ":" + "|".join(text[m] for m in sets)
 
 
 def _build_report(family: SetFamily, mode: str, params: dict[str, int], first: Sequence[int],
@@ -189,14 +193,17 @@ def _build_report(family: SetFamily, mode: str, params: dict[str, int], first: S
     """Chain and pair counts per part. The A marker is the first chain set in
     ``first``; the B marker is the last chain set in ``last``, taken when A
     is in ``last`` (part AB:A|B). Otherwise the part is single:A. Chains that
-    meet no ``first`` set form the EMPTY part."""
+    meet no ``first`` set form the EMPTY part. The suffix DP over ``last``
+    runs only when ``last`` marks some set, and each label set is rendered
+    once per report."""
     n = family.n
     full = (1 << n) - 1
     fact = [factorial(k) for k in range(n + 1)]
     member = _membership(family)
     g, g_hits = _prefix_dp(n, member, first)
     free = _suffix_dp(n, member, bytes(1 << n))[1]
-    h, h_hits = _suffix_dp(n, member, last)
+    if 1 in last:  # otherwise no A is in last, and h is never read (minr)
+        h, h_hits = _suffix_dp(n, member, last)
     counts: dict = {}
     if not first[full] and g[full]:
         counts[EMPTY_LABEL] = (g[full], g_hits[full])
@@ -231,7 +238,8 @@ def _build_report(family: SetFamily, mode: str, params: dict[str, int], first: S
     total_pairs = sum(p for _, p in counts.values())
     assert total_chains == factorial(n), "partition is not total"
     assert total_pairs == count_pairs_formula(family), "pair accounting broken"
-    names = {label: _render(label) for label in counts}
+    text: dict[int, str] = {}
+    names = {label: _render(label, text) for label in counts}
     return PartitionReport(mode, n, params,
                            {names[k]: c for k, (c, _) in counts.items()},
                            {names[k]: p for k, (_, p) in counts.items()},
@@ -254,11 +262,12 @@ def min_r_partition(family: SetFamily, r: int, cap: int = DEFAULT_CHAIN_CAP) -> 
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     check_chain_cap(family.n, cap)  # before the costlier precondition
-    if max_antichain(family).size < r:
+    rels = Relations(family.members)
+    if max_antichain(family, rels).size < r:
         raise PartitionPreconditionError(
             f"family has no antichain of size {r}; the partition is undefined"
         )
-    first = _s_minus_at_least(family.n, Relations(family.members), r)
+    first = _s_minus_at_least(family.n, rels, r)
     return _build_report(family, "minr", {"r": r}, first, bytes(1 << family.n), "A")
 
 
@@ -273,12 +282,13 @@ def minr_maxt_partition(family: SetFamily, r: int, t: int,
     if r < 1 or t < 1:
         raise ValueError(f"need r, t >= 1, got r={r}, t={t}")
     check_chain_cap(family.n, cap)  # before the costlier precondition
-    if r >= 2 and max_antichain(family).size < max(r, t):
+    rels = Relations(family.members)
+    if r >= 2 and max_antichain(family, rels).size < max(r, t):
         raise PartitionPreconditionError(
             f"family has no antichain of size max(r, t) = {max(r, t)}; "
             "the partition is undefined"
         )
-    n, rels, member = family.n, Relations(family.members), _membership(family)
+    n, member = family.n, _membership(family)
     first = _s_minus_at_least(n, rels, r) if r >= 2 else member
     # for r = 1, A is a member, so s_plus(A) >= 1 always holds
     last = member if r == 1 and t == 1 else _s_plus_at_least(n, rels, t)

@@ -7,6 +7,12 @@ codes: 0 success, 1 a containment was found while checking freeness, 2 usage
 or precondition error, 3 budget exhausted, 4 internal error. Rationals are
 rendered as "p/q" strings and big counts as decimal strings; floats never
 appear.
+
+A call builds the parser of its own command only: ``build_parser(argv[0])``
+registers that one subparser, and all of them only for top-level help, an
+empty command line or an unknown command. Usage and error text are the same
+either way. Nothing is kept from one call to the next, so a fresh process
+pays for one subparser, not for the whole tree.
 """
 
 from __future__ import annotations
@@ -176,108 +182,88 @@ def _cmd_coeff(args) -> tuple[dict, int]:
     return {"value": str(chains.capped_level_coeff(args.n, args.s))}, EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **kwargs) -> tuple[tuple[str, ...], dict]:
+    return flags, kwargs
+
+
+# name: (help, handler, arguments); build_parser registers them in this order
+COMMANDS = {
+    "sigma": ("sum of the k largest binomial coefficients of order n", _cmd_sigma,
+              [_arg("n", type=int), _arg("k", type=int)]),
+    "aheight": ("smallest interval height holding an antichain of size s", _cmd_aheight,
+                [_arg("s", type=int)]),
+    "mheight": ("smallest interval height fitting s middle sets (non-induced)", _cmd_mheight,
+                [_arg("s", type=int),
+                 _arg("--ends", type=int, default=0, help="wide-end correction (0, 1, or 2)")]),
+    "ends": ("how many of the widths r, t are at least 2", _cmd_ends,
+             [_arg("r", type=int), _arg("t", type=int)]),
+    "estar": ("always-free consecutive level count for a K[...] signature", _cmd_estar,
+              [_arg("signature")]),
+    "classify": ("bound regime of a three-level width triple", _cmd_classify,
+                 [_arg("r", type=int), _arg("s", type=int), _arg("t", type=int)]),
+    "bounds": ("density bounds for the three-level problem", _cmd_bounds,
+               [_arg("mode", choices=["nonind", "ind"]),
+                _arg("r", type=int), _arg("s", type=int), _arg("t", type=int),
+                _arg("--regime", choices=[r.value for r in formulas.Regime], default=None)]),
+    "construct": ("build an extremal lower-bound family", _cmd_construct,
+                  [_arg("kind", choices=["rt", "rst", "rst-ind"]),
+                   _arg("widths", type=int, nargs="+", help="rt: n r t; rst/rst-ind: n r s t"),
+                   _arg("-o", "--output", required=True)]),
+    "check": ("freeness check of a family file against one poset", _cmd_check,
+              [_arg("family"),
+               _arg("--poset", required=True, help="K[...], vee|wedge|butterfly, P<k>, or a file"),
+               _arg("--induced", action="store_true"),
+               _arg("--budget", type=int, default=containment.DEFAULT_BUDGET)]),
+    "solve": ("exact maximum free family size for small n", _cmd_solve,
+              [_arg("n", type=int),
+               _arg("--poset", action="append", required=True, help="repeatable"),
+               _arg("--induced", action="store_true"),
+               _arg("--budget", type=int, default=None),
+               _arg("--cap", type=int, default=solver.DEFAULT_SOLVER_CAP),
+               _arg("--break-symmetry", action="store_true")]),
+    "chains": ("pair counts and marker partitions over maximal chains", _cmd_chains,
+               [_arg("mode", choices=["pairs", "minmax", "minr", "minrmaxt"]),
+                _arg("family"),
+                _arg("--r", type=int, default=None),
+                _arg("--t", type=int, default=None),
+                _arg("--chain-cap", type=int, default=chains.DEFAULT_CHAIN_CAP)]),
+    "lym": ("exact LYM sum of a family file", _cmd_lym, [_arg("family")]),
+    "coeff": ("exact chain-pair coefficients", _cmd_coeff,
+              [_arg("kind", choices=["three", "capped"]),
+               _arg("n", type=int),
+               _arg("--s", type=int, default=None)]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with ``command``'s subparser alone when it names one, else
+    with every subparser (no command, top-level help, an unknown command)."""
     parser = argparse.ArgumentParser(
         prog="subposet",
         description="Exact computations for forbidden-subposet problems in the Boolean lattice.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sigma", help="sum of the k largest binomial coefficients of order n")
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
-    p.set_defaults(handler=_cmd_sigma)
-
-    p = sub.add_parser("aheight", help="smallest interval height holding an antichain of size s")
-    p.add_argument("s", type=int)
-    p.set_defaults(handler=_cmd_aheight)
-
-    p = sub.add_parser("mheight", help="smallest interval height fitting s middle sets (non-induced)")
-    p.add_argument("s", type=int)
-    p.add_argument("--ends", type=int, default=0, help="wide-end correction (0, 1, or 2)")
-    p.set_defaults(handler=_cmd_mheight)
-
-    p = sub.add_parser("ends", help="how many of the widths r, t are at least 2")
-    p.add_argument("r", type=int)
-    p.add_argument("t", type=int)
-    p.set_defaults(handler=_cmd_ends)
-
-    p = sub.add_parser("estar", help="always-free consecutive level count for a K[...] signature")
-    p.add_argument("signature")
-    p.set_defaults(handler=_cmd_estar)
-
-    p = sub.add_parser("classify", help="bound regime of a three-level width triple")
-    p.add_argument("r", type=int)
-    p.add_argument("s", type=int)
-    p.add_argument("t", type=int)
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser("bounds", help="density bounds for the three-level problem")
-    p.add_argument("mode", choices=["nonind", "ind"])
-    p.add_argument("r", type=int)
-    p.add_argument("s", type=int)
-    p.add_argument("t", type=int)
-    p.add_argument("--regime", choices=[r.value for r in formulas.Regime], default=None)
-    p.set_defaults(handler=_cmd_bounds)
-
-    p = sub.add_parser("construct", help="build an extremal lower-bound family")
-    p.add_argument("kind", choices=["rt", "rst", "rst-ind"])
-    p.add_argument("widths", type=int, nargs="+", help="rt: n r t; rst/rst-ind: n r s t")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(handler=_cmd_construct)
-
-    p = sub.add_parser("check", help="freeness check of a family file against one poset")
-    p.add_argument("family")
-    p.add_argument("--poset", required=True, help="K[...], vee|wedge|butterfly, P<k>, or a file")
-    p.add_argument("--induced", action="store_true")
-    p.add_argument("--budget", type=int, default=containment.DEFAULT_BUDGET)
-    p.set_defaults(handler=_cmd_check)
-
-    p = sub.add_parser("solve", help="exact maximum free family size for small n")
-    p.add_argument("n", type=int)
-    p.add_argument("--poset", action="append", required=True, help="repeatable")
-    p.add_argument("--induced", action="store_true")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--cap", type=int, default=solver.DEFAULT_SOLVER_CAP)
-    p.add_argument("--break-symmetry", action="store_true")
-    p.set_defaults(handler=_cmd_solve)
-
-    p = sub.add_parser("chains", help="pair counts and marker partitions over maximal chains")
-    p.add_argument("mode", choices=["pairs", "minmax", "minr", "minrmaxt"])
-    p.add_argument("family")
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--chain-cap", type=int, default=chains.DEFAULT_CHAIN_CAP)
-    p.set_defaults(handler=_cmd_chains)
-
-    p = sub.add_parser("lym", help="exact LYM sum of a family file")
-    p.add_argument("family")
-    p.set_defaults(handler=_cmd_lym)
-
-    p = sub.add_parser("coeff", help="exact chain-pair coefficients")
-    p.add_argument("kind", choices=["three", "capped"])
-    p.add_argument("n", type=int)
-    p.add_argument("--s", type=int, default=None)
-    p.set_defaults(handler=_cmd_coeff)
-
+    names = [command] if command in COMMANDS else list(COMMANDS)
+    # a lone subparser still shows every command name in the top-level usage
+    metavar = "{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, _, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
     return parser
 
 
 def _parameters(args: argparse.Namespace) -> dict:
-    skip = {"handler", "command"}
-    out = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip:
-            continue
-        out[key] = value
-    return out
+    return {key: value for key, value in sorted(vars(args).items()) if key != "command"}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        payload, code = args.handler(args)
+        payload, code = COMMANDS[args.command][1](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         payload, code = {"error": str(exc)}, EXIT_USAGE

@@ -453,9 +453,11 @@ def _max_antichain(rels: Relations, live: int) -> AntichainResult:
     return AntichainResult(size, witness)
 
 
-def max_antichain(family: SetFamily) -> AntichainResult:
-    """Exact maximum antichain size plus a deterministic witness (member indices)."""
-    rels = Relations(family.members)
+def max_antichain(family: SetFamily, rels: Relations | None = None) -> AntichainResult:
+    """Exact maximum antichain size plus a deterministic witness (member
+    indices); ``rels``, when given, is the family's own record, reused."""
+    if rels is None:
+        rels = Relations(family.members)
     return _max_antichain(rels, rels.full)
 
 

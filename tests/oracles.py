@@ -193,22 +193,31 @@ def kuhn_max_antichain(masks) -> int:
     return len(masks) - sum(augment(u, set()) for u in range(len(masks)))
 
 
+def copy_test(poset, induced: bool):
+    """is_copy for one poset, its pairs listed once: those the poset orders
+    i below j, and (induced) those i < j it orders neither way."""
+    p = poset.size
+    below = [(i, j) for i in range(p) for j in range(p) if poset.less(i, j)]
+    apart = [(i, j) for i in range(p) for j in range(i + 1, p)
+             if induced and not poset.less(i, j) and not poset.less(j, i)]
+
+    def test(images) -> bool:
+        for i, j in below:
+            if not strictly_less(images[i], images[j]):
+                return False
+        for i, j in apart:
+            if comparable(images[i], images[j]):
+                return False
+        return True
+
+    return test
+
+
 def is_copy(images, poset, induced: bool) -> bool:
     """Do the sets images[0..p-1] form a copy of the poset, element i on
     images[i]: strictly below where the poset orders a pair, and (induced)
     incomparable where it does not?"""
-    p = poset.size
-    for i in range(p):
-        for j in range(p):
-            if i == j:
-                continue
-            if poset.less(i, j):
-                if not strictly_less(images[i], images[j]):
-                    return False
-            elif induced and not poset.less(j, i):
-                if comparable(images[i], images[j]):
-                    return False
-    return True
+    return copy_test(poset, induced)(images)
 
 
 def brute_contains(masks, poset, induced: bool, using: int | None = None) -> bool:
@@ -219,13 +228,23 @@ def brute_contains(masks, poset, induced: bool, using: int | None = None) -> boo
 
 def brute_copies(family, poset, induced: bool, using: int | None = None):
     """Each member set of the family that some ordering makes a copy of the
-    poset, once, as its ascending member indices; with ``using`` (a mask)
-    only the sets holding it. Tries every ordering of every member set."""
+    poset, once, as its ascending member indices, in the order of
+    itertools.combinations; with ``using`` (a mask) only the sets holding
+    it, and only those are generated: the index of ``using`` inserted into
+    each combination of the other indices keeps that order. Tries every
+    ordering of every such member set."""
     masks = list(family)
-    for combo in combinations(range(len(masks)), poset.size):
-        images = [masks[i] for i in combo]
-        if (using is None or using in images) and any(
-                is_copy(perm, poset, induced) for perm in permutations(images)):
+    if using is None:
+        combos = combinations(range(len(masks)), poset.size)
+    elif using in masks:
+        u = masks.index(using)  # member masks are distinct
+        others = [i for i in range(len(masks)) if i != u]
+        combos = (tuple(sorted((u, *rest))) for rest in combinations(others, poset.size - 1))
+    else:
+        return
+    test = copy_test(poset, induced)
+    for combo in combos:
+        if any(test(perm) for perm in permutations([masks[i] for i in combo])):
             yield combo
 
 

@@ -1,6 +1,8 @@
 """CLI surface: payloads, exit codes, determinism, file round trips."""
 
+import argparse
 import json
+import sys
 from math import factorial
 from time import perf_counter
 
@@ -325,3 +327,43 @@ def test_huge_patterns_are_refused_at_once(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert "2000" in json.loads(out)["payload"]["error"]
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def exit_output(parse, argv, capsys):
+    """(SystemExit code, stdout, stderr) of parsing argv that ends in help or
+    a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+PARSE_EXITS = [[], ["--help"], ["bogus"], ["sigma", "8", "2", "--bogus"]]
+for _name in cli.COMMANDS:
+    PARSE_EXITS += [[_name, "--help"], [_name]]  # every command takes a positional
+
+
+@pytest.mark.parametrize("argv", PARSE_EXITS, ids=" ".join)
+def test_help_and_usage_errors_match_the_full_parser(argv, capsys):
+    # main builds only the named command's subparser, yet prints what the
+    # full parser prints
+    got = exit_output(cli.main, argv, capsys)
+    want = exit_output(cli.build_parser().parse_args, argv, capsys)
+    assert got == want
+    assert want[0] == (0 if "--help" in argv else cli.EXIT_USAGE)
+
+
+def test_parser_holds_only_the_named_command():
+    def registered(parser):
+        action, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return list(action.choices)
+
+    assert registered(cli.build_parser("solve")) == ["solve"]
+    every = list(cli.COMMANDS)
+    assert registered(cli.build_parser()) == registered(cli.build_parser("bogus")) == every
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["subposet", "sigma", "8", "2"])
+    assert cli.main() == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["payload"] == {"value": "126"}
