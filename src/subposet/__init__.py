@@ -40,7 +40,6 @@ from .formulas import (
     density_bounds,
     density_bounds_induced,
     induced_free_levels,
-    k1s1_pair_coeff,
     middle_height,
     positive_part,
     wide_ends,

@@ -194,14 +194,16 @@ def _build_report(family: SetFamily, mode: str, params: dict[str, int], first: S
     ``first``; the B marker is the last chain set in ``last``, taken when A
     is in ``last`` (part AB:A|B). Otherwise the part is single:A. Chains that
     meet no ``first`` set form the EMPTY part. The suffix DP over ``last``
-    runs only when ``last`` marks some set, and each label set is rendered
-    once per report."""
+    runs only when ``last`` marks some set, the unmarked one only when some
+    ``first`` set is not in ``last`` (never in minmax), and each label set is
+    rendered once per report."""
     n = family.n
     full = (1 << n) - 1
     fact = [factorial(k) for k in range(n + 1)]
     member = _membership(family)
     g, g_hits = _prefix_dp(n, member, first)
-    free = _suffix_dp(n, member, bytes(1 << n))[1]
+    if any(map(int.__gt__, first, last)):  # otherwise no single part reads free
+        free = _suffix_dp(n, member, bytes(1 << n))[1]
     if 1 in last:  # otherwise no A is in last, and h is never read (minr)
         h, h_hits = _suffix_dp(n, member, last)
     counts: dict = {}

@@ -168,17 +168,3 @@ def density_bounds_induced(r: int, s: int, t: int, regime: Regime) -> tuple[Frac
         value = Fraction(height + ends)
         return value, value
     return Fraction(height + ends), Fraction(height + 1 + ends)
-
-
-def k1s1_pair_coeff(s: int) -> Fraction:
-    """Chain-pair coefficient for families with no (non-induced) diamond-like
-    K[1,s,1]: the number of (member, maximal chain) incidences is at most
-    this times n factorial.
-
-    It is the upper density bound of K[1,s,1], so it follows the printed
-    case intervals; in particular s=2 sits in the second interval and yields
-    5/2, consistent with the classical bound for diamond-free families.
-    """
-    if s < 2:
-        raise ValueError(f"need s >= 2, got {s}")
-    return density_bounds(1, s, 1)[1]

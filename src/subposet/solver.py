@@ -22,6 +22,16 @@ three phases over N = 2^n candidates:
 3. The walk from the start, seeded with ``best`` and cut where
    |live| + R[pos] <= |best| (R[0] is taken as R[1] + 1).
 
+After phase 1 one root test applies Erdős's k-Sperner bound. Every chain of
+p sets holds a copy of a p-element pattern P (map a linear extension of P
+onto it), an induced one when P is the chain P_p: P is covered. A symmetric
+chain decomposition of B_n (de Bruijn, Tengbergen and Kruyswijk, 1951) has
+C(n, k) - C(n, k-1) chains of n + 1 - 2k sets, so a free family has at most
+cap sets on each and |F| <= sum of min(|C|, cap) = sigma(n, cap), cap the
+least p - 1 over the covered patterns (2^n if cap > n or none is covered).
+A first path that large is optimal; for P_k it is the k - 1 middle levels,
+so every La(n, P_k) solve ends proven after 2^n attempts.
+
 A cut drops only branches that cannot strictly beat ``best``, so a finished
 solve has the optimum and the witness of the same walk bounded by
 |live| + (N - pos) alone; only the number of include attempts falls.
@@ -57,7 +67,7 @@ from .containment import (
     contains_subposet,
     find_embedding,
 )
-from .lattice import SetFamily, serialize_family
+from .lattice import SetFamily, serialize_family, sigma
 from .posets import Poset
 
 DEFAULT_SOLVER_CAP = 5
@@ -106,6 +116,10 @@ def la_exact(n: int, posets: Sequence[Poset], induced: bool = False,
     sound under relabeling of the ground elements; phase 2 ignores it, so the
     suffix optima stay upper bounds.
 
+    A phase 1 that ends within ``budget`` at Erdős's bound (module docstring)
+    ends the solve, proven, with the optimum, witness and ``exhausted`` of the
+    full walk; for an induced solve with no chain pattern the bound is 2^n.
+
     A position's copy list is built on its first attempt in phase 1, or before
     phase 2 for a position phase 1 skipped, under the containment node budget
     (BUDGET ends the solve unexhausted), and holds every copy ending there,
@@ -128,6 +142,9 @@ def la_exact(n: int, posets: Sequence[Poset], induced: bool = False,
                         key=lambda m: (abs(2 * m.bit_count() - n), m.bit_count(), m))
     rels = Relations(candidates)
     size = len(candidates)
+    cap = min((p.size - 1 for p in posets if not induced or max(p.heights) + 1 == p.size),
+              default=n + 1)  # sets per chain: a chain of |P| sets holds a copy
+    chain_bound = sigma(n, cap) if cap <= n else size  # Erdős's bound
 
     @cache
     def ends_at(pos: int) -> list[int] | None:
@@ -187,6 +204,8 @@ def la_exact(n: int, posets: Sequence[Poset], induced: bool = False,
                 return False
             if all(map((~best).__and__, ends)):
                 best |= 1 << pos
+        if best.bit_count() >= chain_bound:
+            return True  # Erdős: the first path is optimal
         lists = [ends_at(pos) for pos in range(size)]
         if None in lists:
             return False

@@ -27,6 +27,7 @@ from subposet.chains import DEFAULT_CHAIN_CAP, EMPTY_LABEL, check_chain_cap
 from subposet import containment
 from subposet.containment import (DEFAULT_BUDGET, BudgetExceededError, SearchStatus,
                                   contains_subposet, find_embedding)
+from subposet.formulas import density_bounds
 from subposet.lattice import (MAX_GROUND, FamilyParseError, SetFamily, consecutive_levels,
                               largest_mod_classes, set_str)
 from subposet.posets import Poset, _bits
@@ -288,12 +289,14 @@ class _OutOfAttempts(Exception):
 
 
 def doll_walk_la(n: int, posets, induced: bool = False, budget: int | None = None,
-                 break_symmetry: bool = False):
+                 break_symmetry: bool = False, *, root_test: bool = True):
     """(optimum, witness masks, include attempts, exhausted, suffix optima) of
     the solver's three phases, walked recursively as its module docstring
     states them, with freeness of each include attempt decided by
     brute_contains. The suffix optima are {q: R[q]} for every q that phase 2
-    walked: R[q] is the largest free family inside candidates[q:]."""
+    walked: R[q] is the largest free family inside candidates[q:]. Without
+    ``root_test`` phases 2 and 3 run even when the first path meets
+    chain_bound, so the suffix optima of chain patterns get walked too."""
     candidates = sorted(range(1 << n),
                         key=lambda m: (abs(2 * m.bit_count() - n), m.bit_count(), m))
     size = len(candidates)
@@ -340,18 +343,61 @@ def doll_walk_la(n: int, posets, induced: bool = False, budget: int | None = Non
             return False
 
         exhausted = True
-        for q in range(size - 1, -1, -1):
-            bound[q] = bound[q + 1] + 1
-            if q + bound[q] <= len(greedy):
-                break
-            if not q:
-                walk(0, [], None, break_symmetry)
-                break
-            bound[q] = solved[q] = bound[q + 1] + walk(q, [], bound[q], False)
+        # a first path that meets Erdős's bound is optimal
+        if not root_test or len(greedy) < chain_bound(n, posets, induced):
+            for q in range(size - 1, -1, -1):
+                bound[q] = bound[q + 1] + 1
+                if q + bound[q] <= len(greedy):
+                    break
+                if not q:
+                    walk(0, [], None, break_symmetry)
+                    break
+                bound[q] = solved[q] = bound[q + 1] + walk(q, [], bound[q], False)
     except _OutOfAttempts:
         exhausted = False
     witness = tuple(sorted(best, key=lambda m: (m.bit_count(), m)))
     return len(witness), witness, nodes, exhausted, solved
+
+
+def symmetric_chains(n: int) -> list[list[int]]:
+    """Symmetric chain decomposition of B_n by bracket matching (de Bruijn,
+    Tengbergen and Kruyswijk 1951). Element i + 1 of a set reads ")" and its
+    absence "(", for i = 0..n-1; the brackets left unmatched read ")..)(..(",
+    and a chain runs from the set whose unmatched brackets are all "(" by
+    turning them into ")" from the left. Each chain is listed bottom up."""
+    chains = []
+    for mask in range(1 << n):
+        opens, closed = [], False
+        for i in range(n):
+            if not mask >> i & 1:
+                opens.append(i)
+            elif opens:
+                opens.pop()
+            else:
+                closed = True  # an unmatched ")": not the bottom of its chain
+        if closed:
+            continue
+        chain = [mask]
+        for i in opens:
+            chain.append(chain[-1] | 1 << i)
+        chains.append(chain)
+    return chains
+
+
+def is_chain_pattern(poset: Poset) -> bool:
+    """Every two elements comparable."""
+    return all(poset.less(i, j) or poset.less(j, i)
+               for i, j in combinations(range(poset.size), 2))
+
+
+def chain_bound(n: int, posets, induced: bool) -> int:
+    """Erdős's bound on a free family: each pattern the rule covers (every
+    one, or with ``induced`` the chain patterns) has a copy in any chain of
+    |P| sets, so a free family has at most cap = min(|P| - 1) sets on each
+    chain of symmetric_chains(n); 2^n when no pattern is covered."""
+    cap = min((p.size - 1 for p in posets if not induced or is_chain_pattern(p)),
+              default=n + 1)
+    return sum(min(len(chain), cap) for chain in symmetric_chains(n))
 
 
 def search_reference(rels, plan, domains, budget, copies=None, *, poset):
@@ -669,6 +715,20 @@ def longest_chain_size(poset: Poset) -> int:
 def size_height_bound(poset: Poset) -> Fraction:
     """General density upper bound (|P| + longest chain size) / 2 - 1."""
     return Fraction(poset.size + longest_chain_size(poset), 2) - 1
+
+
+def k1s1_pair_coeff(s: int) -> Fraction:
+    """Chain-pair coefficient for families with no (non-induced) diamond-like
+    K[1,s,1]: the number of (member, maximal chain) incidences is at most
+    this times n factorial.
+
+    It is the upper density bound of K[1,s,1], so it follows the printed
+    case intervals; in particular s=2 sits in the second interval and yields
+    5/2, consistent with the classical bound for diamond-free families.
+    """
+    if s < 2:
+        raise ValueError(f"need s >= 2, got {s}")
+    return density_bounds(1, s, 1)[1]
 
 
 def serialize_poset(poset: Poset) -> str:

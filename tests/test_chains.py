@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import factorial
 from random import Random
 
+from subposet import chains
 from subposet.chains import (
     EMPTY_LABEL,
     PartitionPreconditionError,
@@ -96,6 +97,24 @@ def test_min_max_partition():
     assert rep.pair_counts == {"AB:{}|{1,2,3}": 12}
     rep = min_max_partition(level(3, 1))
     assert rep.chain_counts == {f"AB:{s}|{s}": 2 for s in ("{1}", "{2}", "{3}")}
+
+
+def test_reports_run_only_the_suffix_dps_they_read(monkeypatch):
+    # minmax marks A and B in one array, so no part is single and the
+    # unmarked suffix DP is skipped; minr marks no B, so only that one runs
+    calls = []
+    suffix_dp = chains._suffix_dp
+
+    def counted(n, member, marked):
+        calls.append(any(marked))
+        return suffix_dp(n, member, marked)
+
+    monkeypatch.setattr(chains, "_suffix_dp", counted)
+    min_max_partition(level(4, 2))
+    assert calls == [True]
+    calls.clear()
+    min_r_partition(level(4, 2), 2)
+    assert calls == [False]
 
 
 def test_min_r_partition():

@@ -13,7 +13,6 @@ from subposet.formulas import (
     density_bounds,
     density_bounds_induced,
     induced_free_levels,
-    k1s1_pair_coeff,
     middle_height,
     positive_part,
     reduce_signature,
@@ -21,7 +20,7 @@ from subposet.formulas import (
 )
 from subposet.posets import chain_poset, complete_multilevel
 
-from oracles import antichain_subfamilies, size_height_bound
+from oracles import antichain_subfamilies, k1s1_pair_coeff, size_height_bound
 
 
 def test_wide_ends():

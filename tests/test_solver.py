@@ -11,7 +11,8 @@ from subposet.lattice import SetFamily, level, sigma
 from subposet.posets import Poset, chain_poset, complete_multilevel, named_poset
 from subposet.solver import FreenessError, certified_lower_bound, la_exact
 
-from oracles import brute_la, brute_suffix_la, doll_walk_la, walk_la
+from oracles import (brute_la, brute_suffix_la, doll_walk_la, pascal, symmetric_chains,
+                     walk_la)
 
 CLI_PATTERNS = [named_poset("vee"), named_poset("wedge"), named_poset("butterfly"),
                 chain_poset(2), chain_poset(3), complete_multilevel([1, 2, 1]),
@@ -49,35 +50,71 @@ def test_agrees_with_naive_enumeration():
 def test_solver_node_counts():
     # golden include-attempt counts of all three phases: any change to the
     # walk order or the bounds moves them (the "chosen + remaining" walk took
-    # 68,459 and 3,350)
+    # 68,459 and 3,350; the suffix bounds alone 16,863 for P2, which Erdős's
+    # bound now proves on the first path of 2^5 attempts)
     res = la_exact(5, [chain_poset(2)])
-    assert (res.optimum, res.nodes_explored, res.exhausted) == (10, 16863, True)
+    assert (res.optimum, res.nodes_explored, res.exhausted) == (10, 32, True)
     res = la_exact(4, [named_poset("butterfly")])
     assert (res.optimum, res.nodes_explored, res.exhausted) == (10, 911, True)
 
 
 @pytest.mark.parametrize("posets, induced, optimum, attempts", [
-    ([chain_poset(3)], False, 20, 159966),
+    ([chain_poset(3)], False, 20, 32),
     ([named_poset("butterfly")], False, 20, 108797),
     ([complete_multilevel([2, 2])], True, 24, 40961),
 ])
 def test_n5_optima_are_proven(posets, induced, optimum, attempts):
     # La(5, P3), La(5, butterfly) and La*(5, K[2,2]); the "chosen + remaining"
-    # walk needed 1,886,616, 2,321,288 and 679,114 attempts
+    # walk needed 1,886,616, 2,321,288 and 679,114 attempts, and the suffix
+    # bounds alone 159,966 for P3, which Erdős's bound proves on the first path
     res = la_exact(5, posets, induced, break_symmetry=True)
     assert (res.optimum, res.nodes_explored, res.exhausted) == (optimum, attempts, True)
     assert all(contains_subposet(res.witness, poset, induced).free for poset in posets)
 
 
 def test_chain_optima_match_middle_level_sums():
-    for n in range(1, 6):
-        for k in range(1, 4):
-            res = la_exact(n, [chain_poset(k + 1)])
-            assert res.exhausted
-            # k middle levels are optimal while a (k+1)-chain fits at all;
-            # beyond that the whole lattice is already free
-            want = sigma(n, k) if k <= n else 1 << n
-            assert res.optimum == want
+    # k middle levels are optimal while a (k+1)-chain fits at all (Erdős
+    # 1945), plain and induced; beyond that the whole lattice is already
+    # free. The middle-out first path reaches them, and Erdős's bound proves
+    # them there, after 2^n attempts
+    for n in range(1, 9):
+        for k in range(4):
+            for induced in (False, True):
+                res = la_exact(n, [chain_poset(k + 1)], induced, max_n=8)
+                want = sigma(n, k) if k <= n else 1 << n
+                assert (res.optimum, res.nodes_explored, res.exhausted) == (want, 1 << n, True)
+                assert contains_subposet(res.witness, chain_poset(k + 1), induced).free
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_symmetric_chains_decompose_the_lattice(n):
+    chains = symmetric_chains(n)
+    sets = [mask for chain in chains for mask in chain]
+    assert sorted(sets) == list(range(1 << n))
+    for chain in chains:
+        assert all(lo | hi == hi and (hi ^ lo).bit_count() == 1
+                   for lo, hi in zip(chain, chain[1:]))
+        assert chain[0].bit_count() + chain[-1].bit_count() == n
+    assert len(chains) == pascal(n, n // 2)
+    for cap in range(n + 1):
+        assert sum(min(len(chain), cap) for chain in chains) == sigma(n, cap)
+
+
+def test_erdos_bound_skips_induced_non_chain_patterns():
+    # an induced copy of a pattern with an incomparable pair fits in no chain,
+    # so these walk all three phases: a cap of |P| - 1 sets per chain would
+    # bound La*(3, two incomparable sets) by C(3, 1) = 3 below its optimum, the
+    # 4 sets of a full chain; with P3 also forbidden the bound takes its cap
+    # from P3 and the first path is proven
+    res = la_exact(3, [complete_multilevel([2])], induced=True)
+    assert (res.optimum, res.nodes_explored, res.exhausted) == (4, 30, True)
+    res = la_exact(2, [named_poset("vee")], induced=True)
+    assert (res.optimum, res.nodes_explored, res.exhausted) == (3, 13, True)
+    k22 = complete_multilevel([2, 2])
+    res = la_exact(4, [k22], induced=True)
+    assert (res.optimum, res.nodes_explored, res.exhausted) == (14, 223, True)
+    res = la_exact(4, [chain_poset(3), k22], induced=True)
+    assert (res.optimum, res.nodes_explored, res.exhausted) == (10, 16, True)
 
 
 def test_monotone_in_forbidden_list():
@@ -240,7 +277,9 @@ def test_phase_3_walks_past_the_first_candidate(break_symmetry, attempts):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_suffix_optima_match_brute_force(n):
     # every suffix optimum R[q] phase 2 settles is the largest free family
-    # inside candidates[q:], found by deciding every subfamily
+    # inside candidates[q:], found by deciding every subfamily; phase 2 runs
+    # here even where Erdős's bound ends the solve at its root, so the chain
+    # patterns' R[q] are checked too
     candidates = sorted(range(1 << n), key=lambda m: (abs(2 * m.bit_count() - n), m.bit_count(), m))
     settled = 0
     for poset in CLI_PATTERNS:
@@ -251,7 +290,7 @@ def test_suffix_optima_match_brute_force(n):
             if n <= 3:
                 assert want == [brute_la(n, [poset], induced, candidates[q:])
                                 for q in range(len(candidates) + 1)]
-            optimum, _, _, _, suffix_optima = doll_walk_la(n, [poset], induced)
+            optimum, _, _, _, suffix_optima = doll_walk_la(n, [poset], induced, root_test=False)
             assert optimum == want[0]
             assert suffix_optima == {q: want[q] for q in suffix_optima}
             settled += len(suffix_optima)
