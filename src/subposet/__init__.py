@@ -27,7 +27,6 @@ from .constructions import (
 from .containment import (
     Relations,
     contains_subposet,
-    interval_has_antichain,
     max_antichain,
     s_minus,
     s_plus,

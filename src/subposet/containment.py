@@ -16,7 +16,7 @@ levels 7-9 of B_16), so lists over MAX_MEMBERS masks are refused first.
 Plain searches never build ``inc``; s_minus and s_plus match on
 ``below``/``above`` of a set, reading ``sup`` alone.
 
-Four refinements keep exhaustive verdicts affordable without giving up
+Five refinements keep exhaustive verdicts affordable without giving up
 completeness:
 
 * pattern elements are placed in a fixed constraint-first order (most
@@ -29,7 +29,25 @@ completeness:
   members, and every element's image is pre-restricted to the cardinality
   window its chain height above and below allows;
 * before the next element's candidates are tried, those whose placement
-  would fail that count check are dropped in bulk (``_search``).
+  would fail that count check are dropped in bulk (``_search``);
+* each placement narrows the later elements comparable to it to the sizes
+  their size gaps allow (``posets.size_gaps``).
+
+The size gap of b < e is a lower bound on |img e| - |img b| in every copy.
+Plain, it is the number of steps on a longest chain from b to e. Induced,
+take a chain of twin classes C_0 < C_1 < ... < C_m, b in C_0 and e in C_m,
+and U_l the union of the images of C_l. A class of s >= 2 elements maps to
+an antichain of s sets, so |U_0| >= |img b| + [|C_0| >= 2]. For 0 < l < m
+every image in C_l contains U_{l-1}. With |C_l| >= 2 the images less
+U_{l-1} are an antichain of |C_l| sets in B(U_l - U_{l-1}), so by Sperner
+(1928) |U_l| - |U_{l-1}| >= antichain_height(|C_l|). With |C_l| = 1 the
+step is [|C_{l-1}| = 1]: a singleton class may map onto the union of the
+class below it only when that class has two elements or more. Last, img e
+contains U_{m-1}, strictly when |C_m| >= 2 (or every twin's image would
+strictly contain img e) or |C_{m-1}| = 1. The gap is the largest sum of
+these steps over such chains. Putting a class into a chain never lowers the
+sum, so a longest path over the cover relation of the classes finds it.
+Bottom to top: K[2,2,2] 1 + 2 + 1 = 4, K[2,3,2] 5, K[1,3,1] 3, butterfly 2.
 
 ``nodes`` counts the candidates tried, so a dropped one is no node.
 
@@ -53,13 +71,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from itertools import chain, groupby
+from itertools import accumulate, chain, groupby
 from math import comb
+from operator import or_
 from typing import NamedTuple, Sequence
 
-from .formulas import antichain_height
 from .lattice import SetFamily
-from .posets import Poset, _bits
+from .posets import Poset, _bits, size_gaps
 
 DEFAULT_BUDGET = 10**8
 # Relation rows take about 3 * m^2 / 8 bytes: 0.94 GB at this many members.
@@ -105,7 +123,10 @@ class _Plan:
     their row kinds (0 ``sup``, 1 ``sub``, 2 ``inc``) and ``counts[d]`` each
     class's first unplaced element with its unplaced count, checked after it.
     ``cuts[d]`` holds the counts whose element ``steps[d]`` narrows, with the
-    transposed row kind: the count filter of ``_search``."""
+    transposed row kind: the count filter of ``_search``. ``rise[d]`` and
+    ``fall[d]`` pair the later elements above and below ``order[d]`` with
+    their size gaps of at least 2 (``posets.size_gaps``); ``reach`` bounds
+    those gaps."""
 
     order: tuple[int, ...]
     twin_prev: tuple[int, ...]
@@ -114,6 +135,9 @@ class _Plan:
     steps: tuple[tuple[tuple[int, int], ...], ...]
     counts: tuple[tuple[tuple[int, int], ...], ...]
     cuts: tuple[tuple[tuple[int, int, int], ...], ...]
+    rise: tuple[tuple[tuple[int, int], ...], ...]
+    fall: tuple[tuple[tuple[int, int], ...], ...]
+    reach: int
 
 
 @lru_cache(maxsize=None)
@@ -122,11 +146,9 @@ def _plan_for(poset: Poset, induced: bool, first: int | None = None) -> _Plan:
     and its next twin may take any member, as the pinned one may be any class
     image. The class is still placed in class order, which the count check needs."""
     p, below, above = poset.size, poset.below, poset.above
-    groups: dict[tuple[int, int], list[int]] = {}
-    for e in range(p):
-        groups.setdefault((below[e], above[e]), []).append(e)
-    classes = tuple(tuple(g) for g in groups.values())
+    classes = poset.twin_classes
     class_of = {e: ci for ci, cls in enumerate(classes) for e in cls}
+    gaps, reach = size_gaps(poset, induced)
     twin_prev = {e: cls[pos - 1] if pos and cls[pos - 1] != first else -1
                  for cls in classes for pos, e in enumerate(cls)}
     deg = [c.bit_count() for c in poset.comparable]
@@ -134,22 +156,27 @@ def _plan_for(poset: Poset, induced: bool, first: int | None = None) -> _Plan:
                                             poset.heights[e], e))
     if first is not None:
         order = [first, *(e for e in order if e != first)]
-    rest = set(range(p))
+    rest = (1 << p) - 1
     narrow = [[(e, k) for k in range(3)] for e in range(p)]  # shared by the p^2 / 2 steps
     placed = [0] * len(classes)
-    steps, counts, cuts = [], [], []
+    steps, counts, cuts, rise, fall = [], [], [], [], []
     for e in order:
-        rest.remove(e)
-        up, down = rest.intersection(_bits(above[e])), rest.intersection(_bits(below[e]))
-        later = (up, down, rest - up - down if induced else ())
-        placed[class_of[e]] += 1
+        rest ^= 1 << e
+        up, down = [*_bits(above[e] & rest)], [*_bits(below[e] & rest)]
+        later = (up, down, [*_bits(rest & ~above[e] & ~below[e])] if induced else ())
+        ce = class_of[e]
+        placed[ce] += 1
         count = [(cls[k], len(cls) - k) for cls, k in zip(classes, placed) if k < len(cls)]
-        steps.append(tuple(narrow[e2][k] for k, group in enumerate(later) for e2 in group))
+        kind = {e2: k for k, group in enumerate(later) for e2 in group}
+        steps.append(tuple(narrow[e2][k] for e2, k in kind.items()))
         counts.append(tuple(count))
-        cuts.append(tuple((rep, need, (1, 0, 2)[k]) for rep, need in count
-                          for k, group in enumerate(later) if rep in group))
+        cuts.append(tuple((rep, need, (1, 0, 2)[kind[rep]]) for rep, need in count
+                          if rep in kind))
+        row = gaps[ce]
+        rise.append(tuple((e2, g) for e2 in up if (g := row[class_of[e2]]) > 1))
+        fall.append(tuple((e2, g) for e2 in down if (g := gaps[class_of[e2]][ce]) > 1))
     return _Plan(tuple(order), tuple(twin_prev[e] for e in range(p)), classes, induced,
-                 tuple(steps), tuple(counts), tuple(cuts))
+                 tuple(steps), tuple(counts), tuple(cuts), tuple(rise), tuple(fall), reach)
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,7 +272,13 @@ def _search(rels: Relations, plan: _Plan, domains: list[int], budget: int,
     rows = (rels.sup, rels.sub, rels.inc)[:kinds]
     last, fill = rows[-1], rels.fill  # last[i] is set once all of member i's rows are
     order, twin_prev = plan.order, plan.twin_prev
-    steps, counts, cuts = plan.steps, plan.counts, plan.cuts
+    steps, counts, cuts, rise, fall = plan.steps, plan.counts, plan.cuts, plan.rise, plan.fall
+    masks = rels.masks
+    # the members of size >= k and of size <= k; k > n, and k < 0 by wrapping
+    # round, read the zero padding
+    pad = [0] * plan.reach
+    at_least = [*accumulate(reversed(rels.levels), or_)][::-1] + pad
+    at_most = [*accumulate(rels.levels, or_)] + pad
     p = len(order)
     img = [-1] * p
     used = 0
@@ -280,6 +313,12 @@ def _search(rels: Relations, plan: _Plan, domains: list[int], budget: int,
         nxt = list(cand)
         for e2, k in steps[depth]:
             nxt[e2] &= rows[k][i]
+        if rise[depth] or fall[depth]:
+            size = masks[i].bit_count()
+            for e2, g in rise[depth]:
+                nxt[e2] &= at_least[size + g]
+            for e2, g in fall[depth]:
+                nxt[e2] &= at_most[size - g]
         avail = ~(used | bit)
         for rep, need in counts[depth]:
             if (nxt[rep] & avail).bit_count() < need:
@@ -470,15 +509,3 @@ def s_plus(rels: Relations, mask: int) -> int:
     """Maximum antichain size among members containing ``mask``."""
     return _max_antichain(rels, rels.above(mask)).size
 
-
-def interval_has_antichain(lower: int, upper: int, s: int) -> bool:
-    """Whether the interval [lower, upper] holds an antichain of size s,
-    by the height criterion |upper - lower| >= antichain_height(s).
-
-    Follows the height formula literally; for s = 1 it requires height >= 1
-    even though the degenerate interval [A, A] does contain the one-element
-    antichain {A}. Callers needing s = 1 semantics should special-case it.
-    """
-    if lower & upper != lower:
-        raise ValueError("lower must be a subset of upper")
-    return (upper & ~lower).bit_count() >= antichain_height(s)

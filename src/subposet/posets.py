@@ -6,14 +6,18 @@ validated to be irreflexive, antisymmetric and transitively closed on
 construction, so every Poset value in the program is a genuine strict order.
 Validation is cubic in a chain's length (P2000 builds in about 1.4 s), so a
 pattern has at most MAX_ELEMENTS elements, checked before any per-element list
-is built.
+is built. ``size_gaps`` bounds how far apart in size two comparable elements
+land in every copy, the table the containment search narrows domains by.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from operator import sub
 import re
+
+from .formulas import antichain_height
 
 MAX_ELEMENTS = 2_000
 
@@ -97,6 +101,63 @@ class Poset:
     @cached_property
     def relation_count(self) -> int:
         return sum(b.bit_count() for b in self.below)
+
+    @cached_property
+    def twin_classes(self) -> tuple[tuple[int, ...], ...]:
+        """Interchangeable elements (equal strict down-set and up-set), each
+        class in index order, the classes in order of their first element."""
+        groups: dict[tuple[int, int], list[int]] = {}
+        for e in range(self.size):
+            groups.setdefault((self.below[e], self.above[e]), []).append(e)
+        return tuple(tuple(g) for g in groups.values())
+
+
+@lru_cache(maxsize=None)
+def size_gaps(poset: Poset, induced: bool) -> tuple[tuple[list[int], ...], int]:
+    """Lower bounds on |img e| - |img b| for b < e in every (induced) copy of
+    the poset in a Boolean lattice, by twin class, and a bound on them; the
+    proof is in the ``containment`` docstring. ``gaps[c][d]`` is the gap
+    from class c up to class d, at most 1 where d is not above c. It is a
+    longest path from c to d over the cover relation of the classes, less
+    antichain_height(|d|) - 1 when |d| >= 2. The path starts at [|c| >= 2],
+    and an edge into d weighs antichain_height(|d|) when |d| >= 2, otherwise
+    [|c'| = 1] for the class c' it leaves. A plain copy counts every class
+    as one element: the gaps are longest chains."""
+    classes = poset.twin_classes
+    above, heights = poset.above, poset.heights
+    size = [len(cls) if induced else 1 for cls in classes]
+    class_of = {e: ci for ci, cls in enumerate(classes) for e in cls}
+    tiers = [0] * (max(heights) + 1)  # the elements of each height
+    for e, h in enumerate(heights):
+        tiers[h] |= 1 << e
+    reps = sum(1 << cls[0] for cls in classes)
+    step = [antichain_height(s) if s > 1 else 0 for s in size]
+    trim = [max(w - 1, 0) for w in step]
+    edges = []  # edges[c]: (class d covering c, weight into d)
+    for c, cls in enumerate(classes):
+        rest, out = above[cls[0]], []
+        for h in range(heights[cls[0]] + 1, len(tiers)):
+            if not rest:
+                break
+            # the lowest elements left cover c; what lies above them does not
+            low = rest & tiers[h]
+            rest ^= low
+            for z in _bits(low & reps):
+                rest &= ~above[z]
+                out.append((class_of[z], step[class_of[z]] or int(size[c] == 1)))
+        edges.append(out)
+    topo = sorted(range(len(classes)), key=lambda c: heights[classes[c][0]])
+    gaps: list[list[int]] = [[]] * len(classes)
+    for at, c in enumerate(topo):  # the classes above c come after it
+        best = [-1] * len(classes)
+        best[c] = int(size[c] > 1)
+        for d in topo[at:]:
+            if (b := best[d]) >= 0:
+                for d2, w in edges[d]:
+                    if b + w > best[d2]:
+                        best[d2] = b + w
+        gaps[c] = [*map(sub, best, trim)]
+    return tuple(gaps), max(0, *map(max, gaps))
 
 
 def dual(poset: Poset) -> Poset:

@@ -27,7 +27,7 @@ from subposet.chains import DEFAULT_CHAIN_CAP, EMPTY_LABEL, check_chain_cap
 from subposet import containment
 from subposet.containment import (DEFAULT_BUDGET, BudgetExceededError, SearchStatus,
                                   contains_subposet, find_embedding)
-from subposet.formulas import density_bounds
+from subposet.formulas import antichain_height, density_bounds
 from subposet.lattice import (MAX_GROUND, FamilyParseError, SetFamily, consecutive_levels,
                               largest_mod_classes, set_str)
 from subposet.posets import Poset, _bits
@@ -247,6 +247,63 @@ def brute_copies(family, poset, induced: bool, using: int | None = None):
     for combo in combos:
         if any(test(perm) for perm in permutations([masks[i] for i in combo])):
             yield combo
+
+
+def _pinned_copy_exists(poset, induced: bool, h: int, pins: dict[int, int]) -> bool:
+    """Is there a copy of the poset in B_h that puts each element of ``pins``
+    on its set? Backtracking with forward checking: each other element keeps
+    the sets of B_h that agree, pair by pair, with every placed one, and the
+    element with the fewest goes next."""
+
+    def agrees(x: int, s: int, y: int, t: int) -> bool:
+        if poset.less(x, y):
+            return strictly_less(s, t)
+        if poset.less(y, x):
+            return strictly_less(t, s)
+        return s != t and not (induced and comparable(s, t))
+
+    if not all(agrees(x, s, y, t) for x, s in pins.items() for y, t in pins.items() if x != y):
+        return False
+
+    def extend(domains: dict[int, list[int]]) -> bool:
+        if not domains:
+            return True
+        x = min(domains, key=lambda y: len(domains[y]))
+        for s in domains[x]:
+            narrowed = {y: [t for t in d if agrees(x, s, y, t)]
+                        for y, d in domains.items() if y != x}
+            if all(narrowed.values()) and extend(narrowed):
+                return True
+        return False
+
+    return extend({x: [s for s in range(1 << h) if all(agrees(x, s, y, t) for y, t in pins.items())]
+                   for x in range(poset.size) if x not in pins})
+
+
+def min_size_gaps(poset, induced: bool, h: int) -> dict[tuple[int, int], int | None]:
+    """For each pair b < e of the poset, the least |img e| - |img b| over all
+    copies in B_h (None when B_h holds no copy). S_h maps a pair X < Y of
+    sets to any other pair of the same two sizes and copies to copies, so the
+    copies putting b on [0, a) and e on [0, a + k), for every a and k, reach
+    every size difference; k rises until one exists."""
+    return {(b, e): next((k for k in range(1, h + 1) for a in range(h - k + 1)
+                          if _pinned_copy_exists(poset, induced, h,
+                                                 {b: (1 << a) - 1, e: (1 << a + k) - 1})),
+                         None)
+            for e in range(poset.size) for b in _bits(poset.below[e])}
+
+
+def interval_has_antichain(lower: int, upper: int, s: int) -> bool:
+    """Whether the interval [lower, upper] holds an antichain of size s,
+    by the height criterion |upper - lower| >= antichain_height(s).
+
+    Follows the height formula literally; for s = 1 it requires height >= 1
+    even though the degenerate interval [A, A] does contain the one-element
+    antichain {A}. Callers needing s = 1 semantics should special-case it.
+    """
+    if lower & upper != lower:
+        raise ValueError("lower must be a subset of upper")
+    return (upper & ~lower).bit_count() >= antichain_height(s)
 
 
 def walk_la(n: int, posets, induced: bool = False, budget: int | None = None,

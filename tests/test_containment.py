@@ -10,14 +10,13 @@ from subposet.containment import (
     SearchStatus,
     contains_subposet,
     find_embedding,
-    interval_has_antichain,
     max_antichain,
     s_minus,
     s_plus,
 )
 from subposet.constructions import construct_rst, construct_rst_induced, construct_rt
 from subposet.lattice import SetFamily, complement_family, consecutive_levels, level
-from subposet.posets import _bits, chain_poset, complete_multilevel, dual, named_poset
+from subposet.posets import _bits, chain_poset, complete_multilevel, dual, named_poset, size_gaps
 
 from oracles import (
     Relation,
@@ -29,8 +28,10 @@ from oracles import (
     compare,
     compare_with_reference,
     empirical_free_levels,
+    interval_has_antichain,
     is_copy,
     kuhn_max_antichain,
+    min_size_gaps,
     nx_max_antichain,
     pair_relations,
     random_family_masks,
@@ -354,8 +355,8 @@ def test_contains_matches_brute_force_on_arbitrary_posets():
 
 # (family, pattern widths, induced, nodes, nodes of the reference loop)
 GOLDEN_SEARCHES = [
-    (construct_rst_induced, (8, 2, 2, 2), (2, 2, 2), True, 8338, 14257),
-    (construct_rt, (10, 2, 2), (2, 2), True, 1924, 10703),
+    (construct_rst_induced, (8, 2, 2, 2), (2, 2, 2), True, 311, 14257),
+    (construct_rt, (10, 2, 2), (2, 2), True, 860, 10703),
     (construct_rst, (10, 2, 2, 2), (2, 2, 2), False, 1, 210),
 ]
 GOLDEN_IDS = ["rsti8_K222_induced", "rt10_K22_induced", "rst10_K222"]
@@ -366,8 +367,9 @@ GOLDEN_IDS = ["rsti8_K222_induced", "rt10_K22_induced", "rst10_K222"]
 def test_search_order_node_counts(build, args, widths, induced, nodes, reference_nodes):
     # golden counts: any change to the search order, the pins of the band
     # and fringe phases, or pruning moves them. The count filter drops the
-    # candidates whose class-count check fails before they are tried, so
-    # these are below the reference loop's counts (next test)
+    # candidates whose class-count check fails before they are tried, and the
+    # size gaps narrow the domains, so these are below the reference loop's
+    # counts (next test)
     res = contains_subposet(build(*args), complete_multilevel(widths), induced)
     assert res.free
     assert res.nodes == nodes
@@ -383,6 +385,74 @@ def test_reference_search_node_counts(build, args, widths, induced, nodes, refer
         res = contains_subposet(build(*args), poset, induced)
     assert res.free
     assert res.nodes == reference_nodes
+
+
+def test_containment_frontier():
+    # decided by the size gaps: rsti11 K[2,4,2] stopped at BUDGET after 10^7
+    # nodes without them, rsti12 K[2,2,2] took 1,150,684 nodes; a relabelled
+    # ground set changes the member order but not the verdict
+    rng = Random(7)
+    family = construct_rst_induced(11, 2, 4, 2)
+    perm = rng.sample(range(family.n), family.n)
+    relabelled = SetFamily.of(family.n, [sum(1 << perm[e] for e in _bits(x))
+                                         for x in family.members])
+    for fam in (family, relabelled):
+        assert contains_subposet(fam, complete_multilevel([2, 4, 2]), True, 10**6).free
+    assert contains_subposet(construct_rst_induced(12, 2, 2, 2),
+                             complete_multilevel([2, 2, 2]), True).free
+
+
+def search_gaps(poset, induced):
+    """The size gaps of the containment search, {(b, e): gap} over the pairs b < e."""
+    class_of = {e: c for c, cls in enumerate(poset.twin_classes) for e in cls}
+    gaps, reach = size_gaps(poset, induced)
+    pairs = {(b, e): gaps[class_of[b]][class_of[e]]
+             for e in range(poset.size) for b in _bits(poset.below[e])}
+    assert all(g <= reach for g in pairs.values())
+    return pairs
+
+
+def test_size_gaps_follow_the_class_rule():
+    # bottom to top, induced: [bottom class >= 2] + antichain_height of each
+    # middle class + [top class >= 2 or the class below it a singleton];
+    # plain: the steps of a longest chain
+    for widths, induced_gap, plain_gap in [((2, 2, 2), 4, 2), ((2, 3, 2), 5, 2),
+                                           ((1, 3, 1), 3, 2), ((2, 2), 2, 1),
+                                           ((1, 1, 1), 2, 2), ((2, 1, 2), 2, 2),
+                                           ((1, 2, 2, 1), 4, 3)]:
+        poset = complete_multilevel(widths)
+        assert search_gaps(poset, True)[0, poset.size - 1] == induced_gap, widths
+        assert search_gaps(poset, False)[0, poset.size - 1] == plain_gap, widths
+
+
+def test_size_gaps_hold_in_every_copy():
+    # no gap exceeds the least size difference over all copies in B_5:
+    # random orders of 1-5 elements and the CLI patterns, plain and induced
+    from subposet.posets import Poset
+    from oracles import random_strict_order
+
+    rng = Random(2024)
+    posets = CLI_PATTERNS + [Poset(size := rng.randint(1, 5),
+                                   random_strict_order(rng, size, rng.choice([0.4, 0.8])))
+                             for _ in range(200)]
+    checked = wide = 0
+    for poset in posets:
+        for induced in (False, True):
+            least = min_size_gaps(poset, induced, 5)
+            for pair, gap in search_gaps(poset, induced).items():
+                if least[pair] is not None:
+                    assert gap <= least[pair], (poset, induced, pair)
+                    checked += 1
+                    wide += gap > 1
+    assert checked > 900 and wide > 300
+
+
+def test_size_gaps_are_realised():
+    # induced, each gap is the least size difference of some copy, once B_h
+    # has room: K[2,2,2] bottom to top {1}, {1,2,3}, {1,2,3,4,5}
+    for widths, h in [((2, 2, 2), 6), ((2, 3, 2), 7), ((1, 3, 1), 3), ((2, 2), 4)]:
+        poset = complete_multilevel(widths)
+        assert search_gaps(poset, True) == min_size_gaps(poset, True, h), widths
 
 
 def test_search_matches_reference_loop():
