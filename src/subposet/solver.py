@@ -14,7 +14,7 @@ candidates[q:], bounds what the positions from q on can add. A solve runs in
 three phases over N = 2^n candidates:
 
 1. The walk's first path: each candidate in turn, included when free. Its
-   family seeds ``best``.
+   family seeds ``best``; it ends early, proven, at Erdős's bound (below).
 2. For q = N-1 down to 1, R[q] is R[q+1] or R[q+1] + 1: a walk with q forced
    in, cut where |live| + R[pos] < R[q+1] + 1, stops at the first family of
    R[q+1] + 1 members. Once q + R[q] <= |best|, nothing beats ``best``: the
@@ -22,15 +22,16 @@ three phases over N = 2^n candidates:
 3. The walk from the start, seeded with ``best`` and cut where
    |live| + R[pos] <= |best| (R[0] is taken as R[1] + 1).
 
-After phase 1 one root test applies Erdős's k-Sperner bound. Every chain of
-p sets holds a copy of a p-element pattern P (map a linear extension of P
-onto it), an induced one when P is the chain P_p: P is covered. A symmetric
-chain decomposition of B_n (de Bruijn, Tengbergen and Kruyswijk, 1951) has
-C(n, k) - C(n, k-1) chains of n + 1 - 2k sets, so a free family has at most
-cap sets on each and |F| <= sum of min(|C|, cap) = sigma(n, cap), cap the
-least p - 1 over the covered patterns (2^n if cap > n or none is covered).
-A first path that large is optimal; for P_k it is the k - 1 middle levels,
-so every La(n, P_k) solve ends proven after 2^n attempts.
+Phase 1 stops at Erdős's k-Sperner bound. Every chain of p sets holds a copy
+of a p-element pattern P (map a linear extension of P onto it), an induced
+one when P is the chain P_p: P is covered. A symmetric chain decomposition
+of B_n (de Bruijn, Tengbergen and Kruyswijk, 1951) has C(n, k) - C(n, k-1)
+chains of n + 1 - 2k sets, so a free family has at most cap sets on each
+and |F| <= sum of min(|C|, cap) = sigma(n, cap), cap the least p - 1 over
+the covered patterns (2^n if cap > n or none is covered). A first path that
+large is optimal, so the solve ends proven as soon as ``best`` reaches it.
+For P_k it is the k - 1 middle levels, first in the candidate order, whose
+copy lists are empty: La(n, P_k) takes sigma(n, k - 1) attempts.
 
 A cut drops only branches that cannot strictly beat ``best``, so a finished
 solve has the optimum and the witness of the same walk bounded by
@@ -43,9 +44,11 @@ positions, by find_embedding's all-copies mode over one containment.Relations
 record of all 2^n candidates, and an attempt is free exactly when no listed
 copy lies inside ``live``. A walk over a suffix reads only the copies inside
 it: a copy moves from its list to the walks' list of its end position once q
-reaches its lowest position, so each copy is stored once. The rows take 2^n
-bits per candidate, so n >= 16 is refused before any candidate is listed,
-whatever ``max_n`` allows (containment.MAX_MEMBERS).
+reaches its lowest position, so each copy is stored once. An attempt reads
+a walks' list from its end, lowest positions first: the walk keeps its
+earliest positions in ``live`` longest, so those copies block most often.
+The rows take 2^n bits per candidate, so n >= 16 is refused before any
+candidate is listed, whatever ``max_n`` allows (containment.MAX_MEMBERS).
 
 The witness is the first optimum reached in walk order, which makes it the
 lexicographically smallest family the search encounters at the optimum;
@@ -116,14 +119,16 @@ def la_exact(n: int, posets: Sequence[Poset], induced: bool = False,
     sound under relabeling of the ground elements; phase 2 ignores it, so the
     suffix optima stay upper bounds.
 
-    A phase 1 that ends within ``budget`` at Erdős's bound (module docstring)
-    ends the solve, proven, with the optimum, witness and ``exhausted`` of the
-    full walk; for an induced solve with no chain pattern the bound is 2^n.
+    Phase 1 ends the solve, proven, once its family reaches Erdős's bound
+    (module docstring), before the budget is checked again, with the optimum,
+    witness and ``exhausted`` of the full walk; for an induced solve with no
+    chain pattern the bound is 2^n.
 
     A position's copy list is built on its first attempt in phase 1, or before
     phase 2 for a position phase 1 skipped, under the containment node budget
     (BUDGET ends the solve unexhausted), and holds every copy ending there,
-    however few attempts ``budget`` allows: at n = 8 it is most of the work.
+    however few attempts ``budget`` allows: in a solve the bound does not
+    close, at n = 8, it is most of the work.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -183,7 +188,7 @@ def la_exact(n: int, posets: Sequence[Poset], induced: bool = False,
             if budget is not None and nodes >= budget:
                 return None
             nodes += 1
-            if all(map((~live).__and__, inside[pos])):
+            if all(map((~live).__and__, reversed(inside[pos]))):
                 live |= 1 << pos
                 if live.bit_count() == need:
                     if first:
@@ -195,6 +200,8 @@ def la_exact(n: int, posets: Sequence[Poset], induced: bool = False,
         """The three phases; False when the budget or a listing ran out."""
         nonlocal best, nodes
         for pos, mask in enumerate(candidates):  # 1: the walk's first path
+            if best.bit_count() >= chain_bound:
+                return True  # Erdős: the first path is optimal
             if break_symmetry and not best and mask != (1 << mask.bit_count()) - 1:
                 continue
             if budget is not None and nodes >= budget:

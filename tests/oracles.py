@@ -374,8 +374,11 @@ def doll_walk_la(n: int, posets, induced: bool = False, budget: int | None = Non
     best = greedy
     bound = [0] * (size + 1)
     solved: dict[int, int] = {}
+    erdos = chain_bound(n, posets, induced)
     try:
         for mask in candidates:
+            if root_test and len(greedy) >= erdos:
+                break  # a first path that meets Erdős's bound is optimal
             if not skipped(greedy, mask, break_symmetry) and free(greedy, mask):
                 greedy.append(mask)
 
@@ -400,8 +403,7 @@ def doll_walk_la(n: int, posets, induced: bool = False, budget: int | None = Non
             return False
 
         exhausted = True
-        # a first path that meets Erdős's bound is optimal
-        if not root_test or len(greedy) < chain_bound(n, posets, induced):
+        if not root_test or len(greedy) < erdos:  # else the first path is proven
             for q in range(size - 1, -1, -1):
                 bound[q] = bound[q + 1] + 1
                 if q + bound[q] <= len(greedy):

@@ -236,18 +236,18 @@ def test_large_induced_antichain_found(tmp_path, capsys):
 
 def test_deep_solve_returns_lower_bound(capsys):
     # one include decision per subset of [10] on the current branch: the
-    # first path's 1,024 attempts reach Sperner's C(10, 5) = 252, which
-    # Erdős's bound proves; a budget that stops the first path short leaves
-    # the same family as a lower bound
-    for budget, want_code, exhausted in (("1100", cli.EXIT_OK, True), ("1000", cli.EXIT_BUDGET, False)):
+    # first path's first 252 attempts reach Sperner's C(10, 5) = 252, which
+    # Erdős's bound proves before the budget is checked again; a budget that
+    # stops the first path short leaves its family as a lower bound
+    for budget, want_code, optimum in (("252", cli.EXIT_OK, 252), ("251", cli.EXIT_BUDGET, 251)):
         code, doc, _ = run_cli(["solve", "10", "--cap", "10", "--poset", "P2", "--budget", budget],
                                capsys)
         assert code == want_code
         payload = doc["payload"]
-        assert payload["exhausted"] is exhausted and payload["optimum"] == 252
-        assert payload["nodes"] == ("1024" if exhausted else budget)
+        assert payload["exhausted"] is (code == cli.EXIT_OK) and payload["optimum"] == optimum
+        assert payload["nodes"] == budget
         witness = parse_family(payload["witness"])
-        assert witness.size == 252
+        assert witness.size == optimum
         assert not contains_subposet(witness, chain_poset(2)).found
 
 

@@ -18,8 +18,8 @@ ONE_TWO4 = "1 2 3 4 " + PAIRS4
 PAIRS5 = "12 13 23 14 24 34 15 25 35 45"
 
 # job -> (exit code, optimum, attempts, exhausted, witness); the jobs whose
-# patterns include a chain (n4.P2, n4.P3, ...) end after the first path's 2^n
-# attempts, proven by Erdős's bound
+# patterns include a chain (n4.P2, n4.P3, ...) end proven by Erdős's bound as
+# soon as the first path reaches it, one attempt per member
 EXPECTED = {
     "n4.K121": (0, 10, 1699, True, ONE_TWO4),
     "n4.K121+butterfly": (0, 10, 638, True, ONE_TWO4),
@@ -28,13 +28,13 @@ EXPECTED = {
     "n4.K121+wedge.ind": (0, 8, 1506, True, "{} 1 " + PAIRS4),
     "n4.K121.ind": (0, 10, 1699, True, ONE_TWO4),
     "n4.K22.ind": (0, 14, 223, True, "{} 1 2 3 " + PAIRS4 + " 124 134 234 1234"),
-    "n4.P2": (0, 6, 16, True, PAIRS4),
-    "n4.P3": (0, 10, 16, True, ONE_TWO4),
-    "n4.P3+K22.ind": (0, 10, 16, True, ONE_TWO4),
-    "n4.P3+butterfly": (0, 10, 16, True, ONE_TWO4),
+    "n4.P2": (0, 6, 6, True, PAIRS4),
+    "n4.P3": (0, 10, 10, True, ONE_TWO4),
+    "n4.P3+K22.ind": (0, 10, 10, True, ONE_TWO4),
+    "n4.P3+butterfly": (0, 10, 10, True, ONE_TWO4),
     "n4.P3+vee": (0, 7, 916, True, PAIRS4 + " 123"),
     "n4.P3+wedge": (0, 7, 1100, True, "1 " + PAIRS4),
-    "n4.P3.ind": (0, 10, 16, True, ONE_TWO4),
+    "n4.P3.ind": (0, 10, 10, True, ONE_TWO4),
     "n4.butterfly": (0, 10, 911, True, ONE_TWO4),
     "n4.vee": (0, 7, 916, True, PAIRS4 + " 123"),
     "n4.vee+butterfly": (0, 7, 916, True, PAIRS4 + " 123"),
@@ -44,7 +44,7 @@ EXPECTED = {
     "n4.wedge": (0, 7, 1100, True, "1 " + PAIRS4),
     "n4.wedge+butterfly": (0, 7, 1100, True, "1 " + PAIRS4),
     "n4.wedge.ind": (0, 8, 1506, True, "{} 1 " + PAIRS4),
-    "n5.P2": (0, 10, 32, True, PAIRS5),
+    "n5.P2": (0, 10, 10, True, PAIRS5),
     "n5.butterfly.budget20000": (
         3, 20, 20000, False, PAIRS5 + " 123 124 134 234 125 135 235 145 245 345"),
 }

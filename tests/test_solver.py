@@ -51,22 +51,43 @@ def test_solver_node_counts():
     # golden include-attempt counts of all three phases: any change to the
     # walk order or the bounds moves them (the "chosen + remaining" walk took
     # 68,459 and 3,350; the suffix bounds alone 16,863 for P2, which Erdős's
-    # bound now proves on the first path of 2^5 attempts)
+    # bound now proves once the first path holds its C(5, 2) = 10 sets)
     res = la_exact(5, [chain_poset(2)])
-    assert (res.optimum, res.nodes_explored, res.exhausted) == (10, 32, True)
+    assert (res.optimum, res.nodes_explored, res.exhausted) == (10, 10, True)
     res = la_exact(4, [named_poset("butterfly")])
     assert (res.optimum, res.nodes_explored, res.exhausted) == (10, 911, True)
 
 
+def test_attempts_test_the_lowest_copies_first(monkeypatch):
+    # a golden count of copy tests (bitset tests of one copy against the
+    # chosen positions): the walk keeps its earliest choices longest, so a
+    # blocked attempt that reads its copies lowest position first meets the
+    # blocking one early; read in list order, the same 911 attempts make 5,693
+    tests = []
+
+    def counting_all(results):
+        tests.append(0)
+        for free in results:
+            tests[-1] += 1
+            if not free:
+                return False
+        return True
+
+    monkeypatch.setattr(solver, "all", counting_all, raising=False)
+    res = la_exact(4, [named_poset("butterfly")])
+    assert (res.optimum, res.nodes_explored, len(tests), sum(tests)) == (10, 911, 911, 2796)
+
+
 @pytest.mark.parametrize("posets, induced, optimum, attempts", [
-    ([chain_poset(3)], False, 20, 32),
+    ([chain_poset(3)], False, 20, 20),
     ([named_poset("butterfly")], False, 20, 108797),
     ([complete_multilevel([2, 2])], True, 24, 40961),
 ])
 def test_n5_optima_are_proven(posets, induced, optimum, attempts):
     # La(5, P3), La(5, butterfly) and La*(5, K[2,2]); the "chosen + remaining"
     # walk needed 1,886,616, 2,321,288 and 679,114 attempts, and the suffix
-    # bounds alone 159,966 for P3, which Erdős's bound proves on the first path
+    # bounds alone 159,966 for P3, which Erdős's bound proves on the first
+    # path, one attempt per member
     res = la_exact(5, posets, induced, break_symmetry=True)
     assert (res.optimum, res.nodes_explored, res.exhausted) == (optimum, attempts, True)
     assert all(contains_subposet(res.witness, poset, induced).free for poset in posets)
@@ -75,15 +96,28 @@ def test_n5_optima_are_proven(posets, induced, optimum, attempts):
 def test_chain_optima_match_middle_level_sums():
     # k middle levels are optimal while a (k+1)-chain fits at all (Erdős
     # 1945), plain and induced; beyond that the whole lattice is already
-    # free. The middle-out first path reaches them, and Erdős's bound proves
-    # them there, after 2^n attempts
+    # free. The middle-out first path reaches them, one attempt per member,
+    # and Erdős's bound proves them there (k = 0: the empty family, at once)
     for n in range(1, 9):
         for k in range(4):
             for induced in (False, True):
                 res = la_exact(n, [chain_poset(k + 1)], induced, max_n=8)
                 want = sigma(n, k) if k <= n else 1 << n
-                assert (res.optimum, res.nodes_explored, res.exhausted) == (want, 1 << n, True)
+                assert (res.optimum, res.nodes_explored, res.exhausted) == (want, want, True)
                 assert contains_subposet(res.witness, chain_poset(k + 1), induced).free
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_chain_solves_end_at_the_bound(n):
+    # the first path's middle levels meet Erdős's bound as they are reached,
+    # so La(n, P_k) is proven in one attempt per member, plain and induced
+    for k in (2, 3, 4):
+        for induced in (False, True):
+            res = la_exact(n, [chain_poset(k)], induced, max_n=n)
+            want = sigma(n, k - 1)
+            assert (res.optimum, res.nodes_explored, res.exhausted) == (want, want, True)
+            middle = sorted(range(n + 1), key=lambda size: (abs(2 * size - n), size))[:k - 1]
+            assert {m.bit_count() for m in res.witness.members} == set(middle)
 
 
 @pytest.mark.parametrize("n", range(11))
@@ -114,7 +148,7 @@ def test_erdos_bound_skips_induced_non_chain_patterns():
     res = la_exact(4, [k22], induced=True)
     assert (res.optimum, res.nodes_explored, res.exhausted) == (14, 223, True)
     res = la_exact(4, [chain_poset(3), k22], induced=True)
-    assert (res.optimum, res.nodes_explored, res.exhausted) == (10, 16, True)
+    assert (res.optimum, res.nodes_explored, res.exhausted) == (10, 10, True)
 
 
 def test_monotone_in_forbidden_list():
@@ -301,10 +335,13 @@ PAIRS_OF_4 = (0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100)
 
 
 @pytest.mark.parametrize("k, optimum, attempts, witness", [
-    (1, 0, 1, ()), (3, 2, 3, PAIRS_OF_4[:2]), (9, 6, 9, PAIRS_OF_4), (16, 6, 16, PAIRS_OF_4)])
+    (1, 0, 1, ()), (3, 2, 3, PAIRS_OF_4[:2]), (5, 4, 5, PAIRS_OF_4[:4]),
+    (6, 5, 6, PAIRS_OF_4[:5])])
 def test_copy_list_budget_ends_the_solve(monkeypatch, k, optimum, attempts, witness):
     # the k-th copy listing runs out of budget: the solve stops unexhausted
-    # with the best family so far, and the attempt that asked counts
+    # with the best family so far, and the attempt that asked counts; the
+    # first path meets Erdős's bound after its sixth member, so only the
+    # first six listings are ever asked for
     calls = []
     search = solver.find_embedding
 
