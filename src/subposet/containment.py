@@ -4,17 +4,18 @@ The search and the antichain matcher read one Relations record per member
 list. Its ``has[e]`` is the bitset of the members containing element e, so
 ``above(S)`` (members containing S) is the AND of ``has[e]`` over e in S
 and ``below(S)`` (members inside S) the complement of the OR over e not in
-S, n big-int operations each. The rows are ``sup[i]`` and ``sub[i]``,
-``above``/``below`` of member i without i, and ``inc[i]``, the rest; a
-domain narrows by one AND with a row. Every entry starts as None and is
-built from ``has`` when first read: the search builds a member's rows when
-it tries the member or a count-filter cut reads it, the antichain matcher
-the ``sup`` rows of the live members. A search decided in a few nodes so
-pays for a few rows, not for all m. A search or matcher may still read
-every row, n * m operations and 3 * m^2 bits (380 MB for the 35,750 sets of
-levels 7-9 of B_16), so lists over MAX_MEMBERS masks are refused first.
-Plain searches never build ``inc``; s_minus and s_plus match on
-``below``/``above`` of a set, reading ``sup`` alone.
+S, one lookup per chunk of 8 elements in tables built on first use. The rows
+are ``sup[i]`` and ``sub[i]``, ``above``/``below`` of member i without i,
+and ``inc[i]``, the rest; a domain narrows by one AND with a row. Every
+entry starts as None and is built from ``has`` when first read: the search
+builds a member's rows when it tries the member or a count-filter cut reads
+it, the antichain matcher the ``sup`` rows of the roots it takes
+(``_matching``). A search decided in a few nodes so pays for a few rows,
+not for all m. A search or matcher may still read every row, 3 * m^2 bits
+(380 MB for the 35,750 sets of levels 7-9 of B_16), so lists over
+MAX_MEMBERS masks are refused first. Plain searches never build ``inc``;
+s_minus and s_plus match on ``below``/``above`` of a set, reading ``sup``
+alone.
 
 Five refinements keep exhaustive verdicts affordable without giving up
 completeness:
@@ -70,8 +71,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
-from itertools import accumulate, chain, groupby
+from functools import cached_property, lru_cache
+from itertools import accumulate, chain, groupby, repeat
 from math import comb
 from operator import or_
 from typing import NamedTuple, Sequence
@@ -200,7 +201,7 @@ class Relations:
         masks = tuple(self.masks)
         n = max(masks, default=0).bit_length()
         # n binary digits per member, member 0 last: every n-th digit is one has[e]
-        text = "".join([format(x, f"0{n}b") for x in reversed(masks)])
+        text = "".join(map(format, reversed(masks), repeat(f"0{n}b")))
         levels = [0] * (n + 1)
         start = 0
         for k, run in groupby(masks, int.bit_count):  # one block per run of k-sets
@@ -212,22 +213,33 @@ class Relations:
             has=tuple(int(text[n - 1 - e::n], 2) for e in range(n)),
             sup=[None] * m, sub=[None] * m, inc=[None] * m)
 
+    @cached_property
+    def _chunks(self) -> list[tuple[list[int], list[int]]]:
+        """Per chunk of at most 8 elements, ``ands[s]`` and ``ors[s]``: the
+        AND and the OR of ``has[e]`` over the elements e of the chunk in s."""
+        chunks = []
+        for lo in range(0, len(self.has), 8):
+            ands, ors = [self.full], [0]
+            for has in self.has[lo:lo + 8]:  # the entries holding this element
+                ands += [x & has for x in ands]
+                ors += [x | has for x in ors]
+            chunks.append((ands, ors))
+        return chunks
+
     def above(self, mask: int) -> int:
         """The members containing ``mask``."""
         if mask >> len(self.has):
             return 0
         up = self.full
-        for e, has in enumerate(self.has):
-            if mask >> e & 1:
-                up &= has
+        for k, (ands, _) in enumerate(self._chunks):
+            up &= ands[mask >> 8 * k & 255]
         return up
 
     def below(self, mask: int) -> int:
         """The members contained in ``mask``."""
         out = 0
-        for e, has in enumerate(self.has):
-            if not mask >> e & 1:
-                out |= has
+        for k, (_, ors) in enumerate(self._chunks):
+            out |= ors[~mask >> 8 * k & len(ors) - 1]
         return self.full ^ out
 
     def fill(self, i: int, kinds: int) -> None:
@@ -420,15 +432,17 @@ class AntichainResult(NamedTuple):
     witness: tuple[int, ...]
 
 
-def _max_antichain(rels: Relations, live: int) -> AntichainResult:
-    """Maximum antichain of the members in ``live`` via minimum chain cover.
+def _matching(rels: Relations, live: int) -> tuple[dict[int, int], int]:
+    """Maximum matching (right vertex to left partner) of the members in
+    ``live``, and |live| - matching, the widest antichain (Dilworth).
 
-    The bipartite graph has an edge (u, v) whenever member u is a proper
-    subset of member v, both live: bit v of ``sup[u] & live``. Row ``sup[u]``
-    is built when u becomes a root, as paths from a root meet earlier roots
-    only; no other row is built. A maximum matching gives a minimum chain
-    cover, and the complement of its minimum vertex cover (König) is a
-    maximum antichain of size |live| - matching.
+    The graph has an edge (u, v) whenever member u is a proper subset of
+    member v, both live: bit v of ``sup[u] & live``. Roots go in index
+    order, and row ``sup[u]`` is built when u becomes a root, as paths from
+    a root meet earlier roots only; no other row is built. Each level is an
+    antichain, so once |live| - matching is the widest live level the
+    matching is maximum and no further root is taken. By Sperner every band
+    of full levels ends so, and a single level builds no row.
 
     Augmenting paths come from an iterative depth-first search that keeps the
     path explicitly and steps to a free right vertex first when the node has
@@ -437,10 +451,14 @@ def _max_antichain(rels: Relations, live: int) -> AntichainResult:
     through them.
     """
     sup, fill = rels.sup, rels.fill
+    widest = max((level & live).bit_count() for level in rels.levels)
+    size = live.bit_count()
     match_right: dict[int, int] = {}
     free = live
     seen = 0
     for root in _bits(live):
+        if size == widest:
+            break
         if sup[root] is None:
             fill(root, 1)
         u = root
@@ -460,16 +478,30 @@ def _max_antichain(rels: Relations, live: int) -> AntichainResult:
             path.append(v)
             if bit & free:
                 free ^= bit
+                size -= 1
                 seen = 0
                 prev = root
                 for w in path:
                     match_right[w], prev = prev, match_right.get(w)
                 break
             u = match_right[v]
+    return match_right, size
 
+
+def max_antichain(family: SetFamily, rels: Relations | None = None) -> AntichainResult:
+    """Exact maximum antichain size plus a deterministic witness (member
+    indices); ``rels``, when given, is the family's own record, reused. The
+    witness is the highest level of that size if one is (``_matching``),
+    else the complement of a minimum vertex cover of the matching (König)."""
+    if rels is None:
+        rels = Relations(family.members)
+    match_right, size = _matching(rels, rels.full)
+    for level in reversed(rels.levels):
+        if level.bit_count() == size:
+            return AntichainResult(size, tuple(_bits(level)))
     # König: left vertices reachable from unmatched ones by alternating paths
     # (zl) and the right vertices on those paths (zr).
-    zl = live
+    zl = rels.full
     for u in match_right.values():
         zl ^= 1 << u
     zr = 0
@@ -477,7 +509,7 @@ def _max_antichain(rels: Relations, live: int) -> AntichainResult:
     while frontier:
         low = frontier & -frontier
         frontier ^= low
-        new = sup[low.bit_length() - 1] & live & ~zr
+        new = rels.sup[low.bit_length() - 1] & ~zr
         zr |= new
         while new:
             bit = new & -new
@@ -487,25 +519,16 @@ def _max_antichain(rels: Relations, live: int) -> AntichainResult:
                 zl |= w
                 frontier |= w
     witness = tuple(_bits(zl & ~zr))
-    size = free.bit_count()
     assert len(witness) == size, "vertex-cover extraction mismatch"
     return AntichainResult(size, witness)
 
 
-def max_antichain(family: SetFamily, rels: Relations | None = None) -> AntichainResult:
-    """Exact maximum antichain size plus a deterministic witness (member
-    indices); ``rels``, when given, is the family's own record, reused."""
-    if rels is None:
-        rels = Relations(family.members)
-    return _max_antichain(rels, rels.full)
-
-
 def s_minus(rels: Relations, mask: int) -> int:
     """Maximum antichain size among members contained in ``mask``."""
-    return _max_antichain(rels, rels.below(mask)).size
+    return _matching(rels, rels.below(mask))[1]
 
 
 def s_plus(rels: Relations, mask: int) -> int:
     """Maximum antichain size among members containing ``mask``."""
-    return _max_antichain(rels, rels.above(mask)).size
+    return _matching(rels, rels.above(mask))[1]
 

@@ -99,6 +99,28 @@ def has_reference(masks) -> tuple[int, ...]:
     return tuple(int(bytes([48 + (x >> e & 1) for x in rev]), 2) for e in range(n))
 
 
+def loop_above(rels, mask: int) -> int:
+    """Relations.above by the per-element loop its chunk tables replaced: the
+    AND of has[e] over the elements e of mask, nothing past the last has."""
+    if mask >> len(rels.has):
+        return 0
+    up = rels.full
+    for e, has in enumerate(rels.has):
+        if mask >> e & 1:
+            up &= has
+    return up
+
+
+def loop_below(rels, mask: int) -> int:
+    """Relations.below by the per-element loop its chunk tables replaced: the
+    complement of the OR of has[e] over the elements e outside mask."""
+    out = 0
+    for e, has in enumerate(rels.has):
+        if not mask >> e & 1:
+            out |= has
+    return rels.full ^ out
+
+
 def levels_reference(masks) -> tuple[int, ...]:
     """Relations.levels by the per-member loop it replaced: bitset k holds
     the positions of the k-sets, one OR per member."""
@@ -111,8 +133,8 @@ def levels_reference(masks) -> tuple[int, ...]:
 def eager_rows(rels) -> tuple[list[int], list[int], list[int]]:
     """The whole-list rows (sup, sub, inc) Relations built before its rows
     were filled per member: every member's above/below without itself."""
-    sup = [rels.above(x) ^ 1 << i for i, x in enumerate(rels.masks)]
-    sub = [rels.below(x) ^ 1 << i for i, x in enumerate(rels.masks)]
+    sup = [loop_above(rels, x) ^ 1 << i for i, x in enumerate(rels.masks)]
+    sub = [loop_below(rels, x) ^ 1 << i for i, x in enumerate(rels.masks)]
     inc = [rels.full ^ up ^ down ^ 1 << i for i, (up, down) in enumerate(zip(sup, sub))]
     return sup, sub, inc
 

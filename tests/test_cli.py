@@ -171,7 +171,7 @@ def test_chains_commands(tmp_path, capsys):
 def test_chain_cap_checked_before_precondition(tmp_path, capsys, monkeypatch):
     fam_file = tmp_path / "full12.txt"
     fam_file.write_text(serialize_family(SetFamily.of(12, range(1 << 12))))
-    monkeypatch.setattr(chains, "max_antichain", lambda family: pytest.fail("precondition ran"))
+    monkeypatch.setattr(chains, "s_minus", lambda rels, mask: pytest.fail("precondition ran"))
     for mode, params in (("minr", ["--r", "2"]), ("minrmaxt", ["--r", "2", "--t", "2"])):
         code, doc, _ = run_cli(["chains", mode, str(fam_file), *params], capsys)
         assert code == 2

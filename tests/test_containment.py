@@ -1,6 +1,7 @@
 """Containment search and antichain machinery."""
 
 import pytest
+from math import comb
 from random import Random
 
 from subposet import containment
@@ -31,6 +32,8 @@ from oracles import (
     interval_has_antichain,
     is_copy,
     kuhn_max_antichain,
+    loop_above,
+    loop_below,
     min_size_gaps,
     nx_max_antichain,
     pair_relations,
@@ -124,6 +127,29 @@ def test_member_relations_refuse_oversized_families():
                           chain_poset(2))
 
 
+def test_above_below_tables_match_element_loops():
+    # one lookup per chunk of 8 elements against the per-element loops and
+    # the definitions, at chunk edges, on the empty family, and on sets with
+    # elements at or past the highest one any member holds
+    rng = Random(1928)
+    cases = [[]]
+    for n in (1, 7, 8, 9, 16, 17, 24):
+        for _ in range(4):
+            cases.append(list({rng.getrandbits(n) for _ in range(rng.randint(1, 150))}))
+        cases.append([(1 << n) - 1, *rng.sample(range(1 << n), min(40, 1 << n) - 1)])
+    for masks in cases:
+        rels = Relations(masks)
+        n = len(rels.has)
+        sets = [0, (1 << n) - 1, 1 << n, (1 << n) - 1 | 1 << (n + 5), 1 << 40, *masks[:10],
+                *(rng.getrandbits(n) for _ in range(40)),
+                *(rng.getrandbits(n + 9) for _ in range(10))]
+        for mask in sets:
+            up = sum(1 << i for i, x in enumerate(masks) if x & mask == mask)
+            down = sum(1 << i for i, x in enumerate(masks) if x & mask == x)
+            assert rels.above(mask) == loop_above(rels, mask) == up
+            assert rels.below(mask) == loop_below(rels, mask) == down
+
+
 CLI_PATTERNS = [named_poset("vee"), named_poset("wedge"), named_poset("butterfly"),
                 chain_poset(2), chain_poset(3), complete_multilevel([1, 2, 1]),
                 complete_multilevel([2, 2])]
@@ -186,6 +212,24 @@ def test_plain_searches_fill_no_inc_entry():
         assert built(rels.sup) == built(rels.sub)  # a search fills both of a member's rows
 
 
+def widest_level(rels: Relations, live: int) -> int:
+    return max((level & live).bit_count() for level in rels.levels)
+
+
+def assert_matcher_rows(rels: Relations, live: int, size: int) -> bool:
+    """The rows an antichain matcher of ``live`` built: the ``sup`` rows of a
+    prefix of live in index order, all of live when ``size`` exceeds the
+    widest live level, and no ``sub`` or ``inc`` row. True when the matcher
+    stopped before its last root."""
+    order = list(_bits(live))
+    filled = built(rels.sup)
+    assert filled == order[:len(filled)]
+    if size > widest_level(rels, live):
+        assert filled == order
+    assert not built(rels.sub) + built(rels.inc)
+    return len(filled) < len(order)
+
+
 def test_antichains_fill_only_live_sup_entries(monkeypatch):
     made = []
 
@@ -196,23 +240,75 @@ def test_antichains_fill_only_live_sup_entries(monkeypatch):
 
     monkeypatch.setattr(containment, "Relations", Recorded)
     rng = Random(5252)
+    stopped = []
     for _ in range(40):
         n = rng.randint(1, 6)
         fam = SetFamily.of(n, random_family_masks(rng, n, 40))
-        assert max_antichain(fam).size == kuhn_max_antichain(fam.members)
+        size = max_antichain(fam).size
+        assert size == kuhn_max_antichain(fam.members)
         rels = made.pop()
-        assert built(rels.sup) == list(range(len(fam))) and not built(rels.sub) + built(rels.inc)
-        rels, union = Relations(fam.members), 0
+        stopped.append(assert_matcher_rows(rels, rels.full, size))
+        shared, union = Relations(fam.members), 0
         for _ in range(3):
             bound = rng.randrange(1 << n)
             for antichain, live in ((s_minus, rels.below(bound)), (s_plus, rels.above(bound))):
                 fresh = Relations(fam.members)
-                antichain(fresh, bound)
-                assert built(fresh.sup) == list(_bits(live))
-                assert not built(fresh.sub) + built(fresh.inc)
-                antichain(rels, bound)
+                stopped.append(assert_matcher_rows(fresh, live, antichain(fresh, bound)))
+                antichain(shared, bound)
                 union |= live
-        assert built(rels.sup) == list(_bits(union))
+        assert set(built(shared.sup)) <= set(_bits(union))
+        assert not built(shared.sub) + built(shared.inc)
+    assert True in stopped and False in stopped  # both ends of the matcher are exercised
+
+
+def test_matcher_stops_at_the_widest_level():
+    # sizes against the oracles on random families and the three
+    # constructions, and against Sperner's widths on bands of full levels; a
+    # witness as wide as a level is the highest such level
+    rng = Random(1945)
+    families = [SetFamily.of(n, random_family_masks(rng, n, 12)) for n in range(1, 6)
+                for _ in range(12)]
+    families += [SetFamily.of(n, random_family_masks(rng, n, 60)) for n in range(6, 10)
+                 for _ in range(4)]
+    families += [construct_rt(8, 2, 2), construct_rt(9, 2, 3), construct_rst(8, 1, 2, 1),
+                 construct_rst(9, 1, 3, 1), construct_rst_induced(8, 1, 2, 1),
+                 construct_rst_induced(9, 1, 3, 1)]
+    bands = [(n, j, k) for n in range(1, 10) for k in range(1, n + 2) for j in range(-1, n - k + 1)]
+    stops = 0
+    for fam in families + [consecutive_levels(*band) for band in bands]:
+        rels = Relations(fam.members)
+        size, witness = max_antichain(fam, rels)
+        if size == widest_level(rels, rels.full):
+            stops += 1
+            top = max(k for k, level in enumerate(rels.levels) if level.bit_count() == size)
+            assert witness == tuple(_bits(rels.levels[top]))
+    assert len(bands) < stops < len(families) + len(bands)
+    for fam in families:
+        rels = Relations(fam.members)
+        oracle = brute_max_antichain if len(fam) <= 12 else kuhn_max_antichain
+        assert max_antichain(fam, rels).size == oracle(fam.members)
+        full = (1 << fam.n) - 1
+        for bound in (0, full, *(rng.randrange(full + 1) for _ in range(3))):
+            assert s_minus(rels, bound) == oracle([m for m in fam.members if m & bound == m])
+            assert s_plus(rels, bound) == oracle([m for m in fam.members if m & bound == bound])
+    for n, j, k in bands:
+        fam = consecutive_levels(n, j, k)
+        rels = Relations(fam.members)
+        sizes = range(j + 1, j + k + 1)
+        assert max_antichain(fam, rels).size == max(comb(n, i) for i in sizes)
+        for bound in range(1 << n) if n <= 4 else rng.sample(range(1 << n), 8):
+            d = bound.bit_count()  # the band inside B(bound), and above it in B([n] - bound)
+            assert s_minus(rels, bound) == max(comb(d, i) for i in sizes)
+            assert s_plus(rels, bound) == max((comb(n - d, i - d) for i in sizes if i >= d),
+                                              default=0)
+    # a single level is its own widest antichain: no row is built
+    for n, k in ((1, 0), (6, 3), (9, 4), (12, 6)):
+        rels = Relations(level(n, k).members)
+        assert max_antichain(level(n, k), rels) == (comb(n, k), tuple(range(comb(n, k))))
+        assert s_minus(rels, (1 << n) - 1) == s_plus(rels, 0) == comb(n, k)
+        assert not built(rels.sup) + built(rels.sub) + built(rels.inc)
+
+
         assert not built(rels.sub) + built(rels.inc)
 
 
