@@ -16,7 +16,6 @@ from .chains import (
     min_max_partition,
     min_r_partition,
     minr_maxt_partition,
-    pair_bound_check,
     three_per_level_coeff,
 )
 from .constructions import (
@@ -45,8 +44,6 @@ from .formulas import (
 )
 from .lattice import (
     SetFamily,
-    binomial,
-    complement_family,
     consecutive_levels,
     largest_mod_classes,
     level,
@@ -59,7 +56,6 @@ from .posets import (
     Poset,
     chain_poset,
     complete_multilevel,
-    dual,
     named_poset,
     parse_poset,
     parse_signature,

@@ -323,20 +323,3 @@ def capped_level_coeff(n: int, s: int) -> Fraction:
         (min(Fraction(s - 1, comb(n, j)), Fraction(1)) for j in range(n + 1)), Fraction(0)
     )
 
-
-@dataclass(frozen=True)
-class PairBoundCheck:
-    """Both sides of a pair-count comparison against coeff * n!."""
-
-    pairs: int
-    allowance: Fraction
-    coeff: Fraction
-    passed: bool
-
-
-def pair_bound_check(family: SetFamily, coeff) -> PairBoundCheck:
-    """Exact check: incidence pairs of the family <= coeff * n!."""
-    coeff = Fraction(coeff)
-    allowance = coeff * factorial(family.n)
-    pairs = count_pairs_formula(family)
-    return PairBoundCheck(pairs, allowance, coeff, pairs <= allowance)

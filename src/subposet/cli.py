@@ -32,7 +32,7 @@ EXIT_INTERNAL = 4
 
 def load_poset_spec(spec: str) -> posets.Poset:
     """Accepts K[...] signatures, vee/wedge/butterfly, P<k> chains, or a file path."""
-    if spec in ("vee", "wedge", "butterfly"):
+    if spec in posets.NAMED:
         return posets.named_poset(spec)
     if spec.startswith("K["):
         return posets.complete_multilevel(posets.parse_signature(spec))

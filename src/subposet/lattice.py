@@ -40,15 +40,6 @@ def check_ground(n: int) -> int:
     return n
 
 
-def binomial(n: int, k: int) -> int:
-    """C(n, k), with the convention that out-of-range k gives 0."""
-    if n < 0:
-        raise ValueError(f"binomial requires n >= 0, got {n}")
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
-
-
 def sigma(n: int, k: int) -> int:
     """Sum of the k largest binomial coefficients of order n.
 
@@ -184,12 +175,6 @@ def largest_mod_classes(n: int, k: int, r: int) -> SetFamily:
     for i in order[:r]:
         masks.extend(classes[i].members)
     return SetFamily.of(n, masks)
-
-
-def complement_family(family: SetFamily) -> SetFamily:
-    """Complement every member; an involution on families."""
-    full = (1 << family.n) - 1
-    return SetFamily.of(family.n, (full ^ m for m in family.members))
 
 
 _HEADER_RE = re.compile(r"n=(\d+)")

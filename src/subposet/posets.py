@@ -99,10 +99,6 @@ class Poset:
         return _longest_chains(self.above)
 
     @cached_property
-    def relation_count(self) -> int:
-        return sum(b.bit_count() for b in self.below)
-
-    @cached_property
     def twin_classes(self) -> tuple[tuple[int, ...], ...]:
         """Interchangeable elements (equal strict down-set and up-set), each
         class in index order, the classes in order of their first element."""
@@ -160,11 +156,6 @@ def size_gaps(poset: Poset, induced: bool) -> tuple[tuple[list[int], ...], int]:
     return tuple(gaps), max(0, *map(max, gaps))
 
 
-def dual(poset: Poset) -> Poset:
-    """Reverse the order."""
-    return Poset(poset.size, poset.above)
-
-
 def complete_multilevel(widths) -> Poset:
     """Complete multilevel poset for a width vector (bottom to top).
 
@@ -193,7 +184,7 @@ def chain_poset(k: int) -> Poset:
     return complete_multilevel([1] * k)
 
 
-_NAMED = {
+NAMED = {
     "vee": (1, 2),
     "wedge": (2, 1),
     "butterfly": (2, 2),
@@ -202,9 +193,9 @@ _NAMED = {
 
 def named_poset(name: str) -> Poset:
     try:
-        return complete_multilevel(_NAMED[name])
+        return complete_multilevel(NAMED[name])
     except KeyError:
-        raise ValueError(f"unknown poset name {name!r}; known: {sorted(_NAMED)}") from None
+        raise ValueError(f"unknown poset name {name!r}; known: {sorted(NAMED)}") from None
 
 
 _SIGNATURE_RE = re.compile(r"K\[(\d+(?:,\d+)*)\]")

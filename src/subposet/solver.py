@@ -39,14 +39,16 @@ solve has the optimum and the witness of the same walk bounded by
 
 Chosen positions ascend, so a copy of a pattern that an include attempt at
 position ``pos`` completes has ``pos`` as its last member on every branch.
-The copies ending at ``pos`` are listed once, as bitsets of their other
-positions, by find_embedding's all-copies mode over one containment.Relations
-record of all 2^n candidates, and an attempt is free exactly when no listed
-copy lies inside ``live``. A walk over a suffix reads only the copies inside
-it: a copy moves from its list to the walks' list of its end position once q
-reaches its lowest position, so each copy is stored once. An attempt reads
-a walks' list from its end, lowest positions first: the walk keeps its
-earliest positions in ``live`` longest, so those copies block most often.
+The copies ending at ``pos`` are listed once, in position order, by the
+first path's attempt there, with find_embedding's all-copies mode over one
+containment.Relations record of all 2^n candidates, and an attempt is free
+exactly when no listed copy lies inside ``live``. A walk over a suffix reads
+only the copies inside it: each copy is filed under its lowest position and
+moves, as the bitset of its other positions, to the walks' list of its end
+position once q reaches that lowest position, so each copy is stored once.
+An attempt reads a walks' list from its end, lowest positions first: the
+walk keeps its earliest positions in ``live`` longest, so those copies block
+most often.
 The rows take 2^n bits per candidate, so n >= 16 is refused before any
 candidate is listed, whatever ``max_n`` allows (containment.MAX_MEMBERS).
 
@@ -58,7 +60,6 @@ results are fully deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Sequence
 
 from .containment import (
@@ -114,21 +115,23 @@ def la_exact(n: int, posets: Sequence[Poset], induced: bool = False,
     ``budget`` caps the include attempts of all three phases together (a
     negative one is a ValueError); when it runs out the best family of phase 3
     so far, at least the first path's, is returned with ``exhausted=False``.
-    With ``break_symmetry`` the first included set of phases 1 and 3 is
-    restricted to the minimal mask of its (centrality, size) class, which is
-    sound under relabeling of the ground elements; phase 2 ignores it, so the
-    suffix optima stay upper bounds.
+    With ``break_symmetry`` the first included set of phase 3 is restricted
+    to the minimal mask of its (centrality, size) class, which is sound under
+    relabeling of the ground elements. Phase 1 needs no restriction: its first
+    set, candidates[0], is such a mask, and it is always included (a pattern
+    it would complete has one element, and Erdős's bound of 0 ends the solve
+    first). Phase 2 ignores it, so the suffix optima stay upper bounds.
 
     Phase 1 ends the solve, proven, once its family reaches Erdős's bound
     (module docstring), before the budget is checked again, with the optimum,
     witness and ``exhausted`` of the full walk; for an induced solve with no
     chain pattern the bound is 2^n.
 
-    A position's copy list is built on its first attempt in phase 1, or before
-    phase 2 for a position phase 1 skipped, under the containment node budget
-    (BUDGET ends the solve unexhausted), and holds every copy ending there,
-    however few attempts ``budget`` allows: in a solve the bound does not
-    close, at n = 8, it is most of the work.
+    Each position's copy list is built once, in position order, by the first
+    path, under the containment node budget (BUDGET ends the solve
+    unexhausted), and holds every copy ending there, however few attempts
+    ``budget`` allows: in a solve the bound does not close, at n = 8, it is
+    most of the work.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -151,17 +154,8 @@ def la_exact(n: int, posets: Sequence[Poset], induced: bool = False,
               default=n + 1)  # sets per chain: a chain of |P| sets holds a copy
     chain_bound = sigma(n, cap) if cap <= n else size  # Erdős's bound
 
-    @cache
-    def ends_at(pos: int) -> list[int] | None:
-        """The other positions of each copy ``pos`` ends; None if a search ran out."""
-        found: dict[int, tuple[int, ...]] = {}
-        for poset in posets:
-            if find_embedding(rels, (2 << pos) - 1, poset, induced, require_member=pos,
-                              copies=found).status is SearchStatus.BUDGET:
-                return None
-        return [c ^ 1 << pos for c in found]
-
     suffix_optima = [0] * (size + 1)  # [q]: largest free family in candidates[q:]
+    by_lowest: list[list[int]] = [[] for _ in range(size)]  # [q]: copies whose lowest is q
     inside: list[list[int]] = [[] for _ in range(size)]  # copies in the suffix walked
     best = nodes = 0
 
@@ -199,31 +193,27 @@ def la_exact(n: int, posets: Sequence[Poset], induced: bool = False,
     def search() -> bool:
         """The three phases; False when the budget or a listing ran out."""
         nonlocal best, nodes
-        for pos, mask in enumerate(candidates):  # 1: the walk's first path
+        for pos in range(size):  # 1: the walk's first path
             if best.bit_count() >= chain_bound:
                 return True  # Erdős: the first path is optimal
-            if break_symmetry and not best and mask != (1 << mask.bit_count()) - 1:
-                continue
             if budget is not None and nodes >= budget:
                 return False
-            nodes += 1  # an attempt whose list runs out of budget still counts
-            if (ends := ends_at(pos)) is None:
-                return False
-            if all(map((~best).__and__, ends)):
+            nodes += 1  # an attempt whose listing runs out of budget still counts
+            copies: dict[int, tuple[int, ...]] = {}  # bitsets of the copies pos ends
+            for poset in posets:
+                if find_embedding(rels, (2 << pos) - 1, poset, induced, require_member=pos,
+                                  copies=copies).status is SearchStatus.BUDGET:
+                    return False
+            if all(map((~best ^ 1 << pos).__and__, copies)):  # no copy's rest in best
                 best |= 1 << pos
+            for copy in reversed(copies):  # a walk reads its lists from the end
+                by_lowest[(copy & -copy).bit_length() - 1].append(copy)
         if best.bit_count() >= chain_bound:
             return True  # Erdős: the first path is optimal
-        lists = [ends_at(pos) for pos in range(size)]
-        if None in lists:
-            return False
-        for pos, ends in enumerate(lists):  # by lowest position, the highest last
-            ends.sort(key=lambda c, end=1 << pos: c & -c or end)
         for q in range(size - 1, -1, -1):
-            low = 1 << q
-            for pos in range(q, size):  # move over the copies whose lowest position is q
-                ends = lists[pos]
-                while ends and (ends[-1] & -ends[-1] or 1 << pos) == low:
-                    inside[pos].append(ends.pop())
+            for copy in by_lowest.pop():  # the copies whose lowest position is q
+                end = copy.bit_length() - 1
+                inside[end].append(copy ^ 1 << end)
             suffix_optima[q] = suffix_optima[q + 1] + 1  # an upper bound until walked
             if q + suffix_optima[q] <= best.bit_count():
                 return True  # no family beats the first path's

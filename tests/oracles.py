@@ -762,7 +762,8 @@ def walk_partition(family, mode: str, r: int = 1, t: int = 1):
 
 # Code that only the tests use: probes that reach the library's closed forms
 # (free level counts, construction freeness, the size-height bound) by a
-# second route, the longest chain size, and the poset file writer.
+# second route, the longest chain size, the poset file writer, and the
+# order-reversing duality (dual patterns, complemented families).
 
 
 def empirical_free_levels(poset: Poset, induced: bool, n: int, k_max: int,
@@ -810,6 +811,17 @@ def k1s1_pair_coeff(s: int) -> Fraction:
     if s < 2:
         raise ValueError(f"need s >= 2, got {s}")
     return density_bounds(1, s, 1)[1]
+
+
+def dual(poset: Poset) -> Poset:
+    """Reverse the order."""
+    return Poset(poset.size, poset.above)
+
+
+def complement_family(family: SetFamily) -> SetFamily:
+    """Complement every member; an involution on families."""
+    full = (1 << family.n) - 1
+    return SetFamily.of(family.n, (full ^ m for m in family.members))
 
 
 def serialize_poset(poset: Poset) -> str:

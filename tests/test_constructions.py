@@ -2,6 +2,7 @@
 
 import pytest
 from fractions import Fraction
+from math import comb
 
 from subposet.constructions import (
     construct_rst,
@@ -10,7 +11,7 @@ from subposet.constructions import (
 )
 from subposet.containment import contains_subposet
 from subposet.formulas import middle_height, positive_part, wide_ends
-from subposet.lattice import binomial, consecutive_levels, largest_mod_classes, sigma
+from subposet.lattice import consecutive_levels, largest_mod_classes, sigma
 from subposet.posets import complete_multilevel
 
 from oracles import verify_mod_spread
@@ -24,8 +25,8 @@ def test_construct_rt_shape():
     fam = construct_rt(8, 2, 2)
     assert levels_used(fam) == [2, 3, 4, 5]
     by_level = {lvl: sum(1 for m in fam.members if m.bit_count() == lvl) for lvl in levels_used(fam)}
-    assert by_level[3] == binomial(8, 3)
-    assert by_level[4] == binomial(8, 4)
+    assert by_level[3] == comb(8, 3)
+    assert by_level[4] == comb(8, 4)
     assert by_level[2] == largest_mod_classes(8, 2, 1).size
     assert by_level[5] == largest_mod_classes(8, 5, 1).size
     assert fam.size == sum(by_level.values())
@@ -58,7 +59,7 @@ def test_construct_rst_wide_case():
     assert levels_used(fam) == [3, 4, 5, 6, 7]
     mids = [4, 5, 6]
     for lvl in mids:
-        assert sum(1 for m in fam.members if m.bit_count() == lvl) == binomial(10, lvl)
+        assert sum(1 for m in fam.members if m.bit_count() == lvl) == comb(10, lvl)
     res = contains_subposet(fam, complete_multilevel([3, 2, 3]), induced=False)
     assert res.free
     with pytest.raises(ValueError):
@@ -72,11 +73,11 @@ def test_construct_rst_size_floor():
         band = middle_height(s, ends) + ends
         k = -(-(n - band) // 2) - 1
         top = k + band + 1
-        middle = sum(binomial(n, k + i) for i in range(1, band + 1))
+        middle = sum(comb(n, k + i) for i in range(1, band + 1))
         floor = (
             Fraction(middle)
-            + Fraction(positive_part(r - 2), n) * binomial(n, k)
-            + Fraction(positive_part(t - 2), n) * binomial(n, top)
+            + Fraction(positive_part(r - 2), n) * comb(n, k)
+            + Fraction(positive_part(t - 2), n) * comb(n, top)
         )
         assert Fraction(fam.size) >= floor
 
@@ -111,7 +112,7 @@ def test_verify_mod_spread():
     assert rep.passed and rep.exhaustive and rep.counterexample is None
     rep = verify_mod_spread(8, 4, 2)
     assert rep.passed and rep.exhaustive
-    assert rep.tuples_checked == binomial(rep.family_size, 3)
+    assert rep.tuples_checked == comb(rep.family_size, 3)
 
 
 def test_verify_mod_spread_sampled():

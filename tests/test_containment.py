@@ -16,8 +16,8 @@ from subposet.containment import (
     s_plus,
 )
 from subposet.constructions import construct_rst, construct_rst_induced, construct_rt
-from subposet.lattice import SetFamily, complement_family, consecutive_levels, level
-from subposet.posets import _bits, chain_poset, complete_multilevel, dual, named_poset, size_gaps
+from subposet.lattice import SetFamily, consecutive_levels, level
+from subposet.posets import _bits, chain_poset, complete_multilevel, named_poset, size_gaps
 
 from oracles import (
     Relation,
@@ -28,6 +28,8 @@ from oracles import (
     brute_s_plus,
     compare,
     compare_with_reference,
+    complement_family,
+    dual,
     empirical_free_levels,
     interval_has_antichain,
     is_copy,

@@ -1,16 +1,15 @@
-"""Lattice primitives: binomials, levels, residue classes, family I/O."""
+"""Lattice primitives: sigma, levels, residue classes, family I/O."""
 
 import pytest
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from random import Random
 
 from subposet import lattice
 from subposet.lattice import (
     FamilyParseError,
     SetFamily,
-    binomial,
-    complement_family,
     consecutive_levels,
     largest_mod_classes,
     level,
@@ -21,24 +20,8 @@ from subposet.lattice import (
     sigma,
 )
 
-from oracles import (check_members_reference, parse_family_reference, parse_outcome, pascal,
-                     random_family_masks)
-
-
-def test_binomial_basics():
-    assert binomial(0, 0) == 1
-    assert binomial(4, 2) == 6
-    assert binomial(10, 5) == 252
-    assert binomial(5, -1) == 0
-    assert binomial(5, 6) == 0
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-
-
-def test_binomial_matches_pascal():
-    for n in range(0, 16):
-        for k in range(-1, n + 2):
-            assert binomial(n, k) == pascal(n, k)
+from oracles import (check_members_reference, complement_family, parse_family_reference,
+                     parse_outcome, random_family_masks)
 
 
 def test_sigma_values():
@@ -53,7 +36,7 @@ def test_sigma_values():
 
 def test_sigma_is_sum_of_largest_level_sizes():
     for n in range(0, 31):
-        sizes = sorted((binomial(n, j) for j in range(n + 1)), reverse=True)
+        sizes = sorted((comb(n, j) for j in range(n + 1)), reverse=True)
         for k in range(0, n + 1):
             assert sigma(n, k) == sum(sizes[:k])
 
@@ -84,7 +67,7 @@ def test_modular_classes_partition():
     for n in range(1, 11):
         for k in range(n + 1):
             classes = modular_classes(n, k)
-            assert sum(c.size for c in classes) == binomial(n, k)
+            assert sum(c.size for c in classes) == comb(n, k)
             union = set()
             for c in classes:
                 assert union.isdisjoint(c.member_set)
@@ -101,7 +84,7 @@ def test_largest_mod_classes():
         for k in range(n + 1):
             for r in range(n + 1):
                 got = largest_mod_classes(n, k, r)
-                assert Fraction(got.size) >= Fraction(r, n) * binomial(n, k)
+                assert Fraction(got.size) >= Fraction(r, n) * comb(n, k)
 
 
 def test_largest_mod_classes_tie_break():

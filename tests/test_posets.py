@@ -8,14 +8,17 @@ from subposet.posets import (
     PosetParseError,
     chain_poset,
     complete_multilevel,
-    dual,
     named_poset,
     parse_poset,
     parse_signature,
     signature_str,
 )
 
-from oracles import closure_relation_count, longest_chain_size, serialize_poset
+from oracles import closure_relation_count, dual, longest_chain_size, serialize_poset
+
+
+def relation_count(poset):
+    return sum(b.bit_count() for b in poset.below)
 
 
 def relation_pairs(poset):
@@ -36,14 +39,14 @@ def assert_valid_strict_order(poset):
 
 def test_complete_multilevel_shapes():
     p2 = complete_multilevel([1, 1])
-    assert p2.size == 2 and p2.relation_count == 1
+    assert p2.size == 2 and relation_count(p2) == 1
     butterfly = complete_multilevel([2, 2])
-    assert butterfly.size == 4 and butterfly.relation_count == 4
+    assert butterfly.size == 4 and relation_count(butterfly) == 4
     diamond = complete_multilevel([1, 2, 1])
-    assert diamond.size == 4 and diamond.relation_count == 5
+    assert diamond.size == 4 and relation_count(diamond) == 5
     # independent transitive-closure count: covers of the diamond
     covers = [(0, 1), (0, 2), (1, 3), (2, 3)]
-    assert closure_relation_count(covers, 4) == diamond.relation_count
+    assert closure_relation_count(covers, 4) == relation_count(diamond)
     with pytest.raises(ValueError):
         complete_multilevel([])
     with pytest.raises(ValueError):
@@ -52,8 +55,8 @@ def test_complete_multilevel_shapes():
 
 def test_chain_poset():
     assert chain_poset(1).size == 1
-    assert chain_poset(2).relation_count == 1
-    assert chain_poset(4).relation_count == 6
+    assert relation_count(chain_poset(2)) == 1
+    assert relation_count(chain_poset(4)) == 6
     assert longest_chain_size(chain_poset(4)) == 4
     with pytest.raises(ValueError):
         chain_poset(0)
@@ -82,7 +85,7 @@ def test_parse_poset():
     p = parse_poset("elements=2\n1<2")
     assert p == chain_poset(2)
     single = parse_poset("elements=1")
-    assert single.size == 1 and single.relation_count == 0
+    assert single.size == 1 and relation_count(single) == 0
     closed = parse_poset("elements=3\n1<2\n2<3")
     assert closed.less(0, 2)
     assert_valid_strict_order(closed)

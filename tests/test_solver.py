@@ -11,6 +11,7 @@ from subposet.lattice import SetFamily, level, sigma
 from subposet.posets import Poset, chain_poset, complete_multilevel, named_poset
 from subposet.solver import FreenessError, certified_lower_bound, la_exact
 
+from test_solve_pool import solve_pool
 from oracles import (brute_la, brute_suffix_la, doll_walk_la, pascal, symmetric_chains,
                      walk_la)
 
@@ -191,6 +192,25 @@ def test_break_symmetry_same_optimum():
         broken = la_exact(4, posets, break_symmetry=True)
         assert plain.optimum == broken.optimum
         assert broken.nodes_explored <= plain.nodes_explored
+
+
+POOL_PATTERN_SETS = sorted({(tuple(widths for _, widths in job["patterns"]), job["induced"])
+                            for job in solve_pool().values()})
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("widths, induced", POOL_PATTERN_SETS)
+def test_first_path_ignores_break_symmetry(widths, induced, n):
+    # the first candidate is the minimal mask of its class and is always
+    # included (only a one-element pattern blocks it, and Erdős's bound of 0
+    # ends that solve first), so the first path has nothing to restrict; a
+    # budget of 2^n attempts stops the solve where that path ends, and the
+    # oracle, which still restricts it, walks the same
+    posets = [complete_multilevel(w) for w in widths]
+    runs = [la_exact(n, posets, induced, budget=1 << n, break_symmetry=broken)
+            for broken in (False, True)]
+    got = {(res.witness.members, res.nodes_explored) for res in runs}
+    assert got == {doll_walk_la(n, posets, induced, 1 << n, True)[1:3]}
 
 
 def test_solver_guards():

@@ -1,6 +1,7 @@
-"""The solver lists the copies ending at each position once per solve, so a
-traced solve records at most one containment search per position and
-pattern, whatever the number of include attempts."""
+"""The solver lists the copies ending at each position once per solve, on
+the first path, so a traced solve records at most one containment search per
+position and pattern, in position order, whatever the number of include
+attempts."""
 
 import json
 
@@ -27,7 +28,7 @@ def test_traced_solve_searches_each_position_once(capsys, monkeypatch):
     assert untraced == traced
     assert json.loads(untraced)["payload"]["nodes"] == "911"
 
-    # the searches pin distinct positions
+    # the searches pin positions 0, 1, 2, ... in order, each once
     pinned = []
     search = solver.find_embedding
 
@@ -37,4 +38,4 @@ def test_traced_solve_searches_each_position_once(capsys, monkeypatch):
 
     monkeypatch.setattr(solver, "find_embedding", recording)
     assert solver.la_exact(4, [named_poset("butterfly")]).nodes_explored == 911
-    assert len(pinned) == len(set(pinned)) == len(embeds)
+    assert pinned == list(range(len(embeds))) == list(range(16))
