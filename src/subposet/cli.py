@@ -4,9 +4,9 @@ Each invocation prints a single JSON object
 ``{"command": ..., "parameters": ..., "payload": ...}`` on stdout (keys
 sorted, so identical inputs give byte-identical output) and uses the exit
 codes: 0 success, 1 a containment was found while checking freeness, 2 usage
-or precondition error, 3 budget exhausted, 4 internal error. Rationals are
-rendered as "p/q" strings and big counts as decimal strings; floats never
-appear.
+or precondition error, 3 budget exhausted, 4 internal error or a stdout that
+cannot take the output (``console_main``, no traceback). Rationals are "p/q" strings and big
+counts decimal strings; floats never appear.
 
 A call builds the parser of its own command only: ``build_parser(argv[0])``
 registers that one subparser, and all of them only for top-level help, an
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import chains, constructions, containment, formulas, lattice, posets, solver
@@ -272,12 +273,18 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal error: {message}", file=sys.stderr)
         payload, code = {"error": message}, EXIT_INTERNAL
     result = {"command": args.command, "parameters": _parameters(args), "payload": payload}
-    print(json.dumps(result, sort_keys=True))
+    print(json.dumps(result, sort_keys=True), flush=True)
     return code
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()  # main flushes its output, so a closed pipe fails here, not at exit
+    except OSError:  # stdout cannot take the output: a closed pipe, a full disk
+        # Python's signal docs: stdout to devnull, or the flush at exit fails again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_INTERNAL
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -6,16 +6,14 @@ list. Its ``has[e]`` is the bitset of the members containing element e, so
 and ``below(S)`` (members inside S) the complement of the OR over e not in
 S, one lookup per chunk of 8 elements in tables built on first use. The rows
 are ``sup[i]`` and ``sub[i]``, ``above``/``below`` of member i without i,
-and ``inc[i]``, the rest; a domain narrows by one AND with a row. Every
-entry starts as None and is built from ``has`` when first read: the search
-builds a member's rows when it tries the member or a count-filter cut reads
-it, the antichain matcher the ``sup`` rows of the roots it takes
-(``_matching``). A search decided in a few nodes so pays for a few rows,
-not for all m. A search or matcher may still read every row, 3 * m^2 bits
-(380 MB for the 35,750 sets of levels 7-9 of B_16), so lists over
-MAX_MEMBERS masks are refused first. Plain searches never build ``inc``;
-s_minus and s_plus match on ``below``/``above`` of a set, reading ``sup``
-alone.
+and ``inc[i]``, the rest; a domain narrows by one AND with a row. Each kind
+maps member index to row and builds an entry from ``has`` (``inc``'s from
+``sup`` and ``sub``) the first time it is read, so a search decided in a few
+nodes pays for a few rows, not for all m. A search or matcher may still read
+every row, 3 * m^2 bits (380 MB for the 35,750 sets of levels 7-9 of B_16),
+so lists over MAX_MEMBERS masks are refused first. Plain searches never read
+``inc``, and s_minus and s_plus, matching on ``below``/``above`` of a set,
+read ``sup`` alone (``_matching``).
 
 Five refinements keep exhaustive verdicts affordable without giving up
 completeness:
@@ -132,7 +130,6 @@ class _Plan:
     order: tuple[int, ...]
     twin_prev: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
-    induced: bool
     steps: tuple[tuple[tuple[int, int], ...], ...]
     counts: tuple[tuple[tuple[int, int], ...], ...]
     cuts: tuple[tuple[tuple[int, int, int], ...], ...]
@@ -176,23 +173,33 @@ def _plan_for(poset: Poset, induced: bool, first: int | None = None) -> _Plan:
         row = gaps[ce]
         rise.append(tuple((e2, g) for e2 in up if (g := row[class_of[e2]]) > 1))
         fall.append(tuple((e2, g) for e2 in down if (g := gaps[class_of[e2]][ce]) > 1))
-    return _Plan(tuple(order), tuple(twin_prev[e] for e in range(p)), classes, induced,
+    return _Plan(tuple(order), tuple(twin_prev[e] for e in range(p)), classes,
                  tuple(steps), tuple(counts), tuple(cuts), tuple(rise), tuple(fall), reach)
+
+
+class _Rows(dict):
+    """Member index to one kind of row, ``build(i)`` stored on first read."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, i: int) -> int:
+        return self.setdefault(i, self.build(i))
 
 
 @dataclass(frozen=True, eq=False)
 class Relations:
     """Member data of distinct masks (module docstring): ``full`` holds all
-    members and ``levels[k]`` the k-sets. Each row list starts as None per
-    member; ``fill`` builds a member's rows when a reader first needs them."""
+    members, ``levels[k]`` the k-sets, and the row maps start empty. Two
+    threads reading one missing row may both build it, to the same value."""
 
     masks: tuple[int, ...]
     full: int = field(init=False)
     has: tuple[int, ...] = field(init=False)
     levels: tuple[int, ...] = field(init=False)
-    sup: list[int | None] = field(init=False)
-    sub: list[int | None] = field(init=False)
-    inc: list[int | None] = field(init=False)
+    sup: dict[int, int] = field(init=False)
+    sub: dict[int, int] = field(init=False)
+    inc: dict[int, int] = field(init=False)
 
     def __post_init__(self):
         m = len(self.masks)
@@ -208,10 +215,12 @@ class Relations:
             end = start + len(list(run))
             levels[k] |= (1 << end) - (1 << start)
             start = end
-        vars(self).update(  # written once, here; fill writes the row entries
+        vars(self).update(  # written once, here; the rows fill in as they are read
             masks=masks, full=(1 << m) - 1, levels=tuple(levels),
             has=tuple(int(text[n - 1 - e::n], 2) for e in range(n)),
-            sup=[None] * m, sub=[None] * m, inc=[None] * m)
+            sup=_Rows(lambda i: self.above(masks[i]) ^ 1 << i),
+            sub=_Rows(lambda i: self.below(masks[i]) ^ 1 << i),
+            inc=_Rows(lambda i: self.full ^ self.sup[i] ^ self.sub[i] ^ 1 << i))
 
     @cached_property
     def _chunks(self) -> list[tuple[list[int], list[int]]]:
@@ -242,16 +251,6 @@ class Relations:
             out |= ors[~mask >> 8 * k & len(ors) - 1]
         return self.full ^ out
 
-    def fill(self, i: int, kinds: int) -> None:
-        """Build member i's first ``kinds`` rows of sup, sub and inc."""
-        x, bit = self.masks[i], 1 << i
-        if self.sup[i] is None:
-            self.sup[i] = self.above(x) ^ bit
-        if kinds > 1 and self.sub[i] is None:
-            self.sub[i] = self.below(x) ^ bit
-        if kinds > 2:
-            self.inc[i] = self.full ^ self.sup[i] ^ self.sub[i] ^ bit
-
 
 def _initial_domains(levels: Sequence[int], poset: Poset) -> list[int]:
     """Static cardinality windows: an element with chain height h below and
@@ -280,9 +279,7 @@ def _search(rels: Relations, plan: _Plan, domains: list[int], budget: int,
     the search goes on."""
     if not all(domains):
         return SearchStatus.FREE, None, 0
-    kinds = 3 if plan.induced else 2
-    rows = (rels.sup, rels.sub, rels.inc)[:kinds]
-    last, fill = rows[-1], rels.fill  # last[i] is set once all of member i's rows are
+    rows = rels.sup, rels.sub, rels.inc
     order, twin_prev = plan.order, plan.twin_prev
     steps, counts, cuts, rise, fall = plan.steps, plan.counts, plan.cuts, plan.rise, plan.fall
     masks = rels.masks
@@ -320,8 +317,6 @@ def _search(rels: Relations, plan: _Plan, domains: list[int], budget: int,
                 return SearchStatus.FOUND, tuple(img), nodes
             copies.setdefault(used | bit, tuple(img))
             continue
-        if last[i] is None:
-            fill(i, kinds)
         nxt = list(cand)
         for e2, k in steps[depth]:
             nxt[e2] &= rows[k][i]
@@ -351,8 +346,6 @@ def _search(rels: Relations, plan: _Plan, domains: list[int], budget: int,
                     flip = rows[k]
                     tally = [0] * need  # tally[t]: candidates seen at least t + 1 times
                     for j in _bits(s):
-                        if last[j] is None:
-                            fill(j, kinds)
                         x = flip[j] & c
                         for t in range(need - 1, 0, -1):
                             tally[t] |= tally[t - 1] & x
@@ -438,11 +431,12 @@ def _matching(rels: Relations, live: int) -> tuple[dict[int, int], int]:
 
     The graph has an edge (u, v) whenever member u is a proper subset of
     member v, both live: bit v of ``sup[u] & live``. Roots go in index
-    order, and row ``sup[u]`` is built when u becomes a root, as paths from
-    a root meet earlier roots only; no other row is built. Each level is an
-    antichain, so once |live| - matching is the widest live level the
-    matching is maximum and no further root is taken. By Sperner every band
-    of full levels ends so, and a single level builds no row.
+    order, and a path from a root meets earlier roots only, so the search
+    reads, and so builds, the ``sup`` rows of the roots taken and no other
+    row. Each level is an antichain, so once |live| - matching is the widest
+    live level the matching is maximum and no further root is taken. By
+    Sperner every band of full levels ends so, and a single level builds no
+    row.
 
     Augmenting paths come from an iterative depth-first search that keeps the
     path explicitly and steps to a free right vertex first when the node has
@@ -450,7 +444,7 @@ def _matching(rels: Relations, live: int) -> tuple[dict[int, int], int]:
     augmentation: until the matching changes, no augmenting path can pass
     through them.
     """
-    sup, fill = rels.sup, rels.fill
+    sup = rels.sup
     widest = max((level & live).bit_count() for level in rels.levels)
     size = live.bit_count()
     match_right: dict[int, int] = {}
@@ -459,8 +453,6 @@ def _matching(rels: Relations, live: int) -> tuple[dict[int, int], int]:
     for root in _bits(live):
         if size == widest:
             break
-        if sup[root] is None:
-            fill(root, 1)
         u = root
         path: list[int] = []
         while True:

@@ -139,12 +139,11 @@ def eager_rows(rels) -> tuple[list[int], list[int], list[int]]:
     return sup, sub, inc
 
 
-def read_rows(rels, kinds: int = 3) -> tuple[list, list, list]:
-    """Fill the first ``kinds`` rows (sup, sub, inc) of every member of
-    ``rels`` and return its three row lists."""
-    for i in range(len(rels.masks)):
-        rels.fill(i, kinds)
-    return rels.sup, rels.sub, rels.inc
+def read_rows(rels, kinds: int = 3) -> tuple[list[int], ...]:
+    """Read every member's entry of the first ``kinds`` row kinds (sup, sub,
+    inc) of ``rels``, by index, and return one list per kind."""
+    members = range(len(rels.masks))
+    return tuple([rows[i] for i in members] for rows in (rels.sup, rels.sub, rels.inc)[:kinds])
 
 
 def brute_max_antichain(masks) -> int:
@@ -481,16 +480,15 @@ def chain_bound(n: int, posets, induced: bool) -> int:
     return sum(min(len(chain), cap) for chain in symmetric_chains(n))
 
 
-def search_reference(rels, plan, domains, budget, copies=None, *, poset):
+def search_reference(rels, plan, domains, budget, copies=None, *, poset, induced):
     """containment._search without its per-depth schedule and its count
     filter: the class of each element, the rows each placement narrows and
     each class's first unplaced element are worked out at every node from the
-    poset, and every candidate is tried. Same arguments (plus the pattern) and
-    the same (status, embedding, nodes) result."""
+    poset, and every candidate is tried. Same arguments (plus the pattern and
+    the mode) and the same (status, embedding, nodes) result."""
     if not all(domains):
         return SearchStatus.FREE, None, 0
-    induced = plan.induced
-    sup, sub, inc = read_rows(rels, 3 if induced else 2)
+    sup, sub, inc = rels.sup, rels.sub, rels.inc
     p = poset.size
     below = poset.below
     above = poset.above
@@ -566,10 +564,11 @@ def search_reference(rels, plan, domains, budget, copies=None, *, poset):
 
 
 @contextmanager
-def reference_search(poset):
-    """Containment searches for ``poset`` run search_reference in place of
-    containment._search inside the block."""
-    with mock.patch.object(containment, "_search", partial(search_reference, poset=poset)):
+def reference_search(poset, induced):
+    """Containment searches for ``poset`` (induced or not) run
+    search_reference in place of containment._search inside the block."""
+    with mock.patch.object(containment, "_search",
+                           partial(search_reference, poset=poset, induced=induced)):
         yield
 
 
@@ -581,7 +580,7 @@ def compare_with_reference(rels, live, poset, induced, budget, require_member=No
     results, the library's first."""
     got, want = ({} if listing else None), ({} if listing else None)
     res = find_embedding(rels, live, poset, induced, budget, require_member, got)
-    with reference_search(poset):
+    with reference_search(poset, induced):
         ref = find_embedding(rels, live, poset, induced, budget, require_member, want)
     assert res.nodes <= ref.nodes
     if ref.status is SearchStatus.BUDGET:

@@ -2,8 +2,11 @@
 
 import argparse
 import json
+import os
+import subprocess
 import sys
 from math import factorial
+from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -373,3 +376,34 @@ def test_main_reads_sys_argv(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["subposet", "sigma", "8", "2"])
     assert cli.main() == cli.EXIT_OK
     assert json.loads(capsys.readouterr().out)["payload"] == {"value": "126"}
+
+
+def run_sigma(stdout, prefix=()) -> tuple[int, bytes]:
+    """``subposet sigma 8 2`` in a fresh process writing to ``stdout``, run
+    through ``prefix``; its exit code and stderr."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([*prefix, sys.executable, "-m", "subposet.cli", "sigma", "8", "2"],
+                          stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60)
+    return proc.returncode, proc.stderr
+
+
+def test_closed_stdout_exits_internal_without_traceback():
+    # the reader of the pipe is gone before the command writes: exit 4, not
+    # 1 ("containment found"), and no traceback
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        code, err = run_sigma(write)
+    finally:
+        os.close(write)
+    assert code == cli.EXIT_INTERNAL
+    assert b"Traceback" not in err
+
+
+def test_unwritable_or_missing_stdout_gives_no_traceback():
+    # a full device fails the write as a closed pipe does; with no stdout at
+    # all the print is dropped and the call succeeds
+    if os.path.exists("/dev/full"):
+        with open("/dev/full", "wb") as full:
+            assert run_sigma(full) == (cli.EXIT_INTERNAL, b"")
+    assert run_sigma(None, ("sh", "-c", 'exec "$@" >&-', "sh")) == (cli.EXIT_OK, b"")

@@ -1,5 +1,8 @@
 """Containment search and antichain machinery."""
 
+import sys
+import threading
+
 import pytest
 from math import comb
 from random import Random
@@ -97,9 +100,9 @@ def test_member_relations_match_pair_loop():
         assert rows(masks) == pair_relations(masks)
 
 
-def built(row_list) -> list[int]:
-    """The members whose entry in one row list has been filled."""
-    return [i for i, row in enumerate(row_list) if row is not None]
+def built(rows) -> list[int]:
+    """The members whose entry of one row kind has been built, in index order."""
+    return sorted(rows)
 
 
 def test_relations_build_each_row_kind_when_first_read():
@@ -118,6 +121,35 @@ def test_relations_build_each_row_kind_when_first_read():
         rels = Relations(masks)
         find_embedding(rels, rels.full, complete_multilevel([1, 2, 1]))
         assert not built(rels.inc)
+
+
+def test_rows_read_by_many_threads_match_pair_loop():
+    # threads that read one record's rows in different orders may build a
+    # row twice; every read and every stored row still equals the pair loop
+    masks = SetFamily.of(7, random_family_masks(Random(517), 7, 90)).members
+    want = pair_relations(masks)
+    rels = Relations(masks)
+    bad = []
+
+    def reader(seed):
+        order = [(i, k) for i in range(len(masks)) for k in range(3)]
+        Random(seed).shuffle(order)
+        kinds = rels.sup, rels.sub, rels.inc
+        bad.extend((i, k) for i, k in order if kinds[k][i] != want[k][i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not bad
+    assert read_rows(rels) == want
 
 
 def test_member_relations_refuse_oversized_families():
@@ -211,7 +243,9 @@ def test_plain_searches_fill_no_inc_entry():
         find_embedding(rels, rels.full, poset)
         find_embedding(rels, rels.full, poset, require_member=trial % len(masks), copies={})
         assert not built(rels.inc)
-        assert built(rels.sup) == built(rels.sub)  # a search fills both of a member's rows
+        # each row a search built equals the pair loop
+        for rows, want in zip((rels.sup, rels.sub), pair_relations(masks)):
+            assert all(row == want[i] for i, row in rows.items())
 
 
 def widest_level(rels: Relations, live: int) -> int:
@@ -311,22 +345,21 @@ def test_matcher_stops_at_the_widest_level():
         assert not built(rels.sup) + built(rels.sub) + built(rels.inc)
 
 
-        assert not built(rels.sub) + built(rels.inc)
-
-
 def test_quick_find_fills_few_rows():
     # induced K[1,2,1] in levels 6-8 of B_14 (9,438 members) is found in 4
-    # nodes of the first band pin: its first two placements fill their own
-    # rows, one count-filter cut reads 8 members of level 7, and the last
-    # placement reads no row, so 10 of the 9,438 members get rows
+    # nodes of the first band pin: the bottom's placement reads its sup row,
+    # the top's its sub row, the first middle's its inc row (which builds its
+    # sup and sub rows), one count-filter cut reads the sup rows of 8 members
+    # of level 7 and the last placement reads no row: 12 rows on 10 of the
+    # 9,438 members
     fam = consecutive_levels(14, 5, 3)
     assert len(fam) == 9438
     rels = Relations(fam.members)
     res = find_embedding(rels, rels.full, complete_multilevel([1, 2, 1]), induced=True)
     assert res.found and res.nodes == 4
     assert is_copy([fam.members[i] for i in res.embedding], complete_multilevel([1, 2, 1]), True)
-    assert len(built(rels.inc)) <= 10
-    assert built(rels.sup) == built(rels.sub) == built(rels.inc)
+    assert len({*rels.sup, *rels.sub, *rels.inc}) <= 10
+    assert len(rels.sup) + len(rels.sub) + len(rels.inc) <= 12
 
 
 def check_copies(masks, poset, induced, member):
@@ -479,7 +512,7 @@ def test_reference_search_node_counts(build, args, widths, induced, nodes, refer
     # the same searches on the loop without the schedule and the count
     # filter, which tries every candidate: the counts before the filter
     poset = complete_multilevel(widths)
-    with reference_search(poset):
+    with reference_search(poset, induced):
         res = contains_subposet(build(*args), poset, induced)
     assert res.free
     assert res.nodes == reference_nodes
