@@ -18,6 +18,7 @@ pays for one subparser, not for the whole tree.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -265,13 +266,17 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         payload, code = COMMANDS[args.command][1](args)
+        note = ""
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        note = f"error: {exc}"
         payload, code = {"error": str(exc)}, EXIT_USAGE
     except Exception as exc:  # a crash must not exit 1, which means "containment found"
         message = f"{type(exc).__name__}: {exc}"
-        print(f"internal error: {message}", file=sys.stderr)
+        note = f"internal error: {message}"
         payload, code = {"error": message}, EXIT_INTERNAL
+    if note and sys.stderr:  # best effort: a closed or full stderr changes no exit code
+        with contextlib.suppress(OSError):
+            print(note, file=sys.stderr)
     result = {"command": args.command, "parameters": _parameters(args), "payload": payload}
     print(json.dumps(result, sort_keys=True), flush=True)
     return code

@@ -2,18 +2,20 @@
 
 The search and the antichain matcher read one Relations record per member
 list. Its ``has[e]`` is the bitset of the members containing element e, so
-``above(S)`` (members containing S) is the AND of ``has[e]`` over e in S
-and ``below(S)`` (members inside S) the complement of the OR over e not in
-S, one lookup per chunk of 8 elements in tables built on first use. The rows
-are ``sup[i]`` and ``sub[i]``, ``above``/``below`` of member i without i,
-and ``inc[i]``, the rest; a domain narrows by one AND with a row. Each kind
-maps member index to row and builds an entry from ``has`` (``inc``'s from
-``sup`` and ``sub``) the first time it is read, so a search decided in a few
-nodes pays for a few rows, not for all m. A search or matcher may still read
-every row, 3 * m^2 bits (380 MB for the 35,750 sets of levels 7-9 of B_16),
-so lists over MAX_MEMBERS masks are refused first. Plain searches never read
-``inc``, and s_minus and s_plus, matching on ``below``/``above`` of a set,
-read ``sup`` alone (``_matching``).
+``above(S)`` (members containing S) is the AND of ``has[e]`` over e in S and
+``below(S)`` (members inside S) the complement of the OR over e not in S,
+one lookup per chunk of 8 elements in tables built on first use, like
+``has`` itself: a check that empty domains decide, or a width that LYM
+settles (``_matching``), builds neither. The rows are ``sup[i]`` and
+``sub[i]``, ``above``/``below`` of member i without i, and ``inc[i]``, the
+rest; a domain narrows by one AND with a row. Each kind maps member index to
+row and builds an entry from ``has`` (``inc``'s from ``sup`` and ``sub``)
+the first time it is read, so a search decided in a few nodes pays for a few
+rows, not for all m. A search or matcher may still read every row, 3 * m^2
+bits (380 MB for the 35,750 sets of levels 7-9 of B_16), so lists over
+MAX_MEMBERS masks are refused first. Plain searches never read ``inc``, and
+s_minus and s_plus, matching on ``below``/``above`` of a set, read ``sup``
+alone (``_matching``).
 
 Five refinements keep exhaustive verdicts affordable without giving up
 completeness:
@@ -195,7 +197,6 @@ class Relations:
 
     masks: tuple[int, ...]
     full: int = field(init=False)
-    has: tuple[int, ...] = field(init=False)
     levels: tuple[int, ...] = field(init=False)
     sup: dict[int, int] = field(init=False)
     sub: dict[int, int] = field(init=False)
@@ -206,10 +207,7 @@ class Relations:
         if m > MAX_MEMBERS:
             raise ValueError(f"{m} members exceed the relation precompute cap of {MAX_MEMBERS}")
         masks = tuple(self.masks)
-        n = max(masks, default=0).bit_length()
-        # n binary digits per member, member 0 last: every n-th digit is one has[e]
-        text = "".join(map(format, reversed(masks), repeat(f"0{n}b")))
-        levels = [0] * (n + 1)
+        levels = [0] * (max(masks, default=0).bit_length() + 1)
         start = 0
         for k, run in groupby(masks, int.bit_count):  # one block per run of k-sets
             end = start + len(list(run))
@@ -217,10 +215,16 @@ class Relations:
             start = end
         vars(self).update(  # written once, here; the rows fill in as they are read
             masks=masks, full=(1 << m) - 1, levels=tuple(levels),
-            has=tuple(int(text[n - 1 - e::n], 2) for e in range(n)),
             sup=_Rows(lambda i: self.above(masks[i]) ^ 1 << i),
             sub=_Rows(lambda i: self.below(masks[i]) ^ 1 << i),
             inc=_Rows(lambda i: self.full ^ self.sup[i] ^ self.sub[i] ^ 1 << i))
+
+    @cached_property
+    def has(self) -> tuple[int, ...]:
+        n = len(self.levels) - 1
+        # n binary digits per member, member 0 last: every n-th digit is one has[e]
+        text = "".join(map(format, reversed(self.masks), repeat(f"0{n}b")))
+        return tuple(int(text[n - 1 - e::n], 2) for e in range(n))
 
     @cached_property
     def _chunks(self) -> list[tuple[list[int], list[int]]]:
@@ -425,18 +429,23 @@ class AntichainResult(NamedTuple):
     witness: tuple[int, ...]
 
 
-def _matching(rels: Relations, live: int) -> tuple[dict[int, int], int]:
+def _matching(rels: Relations, live: int, span: int) -> tuple[dict[int, int], int]:
     """Maximum matching (right vertex to left partner) of the members in
-    ``live``, and |live| - matching, the widest antichain (Dilworth).
+    ``live``, and |live| - matching, the widest antichain (Dilworth). The
+    live members lie in an interval spanned by d elements, those of ``span``
+    in [n'], n' the largest member's bit length: [∅, [n']] for max_antichain,
+    [∅, S] for s_minus(S) and [S, S ∪ [n']] for s_plus(S).
 
     The graph has an edge (u, v) whenever member u is a proper subset of
     member v, both live: bit v of ``sup[u] & live``. Roots go in index
     order, and a path from a root meets earlier roots only, so the search
     reads, and so builds, the ``sup`` rows of the roots taken and no other
     row. Each level is an antichain, so once |live| - matching is the widest
-    live level the matching is maximum and no further root is taken. By
-    Sperner every band of full levels ends so, and a single level builds no
-    row.
+    live level the matching is maximum and no further root is taken; by
+    Sperner every band of full levels ends so, a single level at once. No
+    antichain of the interval is wider than its central rank, C(d, d // 2)
+    sets (LYM, Lubell 1966), so a live level that wide settles the width
+    before any root and builds no row.
 
     Augmenting paths come from an iterative depth-first search that keeps the
     path explicitly and steps to a free right vertex first when the node has
@@ -446,7 +455,8 @@ def _matching(rels: Relations, live: int) -> tuple[dict[int, int], int]:
     """
     sup = rels.sup
     widest = max((level & live).bit_count() for level in rels.levels)
-    size = live.bit_count()
+    d = (span & (1 << len(rels.levels) - 1) - 1).bit_count()
+    size = widest if widest == comb(d, d // 2) else live.bit_count()
     match_right: dict[int, int] = {}
     free = live
     seen = 0
@@ -487,7 +497,7 @@ def max_antichain(family: SetFamily, rels: Relations | None = None) -> Antichain
     else the complement of a minimum vertex cover of the matching (König)."""
     if rels is None:
         rels = Relations(family.members)
-    match_right, size = _matching(rels, rels.full)
+    match_right, size = _matching(rels, rels.full, -1)
     for level in reversed(rels.levels):
         if level.bit_count() == size:
             return AntichainResult(size, tuple(_bits(level)))
@@ -517,10 +527,10 @@ def max_antichain(family: SetFamily, rels: Relations | None = None) -> Antichain
 
 def s_minus(rels: Relations, mask: int) -> int:
     """Maximum antichain size among members contained in ``mask``."""
-    return _matching(rels, rels.below(mask))[1]
+    return _matching(rels, rels.below(mask), mask)[1]
 
 
 def s_plus(rels: Relations, mask: int) -> int:
     """Maximum antichain size among members containing ``mask``."""
-    return _matching(rels, rels.above(mask))[1]
+    return _matching(rels, rels.above(mask), ~mask)[1]
 

@@ -407,3 +407,23 @@ def test_unwritable_or_missing_stdout_gives_no_traceback():
         with open("/dev/full", "wb") as full:
             assert run_sigma(full) == (cli.EXIT_INTERNAL, b"")
     assert run_sigma(None, ("sh", "-c", 'exec "$@" >&-', "sh")) == (cli.EXIT_OK, b"")
+
+
+@pytest.mark.parametrize("stderr", ["full", "closed"])
+def test_unwritable_stderr_keeps_the_usage_exit(stderr, tmp_path):
+    # the error line of a usage error is best effort: a full or closed stderr
+    # still exits 2 with the one JSON line on stdout, never 4
+    if stderr == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    argv = [sys.executable, "-m", "subposet.cli", "check", str(tmp_path / "nope.txt"),
+            "--poset", "P2"]
+    if stderr == "full":
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(argv, stdout=subprocess.PIPE, stderr=full, env=env, timeout=60)
+    else:
+        proc = subprocess.run(["sh", "-c", 'exec "$@" 2>&-', "sh", *argv],
+                              stdout=subprocess.PIPE, env=env, timeout=60)
+    assert proc.returncode == cli.EXIT_USAGE
+    line, = proc.stdout.decode().splitlines()
+    assert "nope.txt" in json.loads(line)["payload"]["error"]

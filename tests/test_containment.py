@@ -252,18 +252,34 @@ def widest_level(rels: Relations, live: int) -> int:
     return max((level & live).bit_count() for level in rels.levels)
 
 
-def assert_matcher_rows(rels: Relations, live: int, size: int) -> bool:
+def without_full_centre(masks) -> list[int]:
+    """``masks`` less their largest set at a full central rank of B_n', n' the
+    largest member's bit length, as long as one is full: the LYM certificate
+    cannot settle the width, so the matcher runs."""
+    masks = list(masks)
+    while masks:
+        n = max(masks).bit_length()
+        full = [k for k in {n // 2, (n + 1) // 2}
+                if sum(x.bit_count() == k for x in masks) == comb(n, k)]
+        if not full:
+            break
+        masks.remove(max(x for x in masks if x.bit_count() == full[0]))
+    return masks
+
+
+def assert_matcher_rows(rels: Relations, live: int, size: int) -> str:
     """The rows an antichain matcher of ``live`` built: the ``sup`` rows of a
     prefix of live in index order, all of live when ``size`` exceeds the
-    widest live level, and no ``sub`` or ``inc`` row. True when the matcher
-    stopped before its last root."""
+    widest live level, and no ``sub`` or ``inc`` row. "none" when it built no
+    row, "stopped" when it took roots and stopped before its last, "all" when
+    it took every root."""
     order = list(_bits(live))
     filled = built(rels.sup)
     assert filled == order[:len(filled)]
     if size > widest_level(rels, live):
         assert filled == order
     assert not built(rels.sub) + built(rels.inc)
-    return len(filled) < len(order)
+    return "none" if not filled else "stopped" if len(filled) < len(order) else "all"
 
 
 def test_antichains_fill_only_live_sup_entries(monkeypatch):
@@ -279,7 +295,7 @@ def test_antichains_fill_only_live_sup_entries(monkeypatch):
     stopped = []
     for _ in range(40):
         n = rng.randint(1, 6)
-        fam = SetFamily.of(n, random_family_masks(rng, n, 40))
+        fam = SetFamily.of(n, without_full_centre(random_family_masks(rng, n, 40)))
         size = max_antichain(fam).size
         assert size == kuhn_max_antichain(fam.members)
         rels = made.pop()
@@ -294,30 +310,42 @@ def test_antichains_fill_only_live_sup_entries(monkeypatch):
                 union |= live
         assert set(built(shared.sup)) <= set(_bits(union))
         assert not built(shared.sub) + built(shared.inc)
-    assert True in stopped and False in stopped  # both ends of the matcher are exercised
+    # augmenting paths run, and both ends of the matcher are exercised
+    assert {"stopped", "all"} <= set(stopped)
 
 
 def test_matcher_stops_at_the_widest_level():
     # sizes against the oracles on random families and the three
     # constructions, and against Sperner's widths on bands of full levels; a
-    # witness as wide as a level is the highest such level
+    # witness as wide as a level is the highest such level. The random
+    # families and a copy of each construction lack a full central rank, so
+    # the matcher takes roots; the bands off the centre stop at their widest
+    # level after taking roots, those holding it take none (LYM)
     rng = Random(1945)
-    families = [SetFamily.of(n, random_family_masks(rng, n, 12)) for n in range(1, 6)
-                for _ in range(12)]
-    families += [SetFamily.of(n, random_family_masks(rng, n, 60)) for n in range(6, 10)
-                 for _ in range(4)]
-    families += [construct_rt(8, 2, 2), construct_rt(9, 2, 3), construct_rst(8, 1, 2, 1),
-                 construct_rst(9, 1, 3, 1), construct_rst_induced(8, 1, 2, 1),
-                 construct_rst_induced(9, 1, 3, 1)]
+    families = [SetFamily.of(n, without_full_centre(random_family_masks(rng, n, 12)))
+                for n in range(1, 6) for _ in range(12)]
+    families += [SetFamily.of(n, without_full_centre(random_family_masks(rng, n, 60)))
+                 for n in range(6, 10) for _ in range(4)]
+    constructions = [construct_rt(8, 2, 2), construct_rt(9, 2, 3), construct_rst(8, 1, 2, 1),
+                     construct_rst(9, 1, 3, 1), construct_rst_induced(8, 1, 2, 1),
+                     construct_rst_induced(9, 1, 3, 1)]
+    families += constructions
+    families += [SetFamily.of(fam.n, without_full_centre(fam.members)) for fam in constructions]
     bands = [(n, j, k) for n in range(1, 10) for k in range(1, n + 2) for j in range(-1, n - k + 1)]
     stops = 0
     for fam in families + [consecutive_levels(*band) for band in bands]:
         rels = Relations(fam.members)
         size, witness = max_antichain(fam, rels)
-        if size == widest_level(rels, rels.full):
+        widest = widest_level(rels, rels.full)
+        n = len(rels.levels) - 1
+        certified = widest == comb(n, n // 2)
+        assert certified or len(fam) == widest or built(rels.sup)
+        if size == widest:
             stops += 1
             top = max(k for k, level in enumerate(rels.levels) if level.bit_count() == size)
             assert witness == tuple(_bits(rels.levels[top]))
+        if certified:
+            assert size == widest and not built(rels.sup)
     assert len(bands) < stops < len(families) + len(bands)
     for fam in families:
         rels = Relations(fam.members)
@@ -332,6 +360,12 @@ def test_matcher_stops_at_the_widest_level():
         rels = Relations(fam.members)
         sizes = range(j + 1, j + k + 1)
         assert max_antichain(fam, rels).size == max(comb(n, i) for i in sizes)
+        # a central level certifies the width and a single level needs no
+        # root; any other band takes roots and stops before its last
+        if {n // 2, (n + 1) // 2} & {*sizes} or k == 1:
+            assert not built(rels.sup)
+        else:
+            assert 0 < len(built(rels.sup)) < len(fam)
         for bound in range(1 << n) if n <= 4 else rng.sample(range(1 << n), 8):
             d = bound.bit_count()  # the band inside B(bound), and above it in B([n] - bound)
             assert s_minus(rels, bound) == max(comb(d, i) for i in sizes)
@@ -343,6 +377,87 @@ def test_matcher_stops_at_the_widest_level():
         assert max_antichain(level(n, k), rels) == (comb(n, k), tuple(range(comb(n, k))))
         assert s_minus(rels, (1 << n) - 1) == s_plus(rels, 0) == comb(n, k)
         assert not built(rels.sup) + built(rels.sub) + built(rels.inc)
+
+
+def planted_centre(rng: Random, n: int) -> list[int]:
+    """Every set of B_n at rank n // 2, first, and random sets of the ranks
+    that are not central."""
+    centre = [x for x in range(1 << n) if x.bit_count() == n // 2]
+    others = [x for x in range(1 << n) if x.bit_count() not in (n // 2, (n + 1) // 2)]
+    return centre + rng.sample(others, rng.randint(0, min(len(others), 12)))
+
+
+def test_lym_certificate_matches_the_oracles():
+    # a full central level settles the width before any root; less one
+    # central set, the matcher runs. Sizes against kuhn (and brute force on
+    # small families); the witness is the highest widest level either way
+    rng = Random(1966)
+    for n in range(2, 9):
+        for _ in range(6):
+            planted = planted_centre(rng, n)
+            for masks in (planted, planted[1:]):
+                fam = SetFamily.of(n, masks)
+                rels = Relations(fam.members)
+                size, witness = max_antichain(fam, rels)
+                assert size == kuhn_max_antichain(fam.members)
+                if len(fam) <= 14:
+                    assert size == brute_max_antichain(fam.members)
+                widest = widest_level(rels, rels.full)
+                if size == widest:
+                    top = max(k for k, level in enumerate(rels.levels) if level.bit_count() == size)
+                    assert witness == tuple(_bits(rels.levels[top]))
+                if masks is planted:
+                    assert size == comb(n, n // 2) and not built(rels.sup)
+                else:
+                    assert widest < comb(n, n // 2)
+                    assert built(rels.sup) or len(fam) == widest
+
+
+def test_lym_certificate_of_intervals():
+    # s_minus(S) over a family holding every subset of S at rank |S| // 2,
+    # s_plus(S) over one holding S | T for every T outside S at rank
+    # (n - |S|) // 2, plus random sets: the certificate settles each width
+    # with no row built, and the sizes agree with the oracles
+    rng = Random(1967)
+    for n in range(1, 9):
+        top = (1 << n) - 1  # a member, so every interval lies in [n]
+        for _ in range(8):
+            bound = rng.randrange(1 << n)
+            d = bound.bit_count()
+            extra = rng.sample(range(1 << n), rng.randint(0, min(1 << n, 10)))
+            cases = (
+                (s_minus, brute_s_minus, comb(d, d // 2), lambda x: x & bound == x,
+                 [x for x in range(1 << n) if x & bound == x and x.bit_count() == d // 2]),
+                (s_plus, brute_s_plus, comb(n - d, (n - d) // 2), lambda x: x & bound == bound,
+                 [bound | x for x in range(1 << n)
+                  if not x & bound and x.bit_count() == (n - d) // 2]))
+            for antichain, brute, width, inside, centre in cases:
+                fam = SetFamily.of(n, [top, *centre, *extra])
+                rels = Relations(fam.members)
+                live = [x for x in fam.members if inside(x)]
+                assert antichain(rels, bound) == width == kuhn_max_antichain(live)
+                if len(live) <= 14:
+                    assert brute(fam.members, bound) == width
+                assert not built(rels.sup)
+
+
+def test_has_and_tables_wait_for_the_first_above_or_below():
+    # an empty domain decides P2 in level 5 of B_10 before any row is read,
+    # so neither has nor the chunk tables are built; built by above or below
+    # first, they still agree with the per-element loops
+    rels = Relations(level(10, 5).members)
+    res = find_embedding(rels, rels.full, chain_poset(2))
+    assert res.free and res.nodes == 0
+    assert not {"has", "_chunks"} & vars(rels).keys()
+    rng = Random(1411)
+    for n in (1, 8, 9, 17):
+        masks = list({rng.getrandbits(n) for _ in range(60)})
+        for mask in (0, (1 << n) - 1, 1 << n, *(rng.getrandbits(n + 2) for _ in range(12))):
+            for first, loop in (("above", loop_above), ("below", loop_below)):
+                rels = Relations(masks)
+                got = getattr(rels, first)(mask)
+                assert "has" in vars(rels)  # the tables too, unless mask is past the last element
+                assert got == loop(rels, mask)
 
 
 def test_quick_find_fills_few_rows():
