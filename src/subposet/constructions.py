@@ -11,7 +11,7 @@ the fringe sets from completing a forbidden configuration.
 from __future__ import annotations
 
 from .formulas import antichain_height, middle_height, positive_part, wide_ends
-from .lattice import SetFamily, largest_mod_classes, level
+from .lattice import SetFamily, consecutive_levels, largest_mod_classes
 
 
 def _banded_family(n: int, band_height: int, bottom_classes: int, top_classes: int,
@@ -31,9 +31,7 @@ def _banded_family(n: int, band_height: int, bottom_classes: int, top_classes: i
         raise ValueError(
             f"n={n} is too small for a band of {band_height} levels with fringes"
         )
-    masks: list[int] = []
-    for lvl in range(k + 1, k + band_height + 1):
-        masks.extend(level(n, lvl).members)
+    masks = [*consecutive_levels(n, k, band_height)]
     if bottom_classes > 0:
         masks.extend(largest_mod_classes(n, k, bottom_classes).members)
     if top_classes > 0:

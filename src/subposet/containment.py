@@ -499,8 +499,8 @@ def max_antichain(family: SetFamily, rels: Relations | None = None) -> Antichain
         rels = Relations(family.members)
     match_right, size = _matching(rels, rels.full, -1)
     for level in reversed(rels.levels):
-        if level.bit_count() == size:
-            return AntichainResult(size, tuple(_bits(level)))
+        if level.bit_count() == size:  # a level of the record is one block of indices
+            return AntichainResult(size, tuple(range(lo := level.bit_length() - size, lo + size)))
     # König: left vertices reachable from unmatched ones by alternating paths
     # (zl) and the right vertices on those paths (zr).
     zl = rels.full

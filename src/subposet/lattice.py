@@ -15,9 +15,10 @@ from concurrent contexts.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from math import comb
 from typing import Iterable, Iterator
 
@@ -129,13 +130,17 @@ class SetFamily:
         return mask in self.member_set
 
 
+def _level_masks(n: int, k: int) -> Iterator[int]:
+    """The masks of the k-subsets of [n], in ``combinations`` order."""
+    return map(sum, combinations([1 << b for b in range(n)], k))
+
+
 def level(n: int, k: int) -> SetFamily:
     """All k-element subsets of [n]."""
     check_ground(n)
     if not 0 <= k <= n:
         raise ValueError(f"level requires 0 <= k <= n, got n={n}, k={k}")
-    masks = [sum(1 << b for b in bits) for bits in combinations(range(n), k)]
-    return SetFamily.of(n, masks)
+    return SetFamily.of(n, _level_masks(n, k))
 
 
 def consecutive_levels(n: int, j: int, k: int) -> SetFamily:
@@ -145,10 +150,8 @@ def consecutive_levels(n: int, j: int, k: int) -> SetFamily:
         raise ValueError(
             f"consecutive_levels requires 0 <= j+1 and j+k <= n, got n={n}, j={j}, k={k}"
         )
-    masks: list[int] = []
-    for lvl in range(j + 1, j + k + 1):
-        masks.extend(level(n, lvl).members)
-    return SetFamily.of(n, masks)
+    levels = map(_level_masks, repeat(n), range(j + 1, j + k + 1))
+    return SetFamily.of(n, chain.from_iterable(levels))
 
 
 def modular_classes(n: int, k: int) -> list[SetFamily]:
@@ -191,7 +194,7 @@ def _number(digits: str) -> int | None:
 
 
 def _parse_set(line: str, n: int, lineno: int) -> int:
-    """The mask of a set line the table pass did not accept, or its error."""
+    """The mask of a set line no table accepted, or its error."""
     if line == "{}":
         return 0
     m = _SET_RE.fullmatch(line)
@@ -206,6 +209,30 @@ def _parse_set(line: str, n: int, lineno: int) -> int:
     return sum(1 << (e - 1) for e in elems)
 
 
+def _read_lines(body: list[str], lineno: int, n: int, table: dict[str, int]) -> set[int]:
+    """The masks of the stripped lines ``body`` from line ``lineno`` on, in order: from
+    ``table``, else from element bits when they ascend, else from ``_parse_set``."""
+    bit = {str(e): 1 << (e - 1) for e in range(1, n + 1)}.__getitem__
+    get, seen = table.get, set()
+    for lineno, line in enumerate(body, start=lineno):
+        if not line or line[0] == "#":
+            continue
+        if not table or (mask := get(line)) is None:
+            try:
+                bits = (line[0] == "{" and line[-1] == "}"
+                        and list(map(bit, line[1:-1].split(","))))
+            except KeyError:
+                bits = None
+            # sorted and distinct (the bits' sum has one bit per element) is ascending
+            if not (bits and sorted(bits) == bits
+                    and (mask := sum(bits)).bit_count() == len(bits)):
+                mask = _parse_set(line, n, lineno)
+        if mask in seen:
+            raise FamilyParseError(f"duplicate set {line!r}", lineno)
+        seen.add(mask)
+    return seen
+
+
 def parse_family(text: str) -> SetFamily:
     """Parse the family file format (v1).
 
@@ -214,15 +241,15 @@ def parse_family(text: str) -> SetFamily:
     ``{}`` or ``{a,b,c}`` with strictly ascending decimal elements of [1, n].
     Duplicate sets are rejected. The result is canonicalized.
 
-    One pass maps each set line to its mask through a table from the
-    canonical element strings "1" .. str(n) to their bits; the line is
-    accepted when the bits ascend and are distinct. Any other line (``{}``,
-    leading zeros, non-ASCII digits, or an error) goes through the regular
-    expression checks, and every error is a FamilyParseError that carries
-    the line number.
+    Every n-th line is counted by its commas (k - 1 on a k-set line); a level
+    whose sampled lines, n-fold, reach half its size is dense. If the dense
+    levels hold half the sampled lines, each gets a table from its canonical
+    lines to their masks (``{}`` and the full set too); when all lines are in
+    it, once, the lookups build the family. Else ``_read_lines`` reads them in
+    order, and every error is a FamilyParseError with its line number.
     """
-    lines = enumerate(text.splitlines(), start=1)
-    for lineno, raw in lines:
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line[0] == "#":
             continue
@@ -238,25 +265,20 @@ def parse_family(text: str) -> SetFamily:
         break
     else:
         raise FamilyParseError("missing 'n=<int>' header", 1)
-    bit = {str(e): 1 << (e - 1) for e in range(1, n + 1)}.__getitem__
-    seen: set[int] = set()
-    for lineno, raw in lines:
-        line = raw.strip()
-        if not line or line[0] == "#":
-            continue
-        bits = None
-        if line[0] == "{" and line[-1] == "}":
-            try:
-                bits = list(map(bit, line[1:-1].split(",")))
-            except KeyError:
-                pass
-        # sorted and distinct (the bits' sum has one bit per element) is ascending
-        if not (bits and sorted(bits) == bits and (mask := sum(bits)).bit_count() == len(bits)):
-            mask = _parse_set(line, n, lineno)
-        if mask in seen:
-            raise FamilyParseError(f"duplicate set {line!r}", lineno)
-        seen.add(mask)
-    return SetFamily.of(n, seen)
+    body = list(map(str.strip, lines[lineno:]))
+    counts = Counter(map(str.count, sample := body[::n], repeat(",")))
+    dense = [commas for commas, count in counts.items() if 2 * n * count >= comb(n, commas + 1)]
+    missed, table = len(sample) - sum(map(counts.__getitem__, dense)), {}
+    if 2 * missed < len(sample):  # else a lookup per line costs more than the hits save
+        names = [str(e) for e in range(1, n + 1)]
+        table = {"{}": 0, "{" + ",".join(names) + "}": (1 << n) - 1}
+        for commas in dense:
+            # the level's lines in combinations order, braced by one join and split
+            keys = "{" + "}\n{".join(map(",".join, combinations(names, commas + 1))) + "}"
+            table.update(zip(keys.split("\n"), _level_masks(n, commas + 1)))
+        if not missed and len(got := set(map(table.get, body))) == len(body) and None not in got:
+            return SetFamily.of(n, got)
+    return SetFamily.of(n, _read_lines(body, lineno + 1, n, table))
 
 
 def serialize_family(family: SetFamily) -> str:

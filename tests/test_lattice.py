@@ -7,6 +7,7 @@ from math import comb
 from random import Random
 
 from subposet import lattice
+from subposet.constructions import construct_rst_induced, construct_rt
 from subposet.lattice import (
     FamilyParseError,
     SetFamily,
@@ -232,11 +233,15 @@ ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))
 
 
 def mangled_family_text(rng: Random) -> str:
-    """A random family file at n <= 14 with up to three edits that may or may
-    not break it: odd lines, duplicates, padding, leading zeros, non-ASCII
-    digits, a missing header or a set before it, and CRLF line ends."""
+    """A random family file at n <= 14 with up to three edits (``mangle``)."""
     n = rng.randint(1, 14)
-    lines = [f"n={n}"] + [set_str(m) for m in random_family_masks(rng, n, 40)]
+    return mangle(rng, n, [f"n={n}"] + [set_str(m) for m in random_family_masks(rng, n, 40)])
+
+
+def mangle(rng: Random, n: int, lines: list[str]) -> str:
+    """The lines of a family file at ground size n with up to three edits that
+    may or may not break it: odd lines, duplicates, padding, leading zeros,
+    non-ASCII digits, a missing header or a set before it, and CRLF line ends."""
     for _ in range(rng.randint(0, 3)):
         kind = rng.choices(range(7), weights=[6, 3, 3, 3, 3, 1, 1])[0]
         at = rng.randrange(len(lines)) if lines else 0
@@ -267,6 +272,69 @@ def test_parse_family_matches_reference_reader():
         assert got == parse_outcome(parse_family_reference, text), text
         outcomes[got[0]] += 1
     assert min(outcomes.values()) >= 300, outcomes
+
+
+def relabelled(family: SetFamily, rng: Random) -> SetFamily:
+    perm = rng.sample(range(family.n), family.n)
+    return SetFamily.of(family.n, [sum(1 << perm[e] for e in range(family.n) if x >> e & 1)
+                                   for x in family])
+
+
+def dense_sources(rng: Random):
+    """Families holding whole levels, each with whether it is only whole
+    levels: single levels, bands, B_n with {} and the full set, and relabelled
+    constructions whose fringes hold part of a level."""
+    for n in range(1, 11):
+        yield level(n, rng.randint(0, n)), True
+        j = rng.randint(-1, n - 1)
+        yield consecutive_levels(n, j, rng.randint(1, n - j)), True
+        yield consecutive_levels(n, -1, n + 1), True
+    for n in range(6, 11):
+        yield relabelled(construct_rt(n, rng.randint(2, 3), rng.randint(2, 3)), rng), False
+    for n in range(8, 11):
+        yield relabelled(construct_rst_induced(n, 2, 2, 2), rng), False
+    yield relabelled(construct_rst_induced(10, 2, 4, 2), rng), False
+
+
+def test_dense_levels_are_read_through_line_tables(monkeypatch):
+    """Whole-level files build the family from the level tables alone; files
+    with fringes read their lines one by one with every whole level's lines
+    in the table. Both, and edited copies of them (the random-file edits, a
+    duplicate inside a level block, a comment holding commas), give the
+    reference reader's family or its error and line number."""
+    rng = Random(23)
+    read_lines = lattice._read_lines
+    tables = []
+
+    def recording(body, lineno, n, table):
+        tables.append(table)
+        return read_lines(body, lineno, n, table)
+
+    monkeypatch.setattr(lattice, "_read_lines", recording)
+    outcomes = {"family": 0, "error": 0}
+    for family, whole in dense_sources(rng):
+        text, n = serialize_family(family), family.n
+        tables.clear()
+        assert parse_family(text) == family
+        if whole:
+            assert tables == []
+        else:
+            (table,) = tables
+            full = [k for k in range(n + 1)
+                    if sum(x.bit_count() == k for x in family) == comb(n, k)]
+            assert full and all(table[set_str(x)] == x for x in family if x.bit_count() in full)
+        for _ in range(12):
+            lines = text.splitlines()
+            at = rng.randrange(1, len(lines))
+            if rng.random() < 0.5:
+                lines.insert(at + 1, lines[at])
+            if rng.random() < 0.5:
+                lines.insert(rng.randrange(len(lines) + 1), "# " + ", ".join(lines[at:at + 3]))
+            edited = mangle(rng, n, lines)
+            got = parse_outcome(parse_family, edited)
+            assert got == parse_outcome(parse_family_reference, edited), edited
+            outcomes[got[0]] += 1
+    assert min(outcomes.values()) >= 100, outcomes
 
 
 def test_parse_family_reads_the_edge_cases_as_before():
