@@ -29,8 +29,10 @@ before A, from A to B (an upward DP from each A) and after B. The closed
 sets share one containment.Relations record: a set that no neighbour puts
 inside reads its members below (above) off it, and takes an s_minus
 (s_plus) matching only when at least r (t) of them are there. Cost:
-O(2^n n) big-int operations for the DPs plus O(2^(n-|A|) (n-|A|)) per first
-marker A with two markers, instead of n! walked chains.
+O(2^n n) big-int operations for the DPs plus, per first marker A with two
+markers, O(k) for each superset of A with k more elements and at most top
+in all, top being the size of the largest B marker (at most the top fringe
+level in the band families), instead of n! walked chains.
 
 Every partition report re-checks totality: label counts must sum to n! and
 per-label pair counts to the closed-form pair total.
@@ -40,6 +42,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
 from math import comb, factorial
 from typing import Callable, Sequence
 
@@ -48,7 +52,7 @@ from .containment import Relations, max_antichain, s_minus, s_plus  # noqa: F401
 from .lattice import SetFamily, set_str
 
 DEFAULT_CHAIN_CAP = 8
-HARD_CHAIN_CAP = 14
+HARD_CHAIN_CAP = 16
 
 EMPTY_LABEL = "EMPTY"
 
@@ -177,39 +181,31 @@ class PartitionReport:
         return out
 
 
-def _render(label: tuple | str, text: dict[int, str]) -> str:
-    """``EMPTY_LABEL`` as is; a tuple (kind, *sets) as "kind:{..}|{..}",
-    each set rendered once into ``text`` (mask to string) on first use."""
-    if label == EMPTY_LABEL:
-        return label
-    kind, *sets = label
-    for m in sets:
-        if m not in text:
-            text[m] = set_str(m)
-    return kind + ":" + "|".join(text[m] for m in sets)
-
-
-def _build_report(family: SetFamily, mode: str, params: dict[str, int], first: Sequence[int],
-                  last: Sequence[int], single: str) -> PartitionReport:
+def _build_report(family: SetFamily, member: Sequence[int], mode: str, params: dict[str, int],
+                  first: Sequence[int], last: Sequence[int], single: str) -> PartitionReport:
     """Chain and pair counts per part. The A marker is the first chain set in
     ``first``; the B marker is the last chain set in ``last``, taken when A
     is in ``last`` (part AB:A|B). Otherwise the part is single:A. Chains that
     meet no ``first`` set form the EMPTY part. The suffix DP over ``last``
     runs only when ``last`` marks some set, the unmarked one only when some
-    ``first`` set is not in ``last`` (never in minmax), and each label set is
-    rendered once per report."""
+    ``first`` set is not in ``last`` (never in minmax). Each A's interval DP
+    climbs level by level only up to ``top``, the size of the largest B
+    marker, and each label set is rendered once per report."""
     n = family.n
     full = (1 << n) - 1
     fact = [factorial(k) for k in range(n + 1)]
-    member = _membership(family)
     g, g_hits = _prefix_dp(n, member, first)
     if any(map(int.__gt__, first, last)):  # otherwise no single part reads free
         free = _suffix_dp(n, member, bytes(1 << n))[1]
     if 1 in last:  # otherwise no A is in last, and h is never read (minr)
         h, h_hits = _suffix_dp(n, member, last)
-    counts: dict = {}
+        h = [c if q else 0 for c, q in zip(h, last)]  # h[b]: the chains whose B marker is b
+        top = max(b.bit_count() for b in range(1 << n) if h[b])
+    name = cache(set_str)
+    chain_counts: dict[str, int] = {}
+    pair_counts: dict[str, int] = {}
     if not first[full] and g[full]:
-        counts[EMPTY_LABEL] = (g[full], g_hits[full])
+        chain_counts[EMPTY_LABEL], pair_counts[EMPTY_LABEL] = g[full], g_hits[full]
     mid = [0] * (1 << n)  # per A: family hits over the chains from A to B, both ends included
     for a in range(1 << n):
         ga = g[a]
@@ -217,43 +213,37 @@ def _build_report(family: SetFamily, mode: str, params: dict[str, int], first: S
             continue
         if not last[a]:
             rest = fact[n - a.bit_count()]
-            counts[(single, a)] = (ga * rest, (g_hits[a] + ga * member[a]) * rest + ga * free[a])
+            label = single + ":" + name(a)
+            chain_counts[label] = ga * rest
+            pair_counts[label] = (g_hits[a] + ga * member[a]) * rest + ga * free[a]
             continue
-        comp = full ^ a
-        sub = 0
-        while True:
-            b = a | sub
-            d = fact[sub.bit_count()]
-            m = member[b] * d
-            rest = sub
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                m += mid[b ^ low]
-            mid[b] = m
-            if last[b] and h[b]:
-                counts[("AB", a, b)] = (ga * d * h[b],
-                                        (g_hits[a] * d + ga * m) * h[b] + ga * d * h_hits[b])
-            if sub == comp:
-                break
-            sub = (sub - comp) & comp
-    total_chains = sum(c for c, _ in counts.values())
-    total_pairs = sum(p for _, p in counts.values())
+        ab = "AB:" + name(a) + "|"
+        bits = [1 << i for i in range(n) if not a >> i & 1]
+        for k in range(top - a.bit_count() + 1):  # a set above top feeds no part
+            d = fact[k]
+            gd, hits_d = ga * d, g_hits[a] * d
+            for sub in combinations(bits, k):
+                b = a | sum(sub)
+                m = member[b] * d
+                for low in sub:
+                    m += mid[b ^ low]
+                mid[b] = m
+                if hb := h[b]:
+                    label = ab + name(b)
+                    chain_counts[label] = gd * hb
+                    pair_counts[label] = (hits_d + ga * m) * hb + gd * h_hits[b]
+    total_chains = sum(chain_counts.values())
+    total_pairs = sum(pair_counts.values())
     assert total_chains == factorial(n), "partition is not total"
     assert total_pairs == count_pairs_formula(family), "pair accounting broken"
-    text: dict[int, str] = {}
-    names = {label: _render(label, text) for label in counts}
-    return PartitionReport(mode, n, params,
-                           {names[k]: c for k, (c, _) in counts.items()},
-                           {names[k]: p for k, (_, p) in counts.items()},
-                           total_chains, total_pairs)
+    return PartitionReport(mode, n, params, chain_counts, pair_counts, total_chains, total_pairs)
 
 
 def min_max_partition(family: SetFamily, cap: int = DEFAULT_CHAIN_CAP) -> PartitionReport:
     """Label every chain by its smallest and largest family set (EMPTY if none)."""
     check_chain_cap(family.n, cap)
     member = _membership(family)
-    return _build_report(family, "minmax", {}, member, member, "AB")
+    return _build_report(family, member, "minmax", {}, member, member, "AB")
 
 
 def min_r_partition(family: SetFamily, r: int, cap: int = DEFAULT_CHAIN_CAP) -> PartitionReport:
@@ -271,7 +261,8 @@ def min_r_partition(family: SetFamily, r: int, cap: int = DEFAULT_CHAIN_CAP) -> 
             f"family has no antichain of size {r}; the partition is undefined"
         )
     first = _s_minus_at_least(family.n, rels, r)
-    return _build_report(family, "minr", {"r": r}, first, bytes(1 << family.n), "A")
+    return _build_report(family, _membership(family), "minr", {"r": r}, first,
+                         bytes(1 << family.n), "A")
 
 
 def minr_maxt_partition(family: SetFamily, r: int, t: int,
@@ -295,7 +286,7 @@ def minr_maxt_partition(family: SetFamily, r: int, t: int,
     first = _s_minus_at_least(n, rels, r) if r >= 2 else member
     # for r = 1, A is a member, so s_plus(A) >= 1 always holds
     last = member if r == 1 and t == 1 else _s_plus_at_least(n, rels, t)
-    return _build_report(family, "minrmaxt", {"r": r, "t": t}, first, last, "S")
+    return _build_report(family, member, "minrmaxt", {"r": r, "t": t}, first, last, "S")
 
 
 def three_per_level_coeff(n: int) -> Fraction:

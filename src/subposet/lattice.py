@@ -65,7 +65,7 @@ def elements_of(mask: int) -> tuple[int, ...]:
 
 def set_str(mask: int) -> str:
     """Render a mask in the family-file set syntax, e.g. "{}" or "{1,3}"."""
-    return "{" + ",".join(str(e) for e in elements_of(mask)) + "}"
+    return "{" + ",".join(map(str, elements_of(mask))) + "}"
 
 
 def element_sum(mask: int) -> int:

@@ -18,9 +18,10 @@ from subposet.chains import (
     minr_maxt_partition,
     three_per_level_coeff,
 )
+from subposet.constructions import construct_rst_induced, construct_rt
 from subposet.containment import max_antichain
 from subposet.formulas import antichain_height
-from subposet.lattice import SetFamily, level, set_str
+from subposet.lattice import SetFamily, consecutive_levels, level, set_str
 
 from oracles import (
     brute_s_minus,
@@ -44,7 +45,7 @@ def test_enumerate_chains():
         next(iter(enumerate_chains(9)))
     assert next(iter(enumerate_chains(9, cap=9))) == tuple(range(1, 10))  # cap is overridable
     with pytest.raises(ValueError):
-        next(iter(enumerate_chains(15, cap=16)))  # hard cap
+        next(iter(enumerate_chains(17, cap=18)))  # hard cap
 
 
 def test_chain_prefixes():
@@ -225,6 +226,8 @@ def _differential_families():
                 fams.append(SetFamily.of(n, set(random_family_masks(rng, n, 14)) | set(ends)))
     fams += [level(5, 2), SetFamily.of(6, list(level(6, 2)) + list(level(6, 3))),
              SetFamily.of(6, range(64))]
+    # band families: every B marker lies below [n], so the interval DP stops early
+    fams += [construct_rt(6, 2, 2), construct_rst_induced(7, 1, 2, 1), consecutive_levels(7, 1, 3)]
     return fams
 
 

@@ -1,6 +1,7 @@
 """CLI surface: payloads, exit codes, determinism, file round trips."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ from time import perf_counter
 import pytest
 
 from subposet import chains, cli, containment
-from subposet.constructions import construct_rt
+from subposet.constructions import construct_rst_induced, construct_rt
 from subposet.containment import contains_subposet
 from subposet.lattice import SetFamily, level, parse_family, serialize_family
 from subposet.posets import chain_poset
@@ -191,12 +192,36 @@ def test_chains_at_larger_n(tmp_path, capsys):
     assert doc["payload"]["total_chains"] == str(factorial(12))
     assert doc["payload"]["total_pairs"] == str(chains.count_pairs_formula(fam))
 
-    for n, code_want in ((14, 0), (15, 2)):
+    for n, code_want in ((16, 0), (17, 2)):
         fam_file = tmp_path / f"pair{n}.txt"
         fam_file.write_text(serialize_family(SetFamily.of(n, [0, 1, 3])))
         code, doc, _ = run_cli(["chains", "pairs", str(fam_file), "--chain-cap", str(n)], capsys)
         assert code == code_want
-    assert doc["payload"]["error"] == "chain enumeration capped at n <= 14, got n=15"
+    assert doc["payload"]["error"] == "chain enumeration capped at n <= 16, got n=17"
+
+
+# sha256 of the whole stdout of each partition at n = 10, where the walk
+# oracle cannot go; taken while each first marker's interval DP still ran
+# over every superset, so they pin the bounded DP and the label rendering
+CHAINS_STDOUT_SHA256 = {
+    ("rt10_22", "minmax"): "59f131c2e8dc5605ab62aab02e52c19ef4017cbba31afa066b520e590f5cf10f",
+    ("rt10_22", "minr"): "e6628ed30b8ef0e4ed89942619768c299a4c668275449b3c41b0fe2817aa624b",
+    ("rt10_22", "minrmaxt"): "0add3195f172bbb464ed0f24ccdec3a3ba3c308785dd5eb949852865e045b3ba",
+    ("rsti10_222", "minmax"): "59f2f865345f8378f53bf41ea25404fee9196bcd946452420d065b12bc42c4c9",
+    ("rsti10_222", "minr"): "b402b8f16b875248a42c278de74ec3343a55d84c82b6465c4cbca963a6f4a2bb",
+    ("rsti10_222", "minrmaxt"): "b06de3c677365b5e47beebecae60290388835dd4e0afd89beab6f4dfde753118",
+}
+
+
+@pytest.mark.parametrize("name, mode", sorted(CHAINS_STDOUT_SHA256))
+def test_chains_stdout_digests(tmp_path, capsys, monkeypatch, name, mode):
+    fam = construct_rt(10, 2, 2) if name == "rt10_22" else construct_rst_induced(10, 2, 2, 2)
+    monkeypatch.chdir(tmp_path)  # the family path is part of the printed parameters
+    Path(f"{name}.txt").write_text(serialize_family(fam))
+    extra = {"minmax": [], "minr": ["--r", "2"], "minrmaxt": ["--r", "2", "--t", "2"]}[mode]
+    code, _, out = run_cli(["chains", mode, f"{name}.txt", *extra, "--chain-cap", "10"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CHAINS_STDOUT_SHA256[name, mode]
 
 
 def test_internal_error_exit(tmp_path, capsys, monkeypatch):
