@@ -36,6 +36,9 @@ level in the band families), instead of n! walked chains.
 
 Every partition report re-checks totality: label counts must sum to n! and
 per-label pair counts to the closed-form pair total.
+
+_membership checks the one limit, HARD_CHAIN_CAP, before any relation row;
+a lower limit is command-line policy (``chains --chain-cap``).
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ from typing import Callable, Sequence
 from .containment import Relations, max_antichain, s_minus, s_plus  # noqa: F401
 from .lattice import SetFamily, set_str
 
-DEFAULT_CHAIN_CAP = 8
 HARD_CHAIN_CAP = 16
 
 EMPTY_LABEL = "EMPTY"
@@ -63,8 +65,6 @@ class PartitionPreconditionError(ValueError):
 
 def check_chain_cap(n: int, cap: int) -> None:
     """Refuse chain counting over [n] when n exceeds min(cap, HARD_CHAIN_CAP)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     if n > min(cap, HARD_CHAIN_CAP):
         raise ValueError(
             f"chain enumeration capped at n <= {min(cap, HARD_CHAIN_CAP)}, got n={n}"
@@ -78,6 +78,8 @@ def count_pairs_formula(family: SetFamily) -> int:
 
 
 def _membership(family: SetFamily) -> bytearray:
+    """The member marks, the first 2^n array of every count: the hard cap is checked here."""
+    check_chain_cap(family.n, HARD_CHAIN_CAP)
     member = bytearray(1 << family.n)
     for x in family.members:
         member[x] = 1
@@ -139,11 +141,10 @@ def _s_plus_at_least(n: int, rels: Relations, t: int) -> bytearray:
                       and s_plus(rels, full ^ u) >= t)[::-1]
 
 
-def count_pairs_enumerated(family: SetFamily, cap: int = DEFAULT_CHAIN_CAP) -> int:
+def count_pairs_enumerated(family: SetFamily) -> int:
     """The same pair count, summed over all maximal chains by the chain DP
     (independent of the closed form)."""
     n = family.n
-    check_chain_cap(n, cap)
     member = _membership(family)
     count, hits = _prefix_dp(n, member, bytes(1 << n))
     full = (1 << n) - 1
@@ -239,14 +240,13 @@ def _build_report(family: SetFamily, member: Sequence[int], mode: str, params: d
     return PartitionReport(mode, n, params, chain_counts, pair_counts, total_chains, total_pairs)
 
 
-def min_max_partition(family: SetFamily, cap: int = DEFAULT_CHAIN_CAP) -> PartitionReport:
+def min_max_partition(family: SetFamily) -> PartitionReport:
     """Label every chain by its smallest and largest family set (EMPTY if none)."""
-    check_chain_cap(family.n, cap)
     member = _membership(family)
     return _build_report(family, member, "minmax", {}, member, member, "AB")
 
 
-def min_r_partition(family: SetFamily, r: int, cap: int = DEFAULT_CHAIN_CAP) -> PartitionReport:
+def min_r_partition(family: SetFamily, r: int) -> PartitionReport:
     """Label every chain by its smallest set A with s_minus(A) >= r.
 
     Defined only when the family holds an antichain of size r (then the full
@@ -254,19 +254,18 @@ def min_r_partition(family: SetFamily, r: int, cap: int = DEFAULT_CHAIN_CAP) -> 
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
-    check_chain_cap(family.n, cap)  # before the costlier precondition
+    member = _membership(family)  # the cap, before the costlier precondition
     rels = Relations(family.members)
     if s_minus(rels, (1 << family.n) - 1) < r:  # the widest antichain; no witness needed
         raise PartitionPreconditionError(
             f"family has no antichain of size {r}; the partition is undefined"
         )
     first = _s_minus_at_least(family.n, rels, r)
-    return _build_report(family, _membership(family), "minr", {"r": r}, first,
+    return _build_report(family, member, "minr", {"r": r}, first,
                          bytes(1 << family.n), "A")
 
 
-def minr_maxt_partition(family: SetFamily, r: int, t: int,
-                        cap: int = DEFAULT_CHAIN_CAP) -> PartitionReport:
+def minr_maxt_partition(family: SetFamily, r: int, t: int) -> PartitionReport:
     """Two-marker partition: degenerate parts S:A where no t-antichain exists
     above A, regular parts AB:A|B otherwise (A ⊆ B always).
 
@@ -275,14 +274,14 @@ def minr_maxt_partition(family: SetFamily, r: int, t: int,
     """
     if r < 1 or t < 1:
         raise ValueError(f"need r, t >= 1, got r={r}, t={t}")
-    check_chain_cap(family.n, cap)  # before the costlier precondition
+    member = _membership(family)  # the cap, before the costlier precondition
     rels = Relations(family.members)
     if r >= 2 and s_minus(rels, (1 << family.n) - 1) < max(r, t):
         raise PartitionPreconditionError(
             f"family has no antichain of size max(r, t) = {max(r, t)}; "
             "the partition is undefined"
         )
-    n, member = family.n, _membership(family)
+    n = family.n
     first = _s_minus_at_least(n, rels, r) if r >= 2 else member
     # for r = 1, A is a member, so s_plus(A) >= 1 always holds
     last = member if r == 1 and t == 1 else _s_plus_at_least(n, rels, t)

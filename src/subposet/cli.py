@@ -136,13 +136,15 @@ def _cmd_check(args) -> tuple[dict, int]:
 
 
 def _cmd_solve(args) -> tuple[dict, int]:
+    if args.n > args.cap:
+        raise ValueError(f"solver capped at n <= {args.cap}, got n={args.n} "
+                         "(raise --cap to override)")
     forbidden = [load_poset_spec(spec) for spec in args.poset]
     result = solver.la_exact(
         args.n,
         forbidden,
         induced=args.induced,
         budget=args.budget,
-        max_n=args.cap,
         break_symmetry=args.break_symmetry,
     )
     return result.payload(), EXIT_OK if result.exhausted else EXIT_BUDGET
@@ -150,25 +152,25 @@ def _cmd_solve(args) -> tuple[dict, int]:
 
 def _cmd_chains(args) -> tuple[dict, int]:
     family = _read_family(args.family)
-    cap = args.chain_cap
+    chains.check_chain_cap(family.n, args.chain_cap)
     if args.mode == "pairs":
         formula = chains.count_pairs_formula(family)
-        enumerated = chains.count_pairs_enumerated(family, cap)
+        enumerated = chains.count_pairs_enumerated(family)
         return {
             "formula": str(formula),
             "enumerated": str(enumerated),
             "match": formula == enumerated,
         }, EXIT_OK
     if args.mode == "minmax":
-        report = chains.min_max_partition(family, cap)
+        report = chains.min_max_partition(family)
     elif args.mode == "minr":
         if args.r is None:
             raise ValueError("chains minr requires --r")
-        report = chains.min_r_partition(family, args.r, cap)
+        report = chains.min_r_partition(family, args.r)
     else:
         if args.r is None or args.t is None:
             raise ValueError("chains minrmaxt requires --r and --t")
-        report = chains.minr_maxt_partition(family, args.r, args.t, cap)
+        report = chains.minr_maxt_partition(family, args.r, args.t)
     return report.payload(), EXIT_OK
 
 
@@ -221,14 +223,15 @@ COMMANDS = {
                _arg("--poset", action="append", required=True, help="repeatable"),
                _arg("--induced", action="store_true"),
                _arg("--budget", type=int, default=None),
-               _arg("--cap", type=int, default=solver.DEFAULT_SOLVER_CAP),
+               # copy lists grow without bound: about 133 MB at n = 8
+               _arg("--cap", type=int, default=5),
                _arg("--break-symmetry", action="store_true")]),
     "chains": ("pair counts and marker partitions over maximal chains", _cmd_chains,
                [_arg("mode", choices=["pairs", "minmax", "minr", "minrmaxt"]),
                 _arg("family"),
                 _arg("--r", type=int, default=None),
                 _arg("--t", type=int, default=None),
-                _arg("--chain-cap", type=int, default=chains.DEFAULT_CHAIN_CAP)]),
+                _arg("--chain-cap", type=int, default=chains.HARD_CHAIN_CAP)]),
     "lym": ("exact LYM sum of a family file", _cmd_lym, [_arg("family")]),
     "coeff": ("exact chain-pair coefficients", _cmd_coeff,
               [_arg("kind", choices=["three", "capped"]),

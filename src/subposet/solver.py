@@ -49,8 +49,9 @@ position once q reaches that lowest position, so each copy is stored once.
 An attempt reads a walks' list from its end, lowest positions first: the
 walk keeps its earliest positions in ``live`` longest, so those copies block
 most often.
-The rows take 2^n bits per candidate, so n >= 16 is refused before any
-candidate is listed, whatever ``max_n`` allows (containment.MAX_MEMBERS).
+The rows take 2^n bits per candidate, so la_exact refuses n >= 16 before
+any candidate is listed (containment.MAX_MEMBERS), its only limit on n. The
+soft default of n <= 5 is command-line policy (``solve --cap``).
 
 The witness is the first optimum reached in walk order, which makes it the
 lexicographically smallest family the search encounters at the optimum;
@@ -73,9 +74,6 @@ from .containment import (
 )
 from .lattice import SetFamily, serialize_family, sigma
 from .posets import Poset
-
-DEFAULT_SOLVER_CAP = 5
-
 
 class FreenessError(ValueError):
     """A family claimed free actually contains a forbidden pattern."""
@@ -108,8 +106,7 @@ class SolveResult:
 
 
 def la_exact(n: int, posets: Sequence[Poset], induced: bool = False,
-             budget: int | None = None, max_n: int = DEFAULT_SOLVER_CAP,
-             break_symmetry: bool = False) -> SolveResult:
+             budget: int | None = None, break_symmetry: bool = False) -> SolveResult:
     """Maximum size of a subset family of [n] avoiding every given pattern.
 
     ``budget`` caps the include attempts of all three phases together (a
@@ -131,14 +128,12 @@ def la_exact(n: int, posets: Sequence[Poset], induced: bool = False,
     path, under the containment node budget (BUDGET ends the solve
     unexhausted), and holds every copy ending there, however few attempts
     ``budget`` allows: in a solve the bound does not close, at n = 8, it is
-    most of the work.
+    most of the work. Only n >= 16 is refused here (module docstring).
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
-    if n > max_n:
-        raise ValueError(f"solver capped at n <= {max_n}, got n={n} (raise max_n to override)")
     if 1 << n > MAX_MEMBERS:
         raise ValueError(f"2^{n} candidate sets exceed the relation precompute cap "
                          f"of {MAX_MEMBERS}")

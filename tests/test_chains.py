@@ -244,6 +244,17 @@ def test_partitions_match_chain_walk():
     assert partitions > 600 and regular > 1000
 
 
+def test_hard_cap_refused_before_any_relation(monkeypatch):
+    # the library's one limit, checked where the first 2^n array is built
+    monkeypatch.setattr(chains, "Relations", lambda masks: pytest.fail("Relations ran"))
+    monkeypatch.setattr(chains, "s_minus", lambda rels, mask: pytest.fail("precondition ran"))
+    fam = SetFamily.of(17, [0, 1, 3])
+    for call in (lambda: count_pairs_enumerated(fam), lambda: min_max_partition(fam),
+                 lambda: min_r_partition(fam, 2), lambda: minr_maxt_partition(fam, 2, 2)):
+        with pytest.raises(ValueError, match=r"n <= 16, got n=17"):
+            call()
+
+
 def test_three_per_level_coeff():
     assert three_per_level_coeff(2) == Fraction(7, 2)
     assert three_per_level_coeff(3) == Fraction(4)

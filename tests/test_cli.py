@@ -152,6 +152,17 @@ def test_solve(capsys):
     assert doc["payload"]["exhausted"] is False
 
 
+def test_solve_cap_is_checked_at_the_command_line(capsys):
+    # the library has no soft cap; the CLI refuses n > --cap (default 5)
+    code, doc, _ = run_cli(["solve", "6", "--poset", "P2"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert doc["payload"]["error"] == "solver capped at n <= 5, got n=6 (raise --cap to override)"
+    code, doc, _ = run_cli(["solve", "6", "--poset", "P2", "--cap", "6"], capsys)
+    assert code == cli.EXIT_OK
+    payload = doc["payload"]
+    assert (payload["optimum"], payload["nodes"], payload["exhausted"]) == (20, "20", True)
+
+
 def test_chains_commands(tmp_path, capsys):
     fam_file = tmp_path / "fam.txt"
     fam_file.write_text("n=4\n{}\n{1,2,3,4}\n")
@@ -177,9 +188,33 @@ def test_chain_cap_checked_before_precondition(tmp_path, capsys, monkeypatch):
     fam_file.write_text(serialize_family(SetFamily.of(12, range(1 << 12))))
     monkeypatch.setattr(chains, "s_minus", lambda rels, mask: pytest.fail("precondition ran"))
     for mode, params in (("minr", ["--r", "2"]), ("minrmaxt", ["--r", "2", "--t", "2"])):
-        code, doc, _ = run_cli(["chains", mode, str(fam_file), *params], capsys)
+        code, doc, _ = run_cli(["chains", mode, str(fam_file), *params, "--chain-cap", "11"],
+                               capsys)
         assert code == 2
         assert "chain enumeration capped" in doc["payload"]["error"]
+
+
+def test_chain_cap_flag_only_lowers_the_hard_cap(tmp_path, capsys, monkeypatch):
+    # without --chain-cap the CLI reaches the library's hard cap of 16, and
+    # the library functions, which take no cap, print the same payloads
+    fam = construct_rt(10, 2, 2)
+    monkeypatch.chdir(tmp_path)
+    Path("rt10.txt").write_text(serialize_family(fam))
+    runs = {
+        ("pairs",): {"formula": str(chains.count_pairs_formula(fam)),
+                     "enumerated": str(chains.count_pairs_enumerated(fam)), "match": True},
+        ("minmax",): chains.min_max_partition(fam).payload(),
+        ("minr", "--r", "2"): chains.min_r_partition(fam, 2).payload(),
+        ("minrmaxt", "--r", "2", "--t", "2"): chains.minr_maxt_partition(fam, 2, 2).payload(),
+    }
+    for (mode, *params), want in runs.items():
+        code, doc, _ = run_cli(["chains", mode, "rt10.txt", *params, "--chain-cap", "10"], capsys)
+        assert (code, doc["payload"]) == (0, want)
+    code, doc, _ = run_cli(["chains", "minmax", "rt10.txt"], capsys)
+    assert (code, doc["payload"]) == (0, runs[("minmax",)])
+    code, doc, _ = run_cli(["chains", "minmax", "rt10.txt", "--chain-cap", "9"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert doc["payload"]["error"] == "chain enumeration capped at n <= 9, got n=10"
 
 
 def test_chains_at_larger_n(tmp_path, capsys):

@@ -102,7 +102,7 @@ def test_chain_optima_match_middle_level_sums():
     for n in range(1, 9):
         for k in range(4):
             for induced in (False, True):
-                res = la_exact(n, [chain_poset(k + 1)], induced, max_n=8)
+                res = la_exact(n, [chain_poset(k + 1)], induced)
                 want = sigma(n, k) if k <= n else 1 << n
                 assert (res.optimum, res.nodes_explored, res.exhausted) == (want, want, True)
                 assert contains_subposet(res.witness, chain_poset(k + 1), induced).free
@@ -114,7 +114,7 @@ def test_chain_solves_end_at_the_bound(n):
     # so La(n, P_k) is proven in one attempt per member, plain and induced
     for k in (2, 3, 4):
         for induced in (False, True):
-            res = la_exact(n, [chain_poset(k)], induced, max_n=n)
+            res = la_exact(n, [chain_poset(k)], induced)
             want = sigma(n, k - 1)
             assert (res.optimum, res.nodes_explored, res.exhausted) == (want, want, True)
             middle = sorted(range(n + 1), key=lambda size: (abs(2 * size - n), size))[:k - 1]
@@ -165,8 +165,7 @@ def test_monotone_in_forbidden_list():
 
 def la_vs_la_star(n, poset):
     """Optimum of the plain and of the induced problem for one pattern."""
-    return (la_exact(n, [poset], induced=False, max_n=4),
-            la_exact(n, [poset], induced=True, max_n=4))
+    return la_exact(n, [poset], induced=False), la_exact(n, [poset], induced=True)
 
 
 def test_induced_at_least_plain():
@@ -215,11 +214,12 @@ def test_first_path_ignores_break_symmetry(widths, induced, n):
 
 def test_solver_guards():
     with pytest.raises(ValueError):
-        la_exact(6, [chain_poset(2)])
-    with pytest.raises(ValueError):
         la_exact(3, [])
-    res = la_exact(5, [chain_poset(2)], max_n=5)
+    res = la_exact(5, [chain_poset(2)])
     assert res.optimum == 10  # middle binomial of 5
+    # no soft cap on n here: the n <= 5 default is the command line's (solve --cap)
+    res = la_exact(6, [chain_poset(2)])
+    assert (res.optimum, res.nodes_explored, res.exhausted) == (20, 20, True)
 
 
 def test_certified_lower_bound():
