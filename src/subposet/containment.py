@@ -22,7 +22,10 @@ completeness:
 
 * pattern elements are placed in a fixed constraint-first order (most
   comparabilities first, smaller interchangeability classes first, lower
-  height first), so images get squeezed from both sides early;
+  height first), so images get squeezed from both sides early; a pinned
+  search places the pin first and then the rest by height distance from it,
+  ties in that order: the elements of its height (its twins among them)
+  come next, then those of the nearest heights;
 * interchangeable pattern elements (equal strict down-set and up-set) must
   take ascending member indices, which quotients away their permutations;
 * after every placement, each class of interchangeable unplaced elements
@@ -144,7 +147,10 @@ class _Plan:
 def _plan_for(poset: Poset, induced: bool, first: int | None = None) -> _Plan:
     """Search plan; ``first`` (the first of its twin class) goes to the front,
     and its next twin may take any member, as the pinned one may be any class
-    image. The class is still placed in class order, which the count check needs."""
+    image. The rest follow by |height - height of first|, a stable sort of the
+    base order: twins share a height and are in class order there, so every
+    class is still placed in class order, which ``twin_prev``, the counts and
+    the cuts need."""
     p, below, above = poset.size, poset.below, poset.above
     classes = poset.twin_classes
     class_of = {e: ci for ci, cls in enumerate(classes) for e in cls}
@@ -155,7 +161,9 @@ def _plan_for(poset: Poset, induced: bool, first: int | None = None) -> _Plan:
     order = sorted(range(p), key=lambda e: (-deg[e], len(classes[class_of[e]]),
                                             poset.heights[e], e))
     if first is not None:
-        order = [first, *(e for e in order if e != first)]
+        h = poset.heights[first]
+        order = [first, *sorted((e for e in order if e != first),
+                                key=lambda e: abs(poset.heights[e] - h))]
     rest = (1 << p) - 1
     narrow = [[(e, k) for k in range(3)] for e in range(p)]  # shared by the p^2 / 2 steps
     placed = [0] * len(classes)

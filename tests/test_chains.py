@@ -202,6 +202,30 @@ def test_minr_maxt_matches_independent_scan():
     assert trials > 100
 
 
+def test_threshold_marks_match_widths():
+    # the marks of {s_minus >= r} and {s_plus >= t}, settled by a live level
+    # of r (t) sets where one exists, equal the widths' thresholds; some yes
+    # answers need a matching (no live level that wide)
+    from subposet.containment import Relations, s_minus, s_plus
+
+    rng = Random(2603)
+    matched = 0
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        masks = random_family_masks(rng, n, 3 * n)
+        if not masks:
+            continue
+        rels = Relations(sorted(masks, key=lambda x: (x.bit_count(), x)))
+        minus = [s_minus(rels, s) for s in range(1 << n)]
+        plus = [s_plus(rels, s) for s in range(1 << n)]
+        for r in (1, 2, 3, 4):
+            assert list(chains._s_minus_at_least(n, rels, r)) == [w >= r for w in minus]
+            assert list(chains._s_plus_at_least(n, rels, r)) == [w >= r for w in plus]
+            matched += sum(w >= r and all((lv & rels.below(s)).bit_count() < r
+                                          for lv in rels.levels) for s, w in enumerate(minus))
+    assert matched > 100
+
+
 def _dp_partitions(fam):
     """Every partition the chains module accepts for fam, r, t in {1, 2, 3},
     as (args for walk_partition, report)."""
