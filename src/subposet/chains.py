@@ -29,7 +29,8 @@ before A, from A to B (an upward DP from each A) and after B. The closed
 sets share one containment.Relations record: a set that no neighbour puts
 inside reads its members below (above) off it, and takes an s_minus
 (s_plus) matching only when at least r (t) of them are there and no level
-holds r (t) of them, which would be an antichain that wide. Cost:
+they may lie in (the sizes up to |S|, from |S| on) holds r (t) of them,
+which would be an antichain that wide. Cost:
 O(2^n n) big-int operations for the DPs plus, per first marker A with two
 markers, O(k) for each superset of A with k more elements and at most top
 in all, top being the size of the largest B marker (at most the top fringe
@@ -132,21 +133,22 @@ def _up_closed(n: int, test: Callable[[int], bool]) -> bytearray:
     return inside
 
 
-def _wide(rels: Relations, live: int, r: int, width: Callable[[], int]) -> bool:
-    """Do the members in ``live`` hold an antichain of r sets? A live level
-    of r sets is one, so only otherwise does ``width()``, a matching, decide."""
-    return live.bit_count() >= r and (any((level & live).bit_count() >= r for level in rels.levels)
+def _wide(levels: Sequence[int], live: int, r: int, width: Callable[[], int]) -> bool:
+    """Do the ``live`` members, all in ``levels``, hold an antichain of r sets?
+    A live level of r sets is one; only otherwise does ``width()`` decide."""
+    return live.bit_count() >= r and (any((level & live).bit_count() >= r for level in levels)
                                       or width() >= r)
 
 
 def _s_minus_at_least(n: int, rels: Relations, r: int) -> bytearray:
-    return _up_closed(n, lambda s: _wide(rels, rels.below(s), r, lambda: s_minus(rels, s)))
+    return _up_closed(n, lambda s: _wide(rels.levels[:s.bit_count() + 1], rels.below(s), r,
+                                         lambda: s_minus(rels, s)))
 
 
 def _s_plus_at_least(n: int, rels: Relations, t: int) -> bytearray:
     full = (1 << n) - 1  # {s_plus >= t} is down-closed: its complements are up-closed
-    return _up_closed(n, lambda u: _wide(rels, rels.above(full ^ u), t,
-                                         lambda: s_plus(rels, full ^ u)))[::-1]
+    return _up_closed(n, lambda u: _wide(rels.levels[n - u.bit_count():], rels.above(full ^ u),
+                                         t, lambda: s_plus(rels, full ^ u)))[::-1]
 
 
 def count_pairs_enumerated(family: SetFamily) -> int:

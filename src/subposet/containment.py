@@ -17,7 +17,7 @@ MAX_MEMBERS masks are refused first. Plain searches never read ``inc``, and
 s_minus and s_plus, matching on ``below``/``above`` of a set, read ``sup``
 alone (``_matching``).
 
-Five refinements keep exhaustive verdicts affordable without giving up
+Six refinements keep exhaustive verdicts affordable without giving up
 completeness:
 
 * pattern elements are placed in a fixed constraint-first order (most
@@ -35,7 +35,10 @@ completeness:
 * before the next element's candidates are tried, those whose placement
   would fail that count check are dropped in bulk (``_search``);
 * each placement narrows the later elements comparable to it to the sizes
-  their size gaps allow (``posets.size_gaps``).
+  their size gaps allow (``posets.size_gaps``), off the record's ``windows``;
+* the unplaced twins of a class share one domain: they get the same window,
+  and every placement narrows them by the same row and gap, so one AND
+  serves them; only the first element, maybe pinned, has a domain of its own.
 
 The size gap of b < e is a lower bound on |img e| - |img b| in every copy.
 Plain, it is the number of steps on a longest chain from b to e. Induced,
@@ -75,7 +78,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, groupby, repeat
+from itertools import accumulate, chain, groupby
 from math import comb
 from operator import or_
 from typing import NamedTuple, Sequence
@@ -123,18 +126,19 @@ class SearchResult:
 @dataclass(frozen=True)
 class _Plan:
     """Static search data for one pattern poset, plain or induced. Depth d
-    places ``order[d]``; ``steps[d]`` pairs the later elements it narrows with
-    their row kinds (0 ``sup``, 1 ``sub``, 2 ``inc``) and ``counts[d]`` each
-    class's first unplaced element with its unplaced count, checked after it.
-    ``cuts[d]`` holds the counts whose element ``steps[d]`` narrows, with the
-    transposed row kind: the count filter of ``_search``. ``rise[d]`` and
-    ``fall[d]`` pair the later elements above and below ``order[d]`` with
-    their size gaps of at least 2 (``posets.size_gaps``); ``reach`` bounds
-    those gaps."""
+    places ``order[d]``; the unplaced elements of a twin class share one
+    domain, slot ``class_of[e]``, so the rest name classes with unplaced
+    elements. ``steps[d]`` pairs those ``order[d]`` narrows with their row
+    kinds (0 ``sup``, 1 ``sub``, 2 ``inc``), ``counts[d]`` all of them with
+    their unplaced counts, checked after it, and ``cuts[d]`` the counts of
+    those ``steps[d]`` narrows, with the transposed row kind: the count filter
+    of ``_search``. ``rise[d]`` and ``fall[d]`` pair those above and below
+    ``order[d]`` with their size gaps past 1 (``size_gaps``), at most ``reach``."""
 
     order: tuple[int, ...]
     twin_prev: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
+    class_of: tuple[int, ...]
     steps: tuple[tuple[tuple[int, int], ...], ...]
     counts: tuple[tuple[tuple[int, int], ...], ...]
     cuts: tuple[tuple[tuple[int, int, int], ...], ...]
@@ -149,11 +153,12 @@ def _plan_for(poset: Poset, induced: bool, first: int | None = None) -> _Plan:
     and its next twin may take any member, as the pinned one may be any class
     image. The rest follow by |height - height of first|, a stable sort of the
     base order: twins share a height and are in class order there, so every
-    class is still placed in class order, which ``twin_prev``, the counts and
-    the cuts need."""
+    class is still placed in class order, which ``twin_prev`` needs. So a
+    class's last element is unplaced while any is, and stands for them all:
+    twins are alike towards every other element."""
     p, below, above = poset.size, poset.below, poset.above
     classes = poset.twin_classes
-    class_of = {e: ci for ci, cls in enumerate(classes) for e in cls}
+    class_of = tuple(ci for e in range(p) for ci, cls in enumerate(classes) if e in cls)
     gaps, reach = size_gaps(poset, induced)
     twin_prev = {e: cls[pos - 1] if pos and cls[pos - 1] != first else -1
                  for cls in classes for pos, e in enumerate(cls)}
@@ -165,25 +170,24 @@ def _plan_for(poset: Poset, induced: bool, first: int | None = None) -> _Plan:
         order = [first, *sorted((e for e in order if e != first),
                                 key=lambda e: abs(poset.heights[e] - h))]
     rest = (1 << p) - 1
-    narrow = [[(e, k) for k in range(3)] for e in range(p)]  # shared by the p^2 / 2 steps
     placed = [0] * len(classes)
     steps, counts, cuts, rise, fall = [], [], [], [], []
     for e in order:
         rest ^= 1 << e
-        up, down = [*_bits(above[e] & rest)], [*_bits(below[e] & rest)]
-        later = (up, down, [*_bits(rest & ~above[e] & ~below[e])] if induced else ())
+        later = (above[e] & rest, below[e] & rest, rest & ~above[e] & ~below[e] if induced else 0)
         ce = class_of[e]
         placed[ce] += 1
-        count = [(cls[k], len(cls) - k) for cls, k in zip(classes, placed) if k < len(cls)]
-        kind = {e2: k for k, group in enumerate(later) for e2 in group}
-        steps.append(tuple(narrow[e2][k] for e2, k in kind.items()))
+        count = [(ci, len(cls) - k) for ci, (cls, k) in enumerate(zip(classes, placed))
+                 if k < len(cls)]
+        kind = {ci: k for ci, _ in count for k, group in enumerate(later)
+                if group >> classes[ci][-1] & 1}
+        steps.append(tuple(kind.items()))
         counts.append(tuple(count))
-        cuts.append(tuple((rep, need, (1, 0, 2)[kind[rep]]) for rep, need in count
-                          if rep in kind))
+        cuts.append(tuple((ci, need, (1, 0, 2)[kind[ci]]) for ci, need in count if ci in kind))
         row = gaps[ce]
-        rise.append(tuple((e2, g) for e2 in up if (g := row[class_of[e2]]) > 1))
-        fall.append(tuple((e2, g) for e2 in down if (g := gaps[class_of[e2]][ce]) > 1))
-    return _Plan(tuple(order), tuple(twin_prev[e] for e in range(p)), classes,
+        rise.append(tuple((ci, g) for ci, k in kind.items() if k == 0 and (g := row[ci]) > 1))
+        fall.append(tuple((ci, g) for ci, k in kind.items() if k == 1 and (g := gaps[ci][ce]) > 1))
+    return _Plan(tuple(order), tuple(twin_prev[e] for e in range(p)), classes, class_of,
                  tuple(steps), tuple(counts), tuple(cuts), tuple(rise), tuple(fall), reach)
 
 
@@ -230,9 +234,17 @@ class Relations:
     @cached_property
     def has(self) -> tuple[int, ...]:
         n = len(self.levels) - 1
-        # n binary digits per member, member 0 last: every n-th digit is one has[e]
-        text = "".join(map(format, reversed(self.masks), repeat(f"0{n}b")))
-        return tuple(int(text[n - 1 - e::n], 2) for e in range(n))
+        # "0b1" and n binary digits per member, member 0 last: every (n + 3)-th
+        # digit is one has[e]
+        text = "".join(map(bin, map((1 << n).__or__, reversed(self.masks))))
+        return tuple(int(text[n + 2 - e::n + 3], 2) for e in range(n))
+
+    @cached_property
+    def windows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Members of size >= k and <= k by k; k past n, or below 0 (wrapping), reads 0."""
+        pad = (0,) * len(self.levels)
+        return (tuple(accumulate(reversed(self.levels), or_))[::-1] + pad,
+                tuple(accumulate(self.levels, or_)) + pad)
 
     @cached_property
     def _chunks(self) -> list[tuple[list[int], list[int]]]:
@@ -252,15 +264,18 @@ class Relations:
         if mask >> len(self.has):
             return 0
         up = self.full
-        for k, (ands, _) in enumerate(self._chunks):
-            up &= ands[mask >> 8 * k & 255]
+        for ands, _ in self._chunks:
+            up &= ands[mask & 255]
+            mask >>= 8
         return up
 
     def below(self, mask: int) -> int:
         """The members contained in ``mask``."""
         out = 0
-        for k, (_, ors) in enumerate(self._chunks):
-            out |= ors[~mask >> 8 * k & len(ors) - 1]
+        mask = ~mask
+        for _, ors in self._chunks:
+            out |= ors[mask & len(ors) - 1]
+            mask >>= 8
         return self.full ^ out
 
 
@@ -292,23 +307,21 @@ def _search(rels: Relations, plan: _Plan, domains: list[int], budget: int,
     if not all(domains):
         return SearchStatus.FREE, None, 0
     rows = rels.sup, rels.sub, rels.inc
-    order, twin_prev = plan.order, plan.twin_prev
+    order, twin_prev, class_of = plan.order, plan.twin_prev, plan.class_of
     steps, counts, cuts, rise, fall = plan.steps, plan.counts, plan.cuts, plan.rise, plan.fall
     masks = rels.masks
-    # the members of size >= k and of size <= k; k > n, and k < 0 by wrapping
-    # round, read the zero padding
-    pad = [0] * plan.reach
-    at_least = [*accumulate(reversed(rels.levels), or_)][::-1] + pad
-    at_most = [*accumulate(rels.levels, or_)] + pad
+    at_least, at_most = rels.windows
+    if plan.reach > len(rels.levels):  # gaps past the padding
+        at_least, at_most = at_least + (0,) * plan.reach, at_most + (0,) * plan.reach
     p = len(order)
     img = [-1] * p
     used = 0
     nodes = 0
     stack: list[tuple[int, int, list[int]]] = []
     depth = 0
-    cand = domains
+    cand = [domains[cls[-1]] for cls in plan.classes]  # order[0], maybe pinned, reads its own
     e = order[0]
-    c = cand[e]
+    c = domains[e]
     while True:
         if not c:
             if not stack:
@@ -330,17 +343,17 @@ def _search(rels: Relations, plan: _Plan, domains: list[int], budget: int,
             copies.setdefault(used | bit, tuple(img))
             continue
         nxt = list(cand)
-        for e2, k in steps[depth]:
-            nxt[e2] &= rows[k][i]
+        for ci, k in steps[depth]:
+            nxt[ci] &= rows[k][i]
         if rise[depth] or fall[depth]:
             size = masks[i].bit_count()
-            for e2, g in rise[depth]:
-                nxt[e2] &= at_least[size + g]
-            for e2, g in fall[depth]:
-                nxt[e2] &= at_most[size - g]
+            for ci, g in rise[depth]:
+                nxt[ci] &= at_least[size + g]
+            for ci, g in fall[depth]:
+                nxt[ci] &= at_most[size - g]
         avail = ~(used | bit)
-        for rep, need in counts[depth]:
-            if (nxt[rep] & avail).bit_count() < need:
+        for ci, need in counts[depth]:
+            if (nxt[ci] & avail).bit_count() < need:
                 break
         else:
             used |= bit
@@ -348,17 +361,19 @@ def _search(rels: Relations, plan: _Plan, domains: list[int], budget: int,
             stack.append((e, c, cand))
             cand = nxt
             e = order[depth]
-            c = cand[e] & ~used
+            c = cand[class_of[e]] & ~used
             tp = twin_prev[e]
             if tp >= 0:
                 c &= ~((1 << (img[tp] + 1)) - 1)
-            for rep, need, k in cuts[depth]:
-                s = cand[rep] & ~used
+            for ci, need, k in cuts[depth]:
+                s = cand[ci] & ~used
                 if s.bit_count() * need < c.bit_count():
                     flip = rows[k]
                     tally = [0] * need  # tally[t]: candidates seen at least t + 1 times
-                    for j in _bits(s):
-                        x = flip[j] & c
+                    while s:
+                        low = s & -s
+                        s ^= low
+                        x = flip[low.bit_length() - 1] & c
                         for t in range(need - 1, 0, -1):
                             tally[t] |= tally[t - 1] & x
                         tally[0] |= x
@@ -437,12 +452,12 @@ class AntichainResult(NamedTuple):
     witness: tuple[int, ...]
 
 
-def _matching(rels: Relations, live: int, span: int) -> tuple[dict[int, int], int]:
+def _matching(rels: Relations, live: int, levels: Sequence[int]) -> tuple[dict[int, int], int]:
     """Maximum matching (right vertex to left partner) of the members in
     ``live``, and |live| - matching, the widest antichain (Dilworth). The
-    live members lie in an interval spanned by d elements, those of ``span``
-    in [n'], n' the largest member's bit length: [∅, [n']] for max_antichain,
-    [∅, S] for s_minus(S) and [S, S ∪ [n']] for s_plus(S).
+    live members lie in ``levels``, the d + 1 levels of an interval spanned
+    by d elements of [n'], n' the largest member's bit length: [∅, [n']] for
+    max_antichain, [∅, S ∩ [n']] for s_minus(S) and [S, [n']] for s_plus(S).
 
     The graph has an edge (u, v) whenever member u is a proper subset of
     member v, both live: bit v of ``sup[u] & live``. Roots go in index
@@ -462,9 +477,9 @@ def _matching(rels: Relations, live: int, span: int) -> tuple[dict[int, int], in
     through them.
     """
     sup = rels.sup
-    widest = max((level & live).bit_count() for level in rels.levels)
-    d = (span & (1 << len(rels.levels) - 1) - 1).bit_count()
-    size = widest if widest == comb(d, d // 2) else live.bit_count()
+    widest = max([(level & live).bit_count() for level in levels], default=0)
+    d = len(levels) - 1
+    size = widest if live and widest == comb(d, d // 2) else live.bit_count()
     match_right: dict[int, int] = {}
     free = live
     seen = 0
@@ -505,7 +520,7 @@ def max_antichain(family: SetFamily, rels: Relations | None = None) -> Antichain
     else the complement of a minimum vertex cover of the matching (König)."""
     if rels is None:
         rels = Relations(family.members)
-    match_right, size = _matching(rels, rels.full, -1)
+    match_right, size = _matching(rels, rels.full, rels.levels)
     for level in reversed(rels.levels):
         if level.bit_count() == size:  # a level of the record is one block of indices
             return AntichainResult(size, tuple(range(lo := level.bit_length() - size, lo + size)))
@@ -535,10 +550,11 @@ def max_antichain(family: SetFamily, rels: Relations | None = None) -> Antichain
 
 def s_minus(rels: Relations, mask: int) -> int:
     """Maximum antichain size among members contained in ``mask``."""
-    return _matching(rels, rels.below(mask), mask)[1]
+    d = (mask & (1 << len(rels.levels) - 1) - 1).bit_count()
+    return _matching(rels, rels.below(mask), rels.levels[:d + 1])[1]
 
 
 def s_plus(rels: Relations, mask: int) -> int:
     """Maximum antichain size among members containing ``mask``."""
-    return _matching(rels, rels.above(mask), ~mask)[1]
+    return _matching(rels, rels.above(mask), rels.levels[mask.bit_count():])[1]
 

@@ -268,7 +268,7 @@ def parse_family(text: str) -> SetFamily:
     body = list(map(str.strip, lines[lineno:]))
     counts = Counter(map(str.count, sample := body[::n], repeat(",")))
     dense = [commas for commas, count in counts.items() if 2 * n * count >= comb(n, commas + 1)]
-    missed, table = len(sample) - sum(map(counts.__getitem__, dense)), {}
+    missed, table, masks = len(sample) - sum(map(counts.__getitem__, dense)), {}, None
     if 2 * missed < len(sample):  # else a lookup per line costs more than the hits save
         names = [str(e) for e in range(1, n + 1)]
         table = {"{}": 0, "{" + ",".join(names) + "}": (1 << n) - 1}
@@ -277,8 +277,10 @@ def parse_family(text: str) -> SetFamily:
             keys = "{" + "}\n{".join(map(",".join, combinations(names, commas + 1))) + "}"
             table.update(zip(keys.split("\n"), _level_masks(n, commas + 1)))
         if not missed and len(got := set(map(table.get, body))) == len(body) and None not in got:
-            return SetFamily.of(n, got)
-    return SetFamily.of(n, _read_lines(body, lineno + 1, n, table))
+            masks = got
+    masks = _read_lines(body, lineno + 1, n, table) if masks is None else masks
+    del lines, body, sample, table  # the line table goes before canonicalizing
+    return SetFamily.of(n, masks)
 
 
 def serialize_family(family: SetFamily) -> str:

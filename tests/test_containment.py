@@ -4,6 +4,7 @@ import sys
 import threading
 
 import pytest
+from collections import Counter
 from math import comb
 from random import Random
 
@@ -162,11 +163,13 @@ def test_member_relations_refuse_oversized_families():
 
 
 def test_above_below_tables_match_element_loops():
-    # one lookup per chunk of 8 elements against the per-element loops and
-    # the definitions, at chunk edges, on the empty family, and on sets with
-    # elements at or past the highest one any member holds
+    # has is the per-element transpose of the masks, and one lookup per chunk
+    # of 8 elements matches the per-element loops and the definitions, at
+    # chunk edges, on the empty family and on {∅}, and on sets with elements
+    # at or past the highest one any member holds; the size windows hold the
+    # members of each size and up or down, zeros past both ends
     rng = Random(1928)
-    cases = [[]]
+    cases = [[], [0]]
     for n in (1, 7, 8, 9, 16, 17, 24):
         for _ in range(4):
             cases.append(list({rng.getrandbits(n) for _ in range(rng.randint(1, 150))}))
@@ -174,6 +177,15 @@ def test_above_below_tables_match_element_loops():
     for masks in cases:
         rels = Relations(masks)
         n = len(rels.has)
+        assert n == max(masks, default=0).bit_length()
+        assert rels.has == tuple(sum(1 << i for i, x in enumerate(masks) if x >> e & 1)
+                                 for e in range(n))
+        at_least, at_most = rels.windows
+        for k in range(-n - 1, 2 * n + 2):
+            assert at_least[k] == sum(1 << i for i, x in enumerate(masks)
+                                      if n >= x.bit_count() >= k >= 0)
+            assert at_most[k] == sum(1 << i for i, x in enumerate(masks)
+                                     if 0 <= x.bit_count() <= k <= n)
         sets = [0, (1 << n) - 1, 1 << n, (1 << n) - 1 | 1 << (n + 5), 1 << 40, *masks[:10],
                 *(rng.getrandbits(n) for _ in range(40)),
                 *(rng.getrandbits(n + 9) for _ in range(10))]
@@ -697,6 +709,45 @@ def test_pinned_plans_keep_class_order():
                         assert prev < 0 or at[prev] < at[e]
 
 
+def test_plans_name_the_classes_with_unplaced_elements():
+    # at every depth the steps, counts, cuts, rises and falls name only the
+    # classes with unplaced elements; counts holds each with its unplaced
+    # count, the steps pair each with the row kind its elements take towards
+    # the element placed (none for an incomparable one, plain), the cuts hold
+    # the counts of the classes narrowed, transposed, and rise and fall the
+    # classes above and below with their size gaps past 1
+    rng = Random(2801)
+    posets = [complete_multilevel(widths) for widths in
+              ((1, 4, 1), (2, 4, 2), (4, 4), (3, 3), (2, 3, 2), (2, 2, 2), (1, 2, 1))]
+    posets += [random_twin_poset(rng) for _ in range(200)]
+    for poset in posets:
+        classes, above, below = poset.twin_classes, poset.above, poset.below
+        for induced in (False, True):
+            gaps, _ = size_gaps(poset, induced)
+            for first in (None, *(cls[0] for cls in classes)):
+                plan = containment._plan_for(poset, induced, first)
+                assert plan.classes == classes
+                assert all(plan.class_of[e] == ci for ci, cls in enumerate(classes) for e in cls)
+                for d, e in enumerate(plan.order):
+                    unplaced = Counter(plan.class_of[x] for x in plan.order[d + 1:])
+                    assert dict(plan.counts[d]) == unplaced and len(plan.counts[d]) == len(unplaced)
+                    kinds = {}
+                    for x in plan.order[d + 1:]:
+                        k = 0 if above[e] >> x & 1 else 1 if below[e] >> x & 1 else 2
+                        if k < 2 or induced:
+                            assert kinds.setdefault(plan.class_of[x], k) == k
+                    assert dict(plan.steps[d]) == kinds and len(plan.steps[d]) == len(kinds)
+                    assert sorted(plan.cuts[d]) == sorted(
+                        (ci, unplaced[ci], (1, 0, 2)[k]) for ci, k in kinds.items())
+                    ce = plan.class_of[e]
+                    assert sorted(plan.rise[d]) == sorted(
+                        (ci, gaps[ce][ci]) for ci, k in kinds.items()
+                        if k == 0 and gaps[ce][ci] > 1)
+                    assert sorted(plan.fall[d]) == sorted(
+                        (ci, gaps[ci][ce]) for ci, k in kinds.items()
+                        if k == 1 and gaps[ci][ce] > 1)
+
+
 def test_banded_verdicts_match_brute_force():
     # bands of full levels with residue-class fringes run the fringe and band
     # pins: verdicts and witnesses agree with brute force, plain and induced,
@@ -768,6 +819,17 @@ def test_size_gaps_hold_in_every_copy():
                     checked += 1
                     wide += gap > 1
     assert checked > 900 and wide > 300
+
+
+def test_size_gaps_past_the_windows():
+    # induced K[3,3,3,3,3,3] has a bottom-to-top gap of 14, and in B_7 every
+    # element's domain holds sets: the band pins put a bottom element on ∅,
+    # {1} and {1,2}, and the last reads the size window at 2 + 14, past the
+    # record's 8 entries and 8 zeros of padding
+    poset = complete_multilevel([3] * 6)
+    assert size_gaps(poset, True)[1] == 14
+    res = contains_subposet(consecutive_levels(7, -1, 8), poset, True)
+    assert res.free and res.nodes == 3
 
 
 def test_size_gaps_are_realised():

@@ -25,7 +25,7 @@ from subposet.containment import (
     find_embedding,
     max_antichain,
 )
-from subposet.lattice import SetFamily, parse_family, set_str
+from subposet.lattice import SetFamily, consecutive_levels, parse_family, set_str
 from subposet.posets import Poset, chain_poset, complete_multilevel, named_poset
 from subposet.solver import la_exact
 
@@ -235,6 +235,32 @@ def test_search_matches_reference_loop(family, poset, induced, budget, data):
     member = data.draw(st.integers(0, rels.full.bit_length() - 1))
     listing = data.draw(st.booleans())
     compare_with_reference(rels, rels.full, poset, induced, budget, member, listing)
+
+
+TWIN_PATTERNS = [complete_multilevel(widths)
+                 for widths in ((1, 4, 1), (2, 4, 2), (4, 4), (3, 3), (2, 3, 2))]
+B5, B6_1_5 = consecutive_levels(5, -1, 6), consecutive_levels(6, 0, 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(banded_families(max_n=6, max_band=64, max_extras=8), st.sampled_from(TWIN_PATTERNS),
+       st.booleans(), st.sampled_from([0, 50, 10**5]), st.integers(0, 63))
+@example(B5, TWIN_PATTERNS[1], False, 10**5, 7)
+@example(B5, TWIN_PATTERNS[0], True, 10**5, 0)
+@example(B6_1_5, TWIN_PATTERNS[2], True, 10**5, 30)
+@example(B6_1_5, TWIN_PATTERNS[4], True, 10**5, 12)
+@example(B6_1_5, TWIN_PATTERNS[3], False, 10**5, 61)
+def test_class_domains_match_reference_loop(family, poset, induced, budget, pick):
+    # the unplaced twins of a class of 3-4 share one domain in the search and
+    # have one each in the reference loop: the same verdicts, witnesses and
+    # copy lists, unpinned, pinned and listing all copies
+    if not family.members:
+        return
+    rels = Relations(family.members)
+    compare_with_reference(rels, rels.full, poset, induced, budget)
+    member = pick % len(family.members)
+    for listing in (False, True):
+        compare_with_reference(rels, rels.full, poset, induced, budget, member, listing)
 
 
 @settings(max_examples=40, deadline=None)
