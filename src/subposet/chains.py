@@ -27,10 +27,8 @@ that meet Q nowhere after S, each with its family hits. A part with markers
 A and B then holds g(A) |B-A|! h(B) chains, and its pairs add up the hits
 before A, from A to B (an upward DP from each A) and after B. The closed
 sets share one containment.Relations record: a set that no neighbour puts
-inside reads its members below (above) off it, and takes an s_minus
-(s_plus) matching only when at least r (t) of them are there and no level
-they may lie in (the sizes up to |S|, from |S| on) holds r (t) of them,
-which would be an antichain that wide. Cost:
+inside asks only whether s_minus(S) >= r (s_plus(S) >= t), which the
+matcher settles as cheaply as it can (containment._matching). Cost:
 O(2^n n) big-int operations for the DPs plus, per first marker A with two
 markers, O(k) for each superset of A with k more elements and at most top
 in all, top being the size of the largest B marker (at most the top fringe
@@ -133,22 +131,13 @@ def _up_closed(n: int, test: Callable[[int], bool]) -> bytearray:
     return inside
 
 
-def _wide(levels: Sequence[int], live: int, r: int, width: Callable[[], int]) -> bool:
-    """Do the ``live`` members, all in ``levels``, hold an antichain of r sets?
-    A live level of r sets is one; only otherwise does ``width()`` decide."""
-    return live.bit_count() >= r and (any((level & live).bit_count() >= r for level in levels)
-                                      or width() >= r)
-
-
 def _s_minus_at_least(n: int, rels: Relations, r: int) -> bytearray:
-    return _up_closed(n, lambda s: _wide(rels.levels[:s.bit_count() + 1], rels.below(s), r,
-                                         lambda: s_minus(rels, s)))
+    return _up_closed(n, lambda s: s_minus(rels, s, r) >= r)
 
 
 def _s_plus_at_least(n: int, rels: Relations, t: int) -> bytearray:
     full = (1 << n) - 1  # {s_plus >= t} is down-closed: its complements are up-closed
-    return _up_closed(n, lambda u: _wide(rels.levels[n - u.bit_count():], rels.above(full ^ u),
-                                         t, lambda: s_plus(rels, full ^ u)))[::-1]
+    return _up_closed(n, lambda u: s_plus(rels, full ^ u, t) >= t)[::-1]
 
 
 def count_pairs_enumerated(family: SetFamily) -> int:
@@ -266,7 +255,7 @@ def min_r_partition(family: SetFamily, r: int) -> PartitionReport:
         raise ValueError(f"need r >= 1, got {r}")
     member = _membership(family)  # the cap, before the costlier precondition
     rels = Relations(family.members)
-    if s_minus(rels, (1 << family.n) - 1) < r:  # the widest antichain; no witness needed
+    if s_minus(rels, (1 << family.n) - 1, r) < r:  # no witness needed
         raise PartitionPreconditionError(
             f"family has no antichain of size {r}; the partition is undefined"
         )
@@ -286,9 +275,10 @@ def minr_maxt_partition(family: SetFamily, r: int, t: int) -> PartitionReport:
         raise ValueError(f"need r, t >= 1, got r={r}, t={t}")
     member = _membership(family)  # the cap, before the costlier precondition
     rels = Relations(family.members)
-    if r >= 2 and s_minus(rels, (1 << family.n) - 1) < max(r, t):
+    wide = max(r, t)
+    if r >= 2 and s_minus(rels, (1 << family.n) - 1, wide) < wide:
         raise PartitionPreconditionError(
-            f"family has no antichain of size max(r, t) = {max(r, t)}; "
+            f"family has no antichain of size max(r, t) = {wide}; "
             "the partition is undefined"
         )
     n = family.n

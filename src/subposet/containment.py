@@ -452,23 +452,26 @@ class AntichainResult(NamedTuple):
     witness: tuple[int, ...]
 
 
-def _matching(rels: Relations, live: int, levels: Sequence[int]) -> tuple[dict[int, int], int]:
-    """Maximum matching (right vertex to left partner) of the members in
-    ``live``, and |live| - matching, the widest antichain (Dilworth). The
-    live members lie in ``levels``, the d + 1 levels of an interval spanned
-    by d elements of [n'], n' the largest member's bit length: [∅, [n']] for
-    max_antichain, [∅, S ∩ [n']] for s_minus(S) and [S, [n']] for s_plus(S).
+def _matching(rels: Relations, live: int, levels: Sequence[int],
+              r: int | None = None) -> tuple[dict[int, int], int]:
+    """Does the widest antichain of the members in ``live`` hold r sets? The
+    matching found (right vertex to left partner), and a size that is >= r
+    exactly when the width is; with no r, the width itself, |live| - a
+    maximum matching (Dilworth). The live members lie in ``levels``, the
+    d + 1 levels of an interval spanned by d elements of [n'], n' the largest
+    member's bit length: [∅, [n']] for max_antichain, [∅, S ∩ [n']] for
+    s_minus(S) and [S, [n']] for s_plus(S).
 
-    The graph has an edge (u, v) whenever member u is a proper subset of
-    member v, both live: bit v of ``sup[u] & live``. Roots go in index
-    order, and a path from a root meets earlier roots only, so the search
-    reads, and so builds, the ``sup`` rows of the roots taken and no other
-    row. Each level is an antichain, so once |live| - matching is the widest
-    live level the matching is maximum and no further root is taken; by
-    Sperner every band of full levels ends so, a single level at once. No
-    antichain of the interval is wider than its central rank, C(d, d // 2)
-    sets (LYM, Lubell 1966), so a live level that wide settles the width
-    before any root and builds no row.
+    Fewer than r live members say no before any level is read; a live level
+    of r sets, an antichain, says yes. Otherwise roots are taken until
+    |live| - matching, never below the width, is below r, or none is left.
+    No r means r = the widest live level + 1: by Sperner every band of full
+    levels stops there, a single level at once, and by LYM (Lubell 1966) so
+    does a live level as wide as the interval's central rank, C(d, d // 2),
+    before any root. The graph has an edge (u, v) whenever member u is a
+    proper subset of member v, both live: bit v of ``sup[u] & live``. Roots
+    go in index order, and a path from a root meets earlier roots only, so
+    only the ``sup`` rows of the roots taken are read, and so built.
 
     Augmenting paths come from an iterative depth-first search that keeps the
     path explicitly and steps to a free right vertex first when the node has
@@ -476,15 +479,22 @@ def _matching(rels: Relations, live: int, levels: Sequence[int]) -> tuple[dict[i
     augmentation: until the matching changes, no augmenting path can pass
     through them.
     """
-    sup = rels.sup
+    size = live.bit_count()
+    if r is not None and size < r:
+        return {}, size
     widest = max([(level & live).bit_count() for level in levels], default=0)
+    if r is None:
+        r = widest + 1
+    elif widest >= r:
+        return {}, widest
     d = len(levels) - 1
-    size = widest if live and widest == comb(d, d // 2) else live.bit_count()
+    size = widest if live and widest == comb(d, d // 2) else size
+    sup = rels.sup
     match_right: dict[int, int] = {}
     free = live
     seen = 0
     for root in _bits(live):
-        if size == widest:
+        if size < r:
             break
         u = root
         path: list[int] = []
@@ -548,13 +558,12 @@ def max_antichain(family: SetFamily, rels: Relations | None = None) -> Antichain
     return AntichainResult(size, witness)
 
 
-def s_minus(rels: Relations, mask: int) -> int:
-    """Maximum antichain size among members contained in ``mask``."""
+def s_minus(rels: Relations, mask: int, r: int | None = None) -> int:
+    """The widest antichain of the members inside ``mask`` (given r: >= r exactly when it is)."""
     d = (mask & (1 << len(rels.levels) - 1) - 1).bit_count()
-    return _matching(rels, rels.below(mask), rels.levels[:d + 1])[1]
+    return _matching(rels, rels.below(mask), rels.levels[:d + 1], r)[1]
 
 
-def s_plus(rels: Relations, mask: int) -> int:
-    """Maximum antichain size among members containing ``mask``."""
-    return _matching(rels, rels.above(mask), rels.levels[mask.bit_count():])[1]
-
+def s_plus(rels: Relations, mask: int, r: int | None = None) -> int:
+    """The widest antichain of the members holding ``mask`` (given r: >= r exactly when it is)."""
+    return _matching(rels, rels.above(mask), rels.levels[mask.bit_count():], r)[1]

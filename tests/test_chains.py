@@ -203,9 +203,9 @@ def test_minr_maxt_matches_independent_scan():
 
 
 def test_threshold_marks_match_widths():
-    # the marks of {s_minus >= r} and {s_plus >= t}, settled by a live level
-    # of r (t) sets where one exists, equal the widths' thresholds; some yes
-    # answers need a matching (no live level that wide)
+    # the marks of {s_minus >= r} and {s_plus >= t}, threshold questions to
+    # the matcher, equal the widths' thresholds, also for an r that no width
+    # reaches; some yes answers need a matching (no live level that wide)
     from subposet.containment import Relations, s_minus, s_plus
 
     rng = Random(2603)
@@ -218,7 +218,8 @@ def test_threshold_marks_match_widths():
         rels = Relations(sorted(masks, key=lambda x: (x.bit_count(), x)))
         minus = [s_minus(rels, s) for s in range(1 << n)]
         plus = [s_plus(rels, s) for s in range(1 << n)]
-        for r in (1, 2, 3, 4):
+        above = max(minus + plus) + 1  # wider than every width: every answer is no
+        for r in (1, 2, 3, 4, above):
             assert list(chains._s_minus_at_least(n, rels, r)) == [w >= r for w in minus]
             assert list(chains._s_plus_at_least(n, rels, r)) == [w >= r for w in plus]
             matched += sum(w >= r and all((lv & rels.below(s)).bit_count() < r
@@ -271,7 +272,7 @@ def test_partitions_match_chain_walk():
 def test_hard_cap_refused_before_any_relation(monkeypatch):
     # the library's one limit, checked where the first 2^n array is built
     monkeypatch.setattr(chains, "Relations", lambda masks: pytest.fail("Relations ran"))
-    monkeypatch.setattr(chains, "s_minus", lambda rels, mask: pytest.fail("precondition ran"))
+    monkeypatch.setattr(chains, "s_minus", lambda *args: pytest.fail("precondition ran"))
     fam = SetFamily.of(17, [0, 1, 3])
     for call in (lambda: count_pairs_enumerated(fam), lambda: min_max_partition(fam),
                  lambda: min_r_partition(fam, 2), lambda: minr_maxt_partition(fam, 2, 2)):

@@ -1016,6 +1016,57 @@ def test_s_minus_s_plus():
         assert s_minus(rels, full) == max_antichain(fam).size
 
 
+def test_threshold_widths_match_the_oracles():
+    # s_minus(S, r) and s_plus(S, r) are >= r exactly when the widths are,
+    # for every r from 1 to one past the live members: too few live members,
+    # a live level of r sets and a matching all answer
+    rng = Random(2910)
+    answers = Counter()
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        masks = random_family_masks(rng, n, 12)
+        rels = Relations(SetFamily.of(n, masks).members)
+        for _ in range(4):
+            bound = rng.randrange(1 << n)
+            for antichain, oracle, live in ((s_minus, brute_s_minus, rels.below(bound)),
+                                            (s_plus, brute_s_plus, rels.above(bound))):
+                width = oracle(masks, bound)
+                for r in range(1, live.bit_count() + 2):
+                    assert (antichain(rels, bound, r) >= r) == (width >= r), (masks, bound, r)
+                    answers["few" if live.bit_count() < r else
+                            "level" if widest_level(rels, live) >= r else "matched"] += 1
+    assert min(answers.values()) > 100, answers
+
+
+def test_threshold_builds_no_more_rows_than_the_width():
+    # on fresh records a threshold question takes a prefix of the roots the
+    # exact width takes, and fewer when it is settled early: {1} and {2,3}
+    # are too few for r = 3, while their width takes both roots; some
+    # matchings stop at |live| - matching < r before the width is known
+    def rows(antichain, masks, bound, *r):
+        rels = Relations(masks)
+        antichain(rels, bound, *r)
+        return built(rels.sup)
+
+    assert rows(s_minus, [0b001, 0b110], 0b111, 3) == []
+    assert rows(s_minus, [0b001, 0b110], 0b111) == [0, 1]
+    rng = Random(2911)
+    fewer = Counter()
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        fam = SetFamily.of(n, without_full_centre(random_family_masks(rng, n, 40)))
+        rels = Relations(fam.members)
+        for _ in range(3):
+            bound = rng.randrange(1 << n)
+            for antichain, live in ((s_minus, rels.below(bound)), (s_plus, rels.above(bound))):
+                exact = rows(antichain, fam.members, bound)
+                for r in range(1, live.bit_count() + 2):
+                    some = rows(antichain, fam.members, bound, r)
+                    assert some == exact[:len(some)]
+                    fewer["matched" if some else "none"] += len(some) < len(exact)
+    assert fewer["none"] > 100 and fewer["matched"] > 100, fewer
+
+
 def test_interval_has_antichain():
     assert interval_has_antichain(0, 0b11, 2)
     assert not interval_has_antichain(0, 0b111, 4)
