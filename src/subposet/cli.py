@@ -38,8 +38,11 @@ def load_poset_spec(spec: str) -> posets.Poset:
         return posets.named_poset(spec)
     if spec.startswith("K["):
         return posets.complete_multilevel(posets.parse_signature(spec))
-    if len(spec) > 1 and spec[0] == "P" and spec[1:].isdigit():
-        return posets.chain_poset(int(spec[1:]))
+    if len(spec) > 1 and spec[0] == "P" and spec[1:].isdecimal():
+        if (k := lattice.number(spec[1:])) is None:
+            raise ValueError(f"chain needs 1 to {posets.MAX_ELEMENTS} elements, "
+                             f"got {len(spec) - 1} digits")
+        return posets.chain_poset(k)
     with open(spec, "r", encoding="utf-8") as fh:
         return posets.parse_poset(fh.read())
 

@@ -75,16 +75,16 @@ first copy in pin order, not the lexicographically smallest embedding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, groupby
 from math import comb
 from operator import or_
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .lattice import SetFamily
-from .posets import Poset, _bits, size_gaps
+from .lattice import SetFamily, bits
+from .posets import Poset, size_gaps
 
 DEFAULT_BUDGET = 10**8
 # Relation rows take about 3 * m^2 / 8 bytes: 0.94 GB at this many members.
@@ -201,35 +201,27 @@ class _Rows(dict):
         return self.setdefault(i, self.build(i))
 
 
-@dataclass(frozen=True, eq=False)
 class Relations:
     """Member data of distinct masks (module docstring): ``full`` holds all
     members, ``levels[k]`` the k-sets, and the row maps start empty. Two
     threads reading one missing row may both build it, to the same value."""
 
-    masks: tuple[int, ...]
-    full: int = field(init=False)
-    levels: tuple[int, ...] = field(init=False)
-    sup: dict[int, int] = field(init=False)
-    sub: dict[int, int] = field(init=False)
-    inc: dict[int, int] = field(init=False)
-
-    def __post_init__(self):
-        m = len(self.masks)
+    def __init__(self, masks: Iterable[int]):
+        self.masks = masks = tuple(masks)
+        m = len(masks)
         if m > MAX_MEMBERS:
             raise ValueError(f"{m} members exceed the relation precompute cap of {MAX_MEMBERS}")
-        masks = tuple(self.masks)
+        self.full = (1 << m) - 1
         levels = [0] * (max(masks, default=0).bit_length() + 1)
         start = 0
         for k, run in groupby(masks, int.bit_count):  # one block per run of k-sets
             end = start + len(list(run))
             levels[k] |= (1 << end) - (1 << start)
             start = end
-        vars(self).update(  # written once, here; the rows fill in as they are read
-            masks=masks, full=(1 << m) - 1, levels=tuple(levels),
-            sup=_Rows(lambda i: self.above(masks[i]) ^ 1 << i),
-            sub=_Rows(lambda i: self.below(masks[i]) ^ 1 << i),
-            inc=_Rows(lambda i: self.full ^ self.sup[i] ^ self.sub[i] ^ 1 << i))
+        self.levels = tuple(levels)
+        self.sup = _Rows(lambda i: self.above(masks[i]) ^ 1 << i)
+        self.sub = _Rows(lambda i: self.below(masks[i]) ^ 1 << i)
+        self.inc = _Rows(lambda i: self.full ^ self.sup[i] ^ self.sub[i] ^ 1 << i)
 
     @cached_property
     def has(self) -> tuple[int, ...]:
@@ -414,7 +406,7 @@ def find_embedding(rels: Relations, live: int, poset: Poset, induced: bool = Fal
             return SearchResult(*_search(rels, plan, domains, budget))
         first, fringe = plan.order[0], live ^ band
         reps = [level & band & domains[first] for level in levels]  # any set represents its level
-        pins = chain(((cls[0], f, band | fringe >> f << f) for f in _bits(fringe)
+        pins = chain(((cls[0], f, band | fringe >> f << f) for f in bits(fringe)
                       for cls in plan.classes),
                      ((first, (r & -r).bit_length() - 1, band) for r in reps if r))
     total = 0
@@ -493,7 +485,7 @@ def _matching(rels: Relations, live: int, levels: Sequence[int],
     match_right: dict[int, int] = {}
     free = live
     seen = 0
-    for root in _bits(live):
+    for root in bits(live):
         if size < r:
             break
         u = root
@@ -553,7 +545,7 @@ def max_antichain(family: SetFamily, rels: Relations | None = None) -> Antichain
             if not zl & w:
                 zl |= w
                 frontier |= w
-    witness = tuple(_bits(zl & ~zr))
+    witness = tuple(bits(zl & ~zr))
     assert len(witness) == size, "vertex-cover extraction mismatch"
     return AntichainResult(size, witness)
 

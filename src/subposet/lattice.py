@@ -53,24 +53,22 @@ def sigma(n: int, k: int) -> int:
     return sum(comb(n, base + i) for i in range(1, k + 1))
 
 
-def elements_of(mask: int) -> tuple[int, ...]:
-    """1-based elements of a mask, ascending."""
-    out = []
+def bits(mask: int) -> Iterator[int]:
+    """The 0-based indices of the set bits of a mask, ascending."""
     while mask:
         low = mask & -mask
-        out.append(low.bit_length())
+        yield low.bit_length() - 1
         mask ^= low
-    return tuple(out)
 
 
 def set_str(mask: int) -> str:
     """Render a mask in the family-file set syntax, e.g. "{}" or "{1,3}"."""
-    return "{" + ",".join(map(str, elements_of(mask))) + "}"
+    return "{" + ",".join([str(i + 1) for i in bits(mask)]) + "}"
 
 
 def element_sum(mask: int) -> int:
     """Sum of the 1-based elements of a mask (used for residue classes)."""
-    return sum(elements_of(mask))
+    return sum(bits(mask)) + mask.bit_count()
 
 
 def _canonical(masks: Iterable[int]) -> tuple[int, ...]:
@@ -184,9 +182,10 @@ _HEADER_RE = re.compile(r"n=(\d+)")
 _SET_RE = re.compile(r"\{(\d+(?:,\d+)*)\}")
 
 
-def _number(digits: str) -> int | None:
+def number(digits: str) -> int | None:
     """The value of a run of decimal digits, or None past the digit limit of
-    Python's int conversion (4,300 digits), which no valid number reaches."""
+    Python's int conversion (4,300 digits), which each reader of family and
+    pattern text reports as out of its range."""
     try:
         return int(digits)
     except ValueError:
@@ -201,7 +200,7 @@ def _parse_set(line: str, n: int, lineno: int) -> int:
     if not m:
         raise FamilyParseError(f"malformed set {line!r}", lineno)
     # an overlong number is larger than any element: it sorts last, out of range
-    elems = [n + 1 if e is None else e for e in map(_number, m.group(1).split(","))]
+    elems = [n + 1 if e is None else e for e in map(number, m.group(1).split(","))]
     if any(b <= a for a, b in zip(elems, elems[1:])):
         raise FamilyParseError(f"elements must be strictly ascending in {line!r}", lineno)
     if not (1 <= elems[0] and elems[-1] <= n):
@@ -256,7 +255,7 @@ def parse_family(text: str) -> SetFamily:
         m = _HEADER_RE.fullmatch(line)
         if not m:
             raise FamilyParseError(f"expected 'n=<int>' header, got {line!r}", lineno)
-        n = _number(m.group(1))
+        n = number(m.group(1))
         if n is None:
             raise FamilyParseError(f"ground size of {len(m.group(1))} digits out of "
                                    f"[1, {MAX_GROUND}]", lineno)

@@ -18,6 +18,7 @@ from operator import sub
 import re
 
 from .formulas import antichain_height
+from .lattice import bits, number
 
 MAX_ELEMENTS = 2_000
 
@@ -31,20 +32,13 @@ class PosetParseError(ValueError):
         self.line = line
 
 
-def _bits(x: int):
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
-
-
 def _longest_chains(rel: tuple[int, ...]) -> tuple[int, ...]:
     """Per element i, the number of elements on a longest chain inside
     ``rel[i]``, a transitively closed strict relation (below or above)."""
     length = [0] * len(rel)
     # each j in rel[i] has rel[j] inside rel[i], so fewer bits: it comes first
     for i in sorted(range(len(rel)), key=lambda i: rel[i].bit_count()):
-        length[i] = max((length[j] + 1 for j in _bits(rel[i])), default=0)
+        length[i] = max((length[j] + 1 for j in bits(rel[i])), default=0)
     return tuple(length)
 
 
@@ -66,7 +60,7 @@ class Poset:
                 raise ValueError(f"below[{i}] references elements outside the poset")
             if b >> i & 1:
                 raise ValueError(f"element {i + 1} is below itself")
-            for j in _bits(b):
+            for j in bits(b):
                 if self.below[j] >> i & 1:
                     raise ValueError(f"elements {i + 1} and {j + 1} are mutually below")
                 if self.below[j] & ~b:
@@ -80,7 +74,7 @@ class Poset:
     def above(self) -> tuple[int, ...]:
         up = [0] * self.size
         for i, b in enumerate(self.below):
-            for j in _bits(b):
+            for j in bits(b):
                 up[j] |= 1 << i
         return tuple(up)
 
@@ -123,25 +117,21 @@ def size_gaps(poset: Poset, induced: bool) -> tuple[tuple[list[int], ...], int]:
     above, heights = poset.above, poset.heights
     size = [len(cls) if induced else 1 for cls in classes]
     class_of = {e: ci for ci, cls in enumerate(classes) for e in cls}
-    tiers = [0] * (max(heights) + 1)  # the elements of each height
-    for e, h in enumerate(heights):
-        tiers[h] |= 1 << e
     reps = sum(1 << cls[0] for cls in classes)
     step = [antichain_height(s) if s > 1 else 0 for s in size]
     trim = [max(w - 1, 0) for w in step]
     edges = []  # edges[c]: (class d covering c, weight into d)
     for c, cls in enumerate(classes):
-        rest, out = above[cls[0]], []
-        for h in range(heights[cls[0]] + 1, len(tiers)):
-            if not rest:
-                break
-            # the lowest elements left cover c; what lies above them does not
-            low = rest & tiers[h]
-            rest ^= low
-            for z in _bits(low & reps):
-                rest &= ~above[z]
-                out.append((class_of[z], step[class_of[z]] or int(size[c] == 1)))
-        edges.append(out)
+        # c's covers lie above c and above no other element above c. Each
+        # element met drops all above it, which then needs no walk: what
+        # lies above a dropped element lies above the one met too
+        covers = left = above[cls[0]]
+        while left:
+            z = (left & -left).bit_length() - 1
+            covers &= ~above[z]
+            left &= covers ^ 1 << z
+        edges.append([(class_of[z], step[class_of[z]] or int(size[c] == 1))
+                      for z in bits(covers & reps)])
     topo = sorted(range(len(classes)), key=lambda c: heights[classes[c][0]])
     gaps: list[list[int]] = [[]] * len(classes)
     for at, c in enumerate(topo):  # the classes above c come after it
@@ -167,7 +157,8 @@ def complete_multilevel(widths) -> Poset:
     if not widths or any(w < 1 for w in widths):
         raise ValueError(f"widths must be positive, got {widths}")
     if sum(widths) > MAX_ELEMENTS:
-        raise ValueError(f"widths sum to {sum(widths)}, over the cap of {MAX_ELEMENTS} elements")
+        # the sum itself is not shown: it may be past the digits str() writes
+        raise ValueError(f"widths sum to more than the cap of {MAX_ELEMENTS} elements")
     below: list[int] = []
     lower = 0
     for w in widths:
@@ -206,7 +197,10 @@ def parse_signature(text: str) -> tuple[int, ...]:
     m = _SIGNATURE_RE.fullmatch(text.strip())
     if not m:
         raise ValueError(f"malformed signature {text!r}; expected K[w1,...,wk]")
-    widths = tuple(int(x) for x in m.group(1).split(","))
+    digits = m.group(1).split(",")
+    widths = tuple(map(number, digits))
+    if None in widths:
+        raise ValueError(f"width of {len(digits[widths.index(None)])} digits is too large")
     if any(w < 1 for w in widths):
         raise ValueError(f"widths must be positive, got {widths}")
     return widths
@@ -236,17 +230,19 @@ def parse_poset(text: str) -> Poset:
             m = _ELEMENTS_RE.fullmatch(line)
             if not m:
                 raise PosetParseError(f"expected 'elements=<int>' header, got {line!r}", lineno)
-            size = int(m.group(1))
-            if not 1 <= size <= MAX_ELEMENTS:
-                raise PosetParseError(f"need 1 to {MAX_ELEMENTS} elements, got {size}", lineno)
+            size = number(m.group(1))
+            if size is None or not 1 <= size <= MAX_ELEMENTS:
+                got = f"{len(m.group(1))} digits" if size is None else size
+                raise PosetParseError(f"need 1 to {MAX_ELEMENTS} elements, got {got}", lineno)
             continue
         m = _COVER_RE.fullmatch(line)
         if not m:
             raise PosetParseError(f"malformed cover {line!r}; expected 'a<b'", lineno)
-        a, b = int(m.group(1)), int(m.group(2))
-        for x in (a, b):
-            if not 1 <= x <= size:
-                raise PosetParseError(f"element {x} out of range [1, {size}]", lineno)
+        a, b = ends = [number(digits) for digits in m.groups()]
+        for x, digits in zip(ends, m.groups()):
+            if x is None or not 1 <= x <= size:
+                shown = f"of {len(digits)} digits" if x is None else x
+                raise PosetParseError(f"element {shown} out of range [1, {size}]", lineno)
         if a == b:
             raise PosetParseError(f"self-relation {line!r}", lineno)
         covers.append((a - 1, b - 1))
@@ -261,7 +257,7 @@ def parse_poset(text: str) -> Poset:
         changed = False
         for i in range(size):
             acc = below[i]
-            for j in _bits(below[i]):
+            for j in bits(below[i]):
                 acc |= below[j]
             if acc != below[i]:
                 below[i] = acc

@@ -28,9 +28,9 @@ from subposet import containment
 from subposet.containment import (DEFAULT_BUDGET, BudgetExceededError, SearchStatus,
                                   contains_subposet, find_embedding)
 from subposet.formulas import antichain_height, density_bounds
-from subposet.lattice import (MAX_GROUND, FamilyParseError, SetFamily, consecutive_levels,
-                              largest_mod_classes, set_str)
-from subposet.posets import Poset, _bits
+from subposet.lattice import (MAX_GROUND, FamilyParseError, SetFamily, bits,
+                              consecutive_levels, largest_mod_classes, set_str)
+from subposet.posets import Poset
 
 
 @lru_cache(maxsize=None)
@@ -311,7 +311,38 @@ def min_size_gaps(poset, induced: bool, h: int) -> dict[tuple[int, int], int | N
                           if _pinned_copy_exists(poset, induced, h,
                                                  {b: (1 << a) - 1, e: (1 << a + k) - 1})),
                          None)
-            for e in range(poset.size) for b in _bits(poset.below[e])}
+            for e in range(poset.size) for b in bits(poset.below[e])}
+
+
+def gaps_by_definition(poset, induced: bool) -> tuple[dict[tuple[int, int], int], int]:
+    """The size gap of each pair of twin classes c < d, taken literally from
+    the ``containment`` docstring, and the bound, their maximum (0 with no
+    pair): the heaviest chain of classes c = C_0 < C_1 < ... < C_m = d over
+    all comparable pairs, not only covers. A chain weighs [|C_0| >= 2], plus
+    for each 0 < l < m antichain_height(|C_l|) when |C_l| >= 2, else
+    [|C_{l-1}| = 1], plus [|C_m| >= 2 or |C_{m-1}| = 1]. A plain copy counts
+    every class as one element."""
+    classes = poset.twin_classes
+    size = [len(cls) if induced else 1 for cls in classes]
+
+    def chains(path):
+        yield path
+        for d in range(len(classes)):
+            if poset.less(classes[path[-1]][0], classes[d][0]):
+                yield from chains(path + [d])
+
+    def weight(path):
+        *inner, last = [size[c] for c in path]
+        middle = sum(antichain_height(s) if s >= 2 else int(below == 1)
+                     for below, s in zip(inner, inner[1:]))
+        return int(inner[0] >= 2) + middle + int(last >= 2 or inner[-1] == 1)
+
+    gaps: dict[tuple[int, int], int] = {}
+    for c in range(len(classes)):
+        for path in chains([c]):
+            if len(path) > 1:
+                gaps[c, path[-1]] = max(gaps.get((c, path[-1]), 0), weight(path))
+    return gaps, max(gaps.values(), default=0)
 
 
 def interval_has_antichain(lower: int, upper: int, s: int) -> bool:
@@ -831,7 +862,7 @@ def serialize_poset(poset: Poset) -> str:
     """Emit the poset file text, listing the full strict relation as covers."""
     lines = [f"elements={poset.size}"]
     for j in range(poset.size):
-        for i in _bits(poset.below[j]):
+        for i in bits(poset.below[j]):
             lines.append(f"{i + 1}<{j + 1}")
     return "\n".join(lines) + "\n"
 

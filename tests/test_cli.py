@@ -347,6 +347,30 @@ def test_check_names_the_line_of_an_overlong_number(tmp_path, capsys, text, mess
     assert doc["payload"]["error"].startswith(message)
 
 
+@pytest.mark.parametrize("spec, poset_text, message", [
+    ("P" + "9" * 5000, None, "chain needs 1 to 2000 elements, got 5000 digits"),
+    ("K[" + "9" * 5000 + "]", None, "width of 5000 digits is too large"),
+    ("K[2," + "9" * 5000 + "]", None, "width of 5000 digits is too large"),
+    ("K[" + "9" * 4300 + "," + "9" * 4300 + "]", None,
+     "widths sum to more than the cap of 2000 elements"),
+    (None, "elements=" + "9" * 5000 + "\n", "line 1: need 1 to 2000 elements, got 5000 digits"),
+    (None, "elements=3\n1<" + "9" * 5000 + "\n",
+     "line 2: element of 5000 digits out of range [1, 3]"),
+])
+def test_check_refuses_an_overlong_number_in_a_pattern(tmp_path, capsys, spec, poset_text,
+                                                       message):
+    # past Python's 4,300-digit int limit, each reader names its own range;
+    # two widths within it have a sum past it
+    fam_file = tmp_path / "fam.txt"
+    fam_file.write_text("n=2\n{1}\n{1,2}\n")
+    if poset_text is not None:
+        spec = tmp_path / "big.txt"
+        spec.write_text(poset_text)
+    code, doc, _ = run_cli(["check", str(fam_file), "--poset", str(spec)], capsys)
+    assert code == cli.EXIT_USAGE
+    assert doc["payload"]["error"] == message
+
+
 def test_determinism(tmp_path, capsys):
     fam_file = tmp_path / "fam.txt"
     fam_file.write_text("n=4\n{1}\n{2}\n{1,2}\n{1,3}\n")

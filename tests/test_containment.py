@@ -20,8 +20,8 @@ from subposet.containment import (
     s_plus,
 )
 from subposet.constructions import construct_rst, construct_rst_induced, construct_rt
-from subposet.lattice import SetFamily, consecutive_levels, level
-from subposet.posets import _bits, chain_poset, complete_multilevel, named_poset, size_gaps
+from subposet.lattice import SetFamily, bits, consecutive_levels, level
+from subposet.posets import chain_poset, complete_multilevel, named_poset, size_gaps
 
 from oracles import (
     Relation,
@@ -35,6 +35,7 @@ from oracles import (
     complement_family,
     dual,
     empirical_free_levels,
+    gaps_by_definition,
     interval_has_antichain,
     is_copy,
     kuhn_max_antichain,
@@ -239,7 +240,7 @@ def test_live_set_search_matches_compact_search():
                             compact.status, compact.nodes,
                             compact.embedding and tuple(kept[i] for i in compact.embedding))
                         assert list(full_copies.items()) == [
-                            (bitset(kept[i] for i in _bits(b)), tuple(kept[i] for i in emb))
+                            (bitset(kept[i] for i in bits(b)), tuple(kept[i] for i in emb))
                             for b, emb in compact_copies.items()]
 
 
@@ -285,7 +286,7 @@ def assert_matcher_rows(rels: Relations, live: int, size: int) -> str:
     widest live level, and no ``sub`` or ``inc`` row. "none" when it built no
     row, "stopped" when it took roots and stopped before its last, "all" when
     it took every root."""
-    order = list(_bits(live))
+    order = list(bits(live))
     filled = built(rels.sup)
     assert filled == order[:len(filled)]
     if size > widest_level(rels, live):
@@ -298,8 +299,8 @@ def test_antichains_fill_only_live_sup_entries(monkeypatch):
     made = []
 
     class Recorded(Relations):
-        def __post_init__(self):
-            super().__post_init__()
+        def __init__(self, masks):
+            super().__init__(masks)
             made.append(self)
 
     monkeypatch.setattr(containment, "Relations", Recorded)
@@ -320,7 +321,7 @@ def test_antichains_fill_only_live_sup_entries(monkeypatch):
                 stopped.append(assert_matcher_rows(fresh, live, antichain(fresh, bound)))
                 antichain(shared, bound)
                 union |= live
-        assert set(built(shared.sup)) <= set(_bits(union))
+        assert set(built(shared.sup)) <= set(bits(union))
         assert not built(shared.sub) + built(shared.inc)
     # augmenting paths run, and both ends of the matcher are exercised
     assert {"stopped", "all"} <= set(stopped)
@@ -355,7 +356,7 @@ def test_matcher_stops_at_the_widest_level():
         if size == widest:
             stops += 1
             top = max(k for k, level in enumerate(rels.levels) if level.bit_count() == size)
-            assert witness == tuple(_bits(rels.levels[top]))
+            assert witness == tuple(bits(rels.levels[top]))
         if certified:
             assert size == widest and not built(rels.sup)
     assert len(bands) < stops < len(families) + len(bands)
@@ -417,7 +418,7 @@ def test_lym_certificate_matches_the_oracles():
                 widest = widest_level(rels, rels.full)
                 if size == widest:
                     top = max(k for k, level in enumerate(rels.levels) if level.bit_count() == size)
-                    assert witness == tuple(_bits(rels.levels[top]))
+                    assert witness == tuple(bits(rels.levels[top]))
                 if masks is planted:
                     assert size == comb(n, n // 2) and not built(rels.sup)
                 else:
@@ -648,7 +649,7 @@ def test_reference_search_node_counts(build, args, widths, induced, nodes, refer
 def relabel(family, rng):
     """The family under a random permutation of its ground set."""
     perm = rng.sample(range(family.n), family.n)
-    return SetFamily.of(family.n, [sum(1 << perm[e] for e in _bits(x)) for x in family.members])
+    return SetFamily.of(family.n, [sum(1 << perm[e] for e in bits(x)) for x in family.members])
 
 
 def test_containment_frontier():
@@ -781,7 +782,7 @@ def search_gaps(poset, induced):
     class_of = {e: c for c, cls in enumerate(poset.twin_classes) for e in cls}
     gaps, reach = size_gaps(poset, induced)
     pairs = {(b, e): gaps[class_of[b]][class_of[e]]
-             for e in range(poset.size) for b in _bits(poset.below[e])}
+             for e in range(poset.size) for b in bits(poset.below[e])}
     assert all(g <= reach for g in pairs.values())
     return pairs
 
@@ -797,6 +798,28 @@ def test_size_gaps_follow_the_class_rule():
         poset = complete_multilevel(widths)
         assert search_gaps(poset, True)[0, poset.size - 1] == induced_gap, widths
         assert search_gaps(poset, False)[0, poset.size - 1] == plain_gap, widths
+
+
+def test_size_gaps_match_the_definition():
+    # each comparable class pair's gap, and the bound, against the heaviest
+    # chain over all comparable class pairs, not only covers: the CLI
+    # patterns and random orders of 1-8 elements, plain and induced
+    from subposet.posets import Poset
+    from oracles import random_strict_order
+
+    rng = Random(3030)
+    posets = CLI_PATTERNS + [Poset(size := rng.randint(1, 8),
+                                   random_strict_order(rng, size, rng.choice([0.2, 0.4, 0.8])))
+                             for _ in range(300)]
+    wide = 0
+    for poset in posets:
+        for induced in (False, True):
+            gaps, reach = size_gaps(poset, induced)
+            want, bound = gaps_by_definition(poset, induced)
+            assert {pair: gaps[pair[0]][pair[1]] for pair in want} == want, (poset, induced)
+            assert reach == bound, (poset, induced)
+            wide += bound > 2
+    assert wide > 100
 
 
 def test_size_gaps_hold_in_every_copy():
@@ -869,7 +892,7 @@ def test_search_matches_reference_loop():
         for induced in (False, True):
             budget = rng.choice([0, 1, 10, 100, 1000, 10**6])
             searches = [compare_with_reference(rels, live, poset, induced, budget)]
-            member = rng.choice(list(_bits(live)))
+            member = rng.choice(list(bits(live)))
             for listing in (False, True):
                 searches.append(compare_with_reference(rels, live, poset, induced, budget,
                                                        member, listing))
