@@ -19,6 +19,7 @@ from .chains import (
     three_per_level_coeff,
 )
 from .constructions import (
+    construct_induced,
     construct_rst,
     construct_rst_induced,
     construct_rt,

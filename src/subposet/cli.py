@@ -103,20 +103,16 @@ def _cmd_bounds(args) -> tuple[dict, int]:
 
 
 def _cmd_construct(args) -> tuple[dict, int]:
-    values = args.widths
-    if args.kind == "rt":
-        if len(values) != 3:
-            raise ValueError("construct rt takes: n r t")
-        n, r, t = values
-        fam = constructions.construct_rt(n, r, t)
+    n, *widths = args.widths
+    if args.kind == "ind":
+        fam = constructions.construct_induced(n, widths)
     else:
-        if len(values) != 4:
-            raise ValueError(f"construct {args.kind} takes: n r s t")
-        n, r, s, t = values
-        if args.kind == "rst":
-            fam = constructions.construct_rst(n, r, s, t)
-        else:
-            fam = constructions.construct_rst_induced(n, r, s, t)
+        builder, usage = {"rt": (constructions.construct_rt, "n r t"),
+                          "rst": (constructions.construct_rst, "n r s t"),
+                          "rst-ind": (constructions.construct_rst_induced, "n r s t")}[args.kind]
+        if len(args.widths) != len(usage.split()):
+            raise ValueError(f"construct {args.kind} takes: {usage}")
+        fam = builder(n, *widths)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(lattice.serialize_family(fam))
     return {"file": args.output, "n": fam.n, "size": fam.size}, EXIT_OK
@@ -213,8 +209,10 @@ COMMANDS = {
                 _arg("r", type=int), _arg("s", type=int), _arg("t", type=int),
                 _arg("--regime", choices=[r.value for r in formulas.Regime], default=None)]),
     "construct": ("build an extremal lower-bound family", _cmd_construct,
-                  [_arg("kind", choices=["rt", "rst", "rst-ind"]),
-                   _arg("widths", type=int, nargs="+", help="rt: n r t; rst/rst-ind: n r s t"),
+                  [_arg("kind", choices=["ind", "rt", "rst", "rst-ind"]),
+                   _arg("widths", type=int, nargs="+",
+                        help="ind: n w1 ... wk (k >= 2); rt: n r t, the same as ind n r t; "
+                             "rst-ind: n r s t, the same as ind n r s t; rst: n r s t"),
                    _arg("-o", "--output", required=True)]),
     "check": ("freeness check of a family file against one poset", _cmd_check,
               [_arg("family"),

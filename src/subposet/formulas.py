@@ -40,10 +40,14 @@ def middle_height(s: int, ends: int = 0) -> int:
 
 
 def antichain_height(s: int) -> int:
-    """Smallest m >= 1 with C(m, ceil(m/2)) >= s."""
+    """Smallest m >= 1 with C(m, ceil(m/2)) >= s.
+
+    The scan starts at the least m with 2^(m-1) >= s: C(m, ceil(m/2)) is at
+    most 2^(m-1), so no smaller m qualifies.
+    """
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
-    m = 1
+    m = (s - 1).bit_length() + 1
     while comb(m, (m + 1) // 2) < s:
         m += 1
     return m
@@ -154,17 +158,13 @@ class Regime(Enum):
 def density_bounds_induced(r: int, s: int, t: int, regime: Regime) -> tuple[Fraction, Fraction]:
     """Density bounds for the induced three-level problem, per regime.
 
-    S4 (s must be 4, so antichain_height is 4) and LARGE_BOUNDED pin the
-    density at antichain_height + wide_ends; LARGE_GENERAL leaves an additive
-    gap of 1.
+    S4 (s must be 4) and LARGE_BOUNDED pin the density at
+    induced_free_levels((r, s, t)); LARGE_GENERAL leaves an additive gap of 1.
+    Every regime needs s >= 2.
     """
-    if min(r, s, t) < 1:
-        raise ValueError(f"widths must be positive, got ({r}, {s}, {t})")
+    height = Fraction(induced_free_levels((r, s, t)))
+    if s < 2:
+        raise ValueError(f"induced bounds need s >= 2, got s={s}")
     if regime is Regime.S4 and s != 4:
         raise ValueError(f"regime S4 requires s=4, got s={s}")
-    ends = wide_ends(r, t)
-    height = antichain_height(s)
-    if regime is not Regime.LARGE_GENERAL:
-        value = Fraction(height + ends)
-        return value, value
-    return Fraction(height + ends), Fraction(height + 1 + ends)
+    return height, (height + 1 if regime is Regime.LARGE_GENERAL else height)

@@ -33,6 +33,14 @@ from subposet.lattice import (MAX_GROUND, FamilyParseError, SetFamily, bits,
 from subposet.posets import Poset
 
 
+def antichain_height_by_scan(s: int) -> int:
+    """Smallest m >= 1 with C(m, ceil(m/2)) >= s, scanning m up from 1."""
+    m = 1
+    while comb(m, (m + 1) // 2) < s:
+        m += 1
+    return m
+
+
 @lru_cache(maxsize=None)
 def pascal(n: int, k: int) -> int:
     """Binomial coefficients by the Pascal-triangle recurrence."""

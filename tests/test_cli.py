@@ -396,9 +396,10 @@ def test_poset_spec_loading(tmp_path):
 
 
 @pytest.mark.parametrize("argv, named", [
-    (["rt", "6", "2", "9"], "r=2, t=9"),
-    (["rst", "9", "12", "2", "2"], "r=12, s=2, t=2"),
-    (["rst-ind", "9", "11", "2", "2"], "r=11, s=2, t=2")])
+    (["rt", "6", "2", "9"], "K[2,9]"),
+    (["rst", "9", "12", "2", "2"], "K[12,2,2]"),
+    (["rst-ind", "9", "11", "2", "2"], "K[11,2,2]"),
+    (["ind", "9", "2", "2", "2", "11"], "K[2,2,2,11]")])
 def test_construct_names_the_given_widths(tmp_path, capsys, argv, named):
     # a fringe needs more residue classes than a level of B_n has
     assert cli.main(["construct", *argv, "-o", str(tmp_path / "x.txt")]) == cli.EXIT_USAGE

@@ -5,12 +5,13 @@ from fractions import Fraction
 from math import comb
 
 from subposet.constructions import (
+    construct_induced,
     construct_rst,
     construct_rst_induced,
     construct_rt,
 )
 from subposet.containment import contains_subposet
-from subposet.formulas import middle_height, positive_part, wide_ends
+from subposet.formulas import antichain_height, middle_height, positive_part, wide_ends
 from subposet.lattice import consecutive_levels, largest_mod_classes, sigma
 from subposet.posets import complete_multilevel
 
@@ -100,6 +101,41 @@ def test_construct_rst_induced_trivial_ends():
     fam2 = construct_rst_induced(9, 1, 2, 1)
     k2 = -(-(9 - 2) // 2) - 1
     assert fam2 == consecutive_levels(9, k2, 2)
+
+
+def test_construct_induced_equals_the_old_spellings():
+    # the two- and three-level builders' own band heights: 2, and
+    # antichain_height(s) + wide_ends(r, t)
+    compared = 0
+    for n in range(6, 11):
+        for r in range(1, 5):
+            for t in range(1, 5):
+                cases = [(construct_rt, (n, r, t), (r, t), 2)]
+                cases += [(construct_rst_induced, (n, r, s, t), (r, s, t),
+                           antichain_height(s) + wide_ends(r, t)) for s in range(2, 7)]
+                for builder, args, widths, band in cases:
+                    try:
+                        old = builder(*args)
+                    except ValueError:
+                        continue
+                    fam = construct_induced(n, widths)
+                    assert fam == old
+                    assert len(levels_used(fam)) == band + (r > 1) + (t > 1)
+                    compared += 1
+    assert compared > 200
+
+
+@pytest.mark.parametrize("widths", [(2, 2, 2, 2), (3, 2, 2, 3), (2, 3, 3, 2), (2, 2, 4, 2),
+                                    (2, 1, 2, 2), (1, 3, 3, 1), (1, 2, 1, 2, 1)])
+def test_construct_induced_multilevel_free(widths):
+    fam = construct_induced(11, widths)
+    res = contains_subposet(fam, complete_multilevel(widths), induced=True)
+    assert res.free
+
+
+def test_construct_induced_refuses_one_width():
+    with pytest.raises(ValueError, match="signature needs a bottom and a top width"):
+        construct_induced(8, (2,))
 
 
 def test_construct_too_small_n():

@@ -1121,6 +1121,11 @@ def test_empirical_matches_formula_across_signatures():
         ((2, 1, 2), 7),
         ((1, 1, 1, 1), 7),
         ((1, 3, 1), 8),
+        ((1, 2, 2, 1), 10),
+        ((1, 2, 1, 2, 1), 11),
+        ((2, 1, 2, 2), 11),
+        ((2, 2, 2, 2), 14),
+        ((1, 3, 3, 1), 14),
     ]
     for widths, n in cases:
         want = induced_free_levels(widths)

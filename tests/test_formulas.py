@@ -20,7 +20,8 @@ from subposet.formulas import (
 )
 from subposet.posets import chain_poset, complete_multilevel
 
-from oracles import antichain_subfamilies, k1s1_pair_coeff, size_height_bound
+from oracles import (antichain_height_by_scan, antichain_subfamilies, k1s1_pair_coeff,
+                     size_height_bound)
 
 
 def test_wide_ends():
@@ -75,6 +76,20 @@ def test_antichain_height_monotone_and_inverse():
         prev = h
     for m in range(1, 21):
         assert antichain_height(comb(m, (m + 1) // 2)) == m
+
+
+def test_antichain_height_matches_the_scan_from_one():
+    centrals = [comb(m, (m + 1) // 2) for m in range(1, 201)]
+    for s in sorted({*range(1, 5001), *centrals, *(c + 1 for c in centrals)}):
+        assert antichain_height(s) == antichain_height_by_scan(s), s
+
+
+def test_antichain_height_of_a_4000_digit_width():
+    # a scan from m = 1 took about 29 s on a 2-core VM; the defining
+    # inequalities decide the answer
+    s = 10**3999 + 12345
+    m = antichain_height(s)
+    assert comb(m - 1, m // 2) < s <= comb(m, (m + 1) // 2)
 
 
 def test_antichain_height_is_smallest_cube_dimension():

@@ -35,6 +35,11 @@ GUARDS = [
     (classify, (0, 2, 2), "widths must be positive, got (0, 2, 2)"),
     (density_bounds_induced, (2, 0, 2, Regime.LARGE_GENERAL),
      "widths must be positive, got (2, 0, 2)"),
+    # s = 1 is in no regime: e*(K[1,1,1]) = 2 and e*(K[2,1,2]) = 2
+    (density_bounds_induced, (1, 1, 1, Regime.LARGE_BOUNDED),
+     "induced bounds need s >= 2, got s=1"),
+    (cli.main, (["bounds", "ind", "2", "1", "2", "--regime", "large-general"],),
+     "induced bounds need s >= 2, got s=1"),
     (largest_mod_classes, (4, 2, 5), "need 0 <= r <= n, got r=5, n=4"),
     (Poset, (2, (0, 4)), "below[1] references elements outside the poset"),
     # the comment line is skipped, so the malformed cover is line 3
