@@ -139,13 +139,7 @@ def _cmd_solve(args) -> tuple[dict, int]:
         raise ValueError(f"solver capped at n <= {args.cap}, got n={args.n} "
                          "(raise --cap to override)")
     forbidden = [load_poset_spec(spec) for spec in args.poset]
-    result = solver.la_exact(
-        args.n,
-        forbidden,
-        induced=args.induced,
-        budget=args.budget,
-        break_symmetry=args.break_symmetry,
-    )
+    result = solver.la_exact(args.n, forbidden, induced=args.induced, budget=args.budget)
     return result.payload(), EXIT_OK if result.exhausted else EXIT_BUDGET
 
 
@@ -226,7 +220,8 @@ COMMANDS = {
                _arg("--budget", type=int, default=None),
                # copy lists grow without bound: about 133 MB at n = 8
                _arg("--cap", type=int, default=5),
-               _arg("--break-symmetry", action="store_true")]),
+               _arg("--break-symmetry", action="store_true",
+                    help="no effect; accepted so that older command lines still run")]),
     "chains": ("pair counts and marker partitions over maximal chains", _cmd_chains,
                [_arg("mode", choices=["pairs", "minmax", "minr", "minrmaxt"]),
                 _arg("family"),

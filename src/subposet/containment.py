@@ -12,7 +12,7 @@ rest; a domain narrows by one AND with a row. Each kind maps member index to
 row and builds an entry from ``has`` (``inc``'s from ``sup`` and ``sub``)
 the first time it is read, so a search decided in a few nodes pays for a few
 rows, not for all m. A search or matcher may still read every row, 3 * m^2
-bits (380 MB for the 35,750 sets of levels 7-9 of B_16), so lists over
+bits (480 MB for the 35,750 sets of levels 7-9 of B_16), so lists over
 MAX_MEMBERS masks are refused first. Plain searches never read ``inc``, and
 s_minus and s_plus, matching on ``below``/``above`` of a set, read ``sup``
 alone (``_matching``).

@@ -106,18 +106,12 @@ class SolveResult:
 
 
 def la_exact(n: int, posets: Sequence[Poset], induced: bool = False,
-             budget: int | None = None, break_symmetry: bool = False) -> SolveResult:
+             budget: int | None = None) -> SolveResult:
     """Maximum size of a subset family of [n] avoiding every given pattern.
 
     ``budget`` caps the include attempts of all three phases together (a
     negative one is a ValueError); when it runs out the best family of phase 3
     so far, at least the first path's, is returned with ``exhausted=False``.
-    With ``break_symmetry`` the first included set of phase 3 is restricted
-    to the minimal mask of its (centrality, size) class, which is sound under
-    relabeling of the ground elements. Phase 1 needs no restriction: its first
-    set, candidates[0], is such a mask, and it is always included (a pattern
-    it would complete has one element, and Erdős's bound of 0 ends the solve
-    first). Phase 2 ignores it, so the suffix optima stay upper bounds.
 
     Phase 1 ends the solve, proven, once its family reaches Erdős's bound
     (module docstring), before the budget is checked again, with the optimum,
@@ -161,7 +155,6 @@ def la_exact(n: int, posets: Sequence[Poset], induced: bool = False,
         ``need`` members returns True; in phase 3 it becomes ``best`` and
         ``need`` grows. None when the budget ran out, else False."""
         nonlocal best, nodes
-        symmetric = break_symmetry and not first
         live, pos = 0, q
         while True:
             if live.bit_count() + suffix_optima[pos] < need:
@@ -169,10 +162,6 @@ def la_exact(n: int, posets: Sequence[Poset], induced: bool = False,
                     return False
                 pos = live.bit_length()  # exclude the last inclusion instead
                 live ^= 1 << pos - 1
-                continue
-            mask = candidates[pos]
-            if symmetric and not live and mask != (1 << mask.bit_count()) - 1:
-                pos += 1
                 continue
             if budget is not None and nodes >= budget:
                 return None

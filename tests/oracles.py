@@ -366,8 +366,7 @@ def interval_has_antichain(lower: int, upper: int, s: int) -> bool:
     return (upper & ~lower).bit_count() >= antichain_height(s)
 
 
-def walk_la(n: int, posets, induced: bool = False, budget: int | None = None,
-            break_symmetry: bool = False):
+def walk_la(n: int, posets, induced: bool = False, budget: int | None = None):
     """(optimum, witness masks, include attempts, exhausted) of the solver's
     branch and bound, walked as its module docstring states it: candidates
     middle-out, include before exclude, the "chosen + remaining" bound, and
@@ -384,8 +383,6 @@ def walk_la(n: int, posets, induced: bool = False, budget: int | None = None,
             if len(chosen) + len(candidates) - pos <= best[0]:
                 return True
             mask = candidates[pos]
-            if break_symmetry and not chosen and mask != (1 << mask.bit_count()) - 1:
-                continue
             if budget is not None and nodes >= budget:
                 return False
             nodes += 1
@@ -406,7 +403,7 @@ class _OutOfAttempts(Exception):
 
 
 def doll_walk_la(n: int, posets, induced: bool = False, budget: int | None = None,
-                 break_symmetry: bool = False, *, root_test: bool = True):
+                 *, root_test: bool = True):
     """(optimum, witness masks, include attempts, exhausted, suffix optima) of
     the solver's three phases, walked recursively as its module docstring
     states them, with freeness of each include attempt decided by
@@ -427,9 +424,6 @@ def doll_walk_la(n: int, posets, induced: bool = False, budget: int | None = Non
         family = chosen + [mask]
         return not any(brute_contains(family, poset, induced, mask) for poset in posets)
 
-    def skipped(chosen: list[int], mask: int, symmetric: bool) -> bool:
-        return symmetric and not chosen and mask != (1 << mask.bit_count()) - 1
-
     greedy: list[int] = []  # phase 1: include every free candidate in turn
     best = greedy
     bound = [0] * (size + 1)
@@ -439,10 +433,10 @@ def doll_walk_la(n: int, posets, induced: bool = False, budget: int | None = Non
         for mask in candidates:
             if root_test and len(greedy) >= erdos:
                 break  # a first path that meets Erdős's bound is optimal
-            if not skipped(greedy, mask, break_symmetry) and free(greedy, mask):
+            if free(greedy, mask):
                 greedy.append(mask)
 
-        def walk(pos: int, chosen: list[int], goal: int | None, symmetric: bool) -> bool:
+        def walk(pos: int, chosen: list[int], goal: int | None) -> bool:
             """Phase 2 (goal set): is there a family of goal members? Phase 3
             (goal None): raise best to every larger family, in walk order."""
             nonlocal best
@@ -451,14 +445,14 @@ def doll_walk_la(n: int, posets, induced: bool = False, budget: int | None = Non
                 if len(chosen) + bound[pos] < need:
                     return False
                 mask = candidates[pos]
-                if skipped(chosen, mask, symmetric) or not free(chosen, mask):
+                if not free(chosen, mask):
                     continue
                 family = chosen + [mask]
                 if len(family) == need:
                     if goal is not None:
                         return True
                     best = family
-                if walk(pos + 1, family, goal, symmetric):
+                if walk(pos + 1, family, goal):
                     return True
             return False
 
@@ -469,9 +463,9 @@ def doll_walk_la(n: int, posets, induced: bool = False, budget: int | None = Non
                 if q + bound[q] <= len(greedy):
                     break
                 if not q:
-                    walk(0, [], None, break_symmetry)
+                    walk(0, [], None)
                     break
-                bound[q] = solved[q] = bound[q + 1] + walk(q, [], bound[q], False)
+                bound[q] = solved[q] = bound[q + 1] + walk(q, [], bound[q])
     except _OutOfAttempts:
         exhausted = False
     witness = tuple(sorted(best, key=lambda m: (m.bit_count(), m)))

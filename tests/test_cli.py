@@ -18,6 +18,8 @@ from subposet.containment import contains_subposet
 from subposet.lattice import SetFamily, level, parse_family, serialize_family
 from subposet.posets import chain_poset
 
+from test_solve_pool import solve_pool
+
 
 def run_cli(argv, capsys):
     code = cli.main(argv)
@@ -161,6 +163,19 @@ def test_solve_cap_is_checked_at_the_command_line(capsys):
     assert code == cli.EXIT_OK
     payload = doc["payload"]
     assert (payload["optimum"], payload["nodes"], payload["exhausted"]) == (20, "20", True)
+
+
+def test_break_symmetry_changes_no_solve(capsys):
+    # --break-symmetry is accepted and has no effect: every pattern set of the
+    # benchmark's solve pool prints the same payload at n = 4 with it
+    pattern_sets = {(tuple(spec for spec, _ in job["patterns"]), job["induced"])
+                    for job in solve_pool().values()}
+    for specs, induced in sorted(pattern_sets):
+        argv = ["solve", "4", *(arg for spec in specs for arg in ("--poset", spec))]
+        argv += ["--induced"] * induced
+        runs = [run_cli(argv + flag, capsys) for flag in ([], ["--break-symmetry"])]
+        assert runs[0][0] == runs[1][0] == cli.EXIT_OK
+        assert runs[0][1]["payload"] == runs[1][1]["payload"]
 
 
 def test_chains_commands(tmp_path, capsys):

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 from collections import Counter
+from itertools import combinations
 from math import comb
 from random import Random
 
@@ -946,6 +947,62 @@ def test_containment_duality():
         direct = contains_subposet(fam, poset, induced).found
         mirrored = contains_subposet(complement_family(fam), dual(poset), induced).found
         assert direct == mirrored
+    # the frontier constructions, relabelled: the complement of each is free
+    # of the dual of the self-dual pattern it avoids (about 0.4 s)
+    rng = Random(12)
+    for family, widths in ((construct_rt(12, 2, 2), [2, 2]), (construct_rt(14, 3, 3), [3, 3]),
+                           (construct_rst_induced(12, 2, 2, 2), [2, 2, 2])):
+        mirror = complement_family(relabel(family, rng))
+        assert contains_subposet(mirror, dual(complete_multilevel(widths)), True).free
+
+
+def induced_copy_by_subsets(images, poset):
+    """Is image i inside image j exactly where the poset has i < j?"""
+    return all((x & y == x) == bool(poset.below[j] >> i & 1)
+               for i, x in enumerate(images) for j, y in enumerate(images) if i != j)
+
+
+def test_planted_copies_are_found():
+    # construct_rt(12, 2, 2) is levels 5 and 6 with one residue class of
+    # 4-sets and one of 7-sets as fringes, free of induced K[2,2]; one added
+    # set completes a copy, placed three ways, and the search must find one
+    family = construct_rt(12, 2, 2)
+    k22 = complete_multilevel([2, 2])
+    assert contains_subposet(family, k22, True).free
+    bottom = [m for m in family.members if m.bit_count() == 4]
+    top = [m for m in family.members if m.bit_count() == 7]
+
+    def outside(mask, count):
+        """The lowest ``count`` elements outside the mask, as one-bit masks."""
+        return [1 << e for e in range(12) if not mask >> e & 1][:count]
+
+    # fringe only: two bottom-fringe sets with a 6-set union, a top-fringe
+    # set over it, and an added 7-set over it (two sets of one residue class
+    # differ in at least two elements)
+    a1, a2, b1 = next((a1, a2, b1) for b1 in top
+                      for a1, a2 in combinations([a for a in bottom if a & b1 == a], 2)
+                      if (a1 & a2).bit_count() == 2)
+    fringe = (a1, a2, b1, a1 | a2 | outside(b1, 1)[0])
+    # band and fringe: a bottom-fringe set and an added 4-set sharing 3 of
+    # its elements, under two 6-sets of the band
+    a = bottom[0]
+    added = a ^ (a & -a) | outside(a, 1)[0]
+    y, z = outside(a | added, 2)
+    band = (a, added, a | added | y, a | added | z)
+    # across the top of the band: two 5-sets inside a 6-subset of a
+    # top-fringe set, under it and under an added 7-set
+    b = top[0]
+    u = b ^ (b & -b)
+    e1, e2 = [1 << e for e in bits(u)][:2]
+    across = (u ^ e1, u ^ e2, b, u | outside(b, 1)[0])
+    for copy, planted in ((fringe, fringe[3]), (band, band[1]), (across, across[3])):
+        assert planted not in family.members and induced_copy_by_subsets(copy, k22)
+        assert all(m in family.members for m in copy if m != planted)
+        planted_family = SetFamily.of(12, [*family.members, planted])
+        res = contains_subposet(planted_family, k22, True)
+        assert res.found
+        images = [planted_family.members[i] for i in res.embedding]
+        assert planted in images and induced_copy_by_subsets(images, k22)
 
 
 def test_max_antichain_basics():

@@ -1,14 +1,16 @@
 """Exact solver: known optima, oracle agreement, budgets, certification."""
 
+import json
+
 import pytest
 from random import Random
 
-from subposet import solver
+from subposet import cli, solver
 from subposet.constructions import construct_rst
 from subposet.containment import (BudgetExceededError, SearchResult, SearchStatus,
                                   contains_subposet)
 from subposet.lattice import SetFamily, level, sigma
-from subposet.posets import Poset, chain_poset, complete_multilevel, named_poset
+from subposet.posets import Poset, chain_poset, complete_multilevel, named_poset, signature_str
 from subposet.solver import FreenessError, certified_lower_bound, la_exact
 
 from test_solve_pool import solve_pool
@@ -89,7 +91,7 @@ def test_n5_optima_are_proven(posets, induced, optimum, attempts):
     # walk needed 1,886,616, 2,321,288 and 679,114 attempts, and the suffix
     # bounds alone 159,966 for P3, which Erdős's bound proves on the first
     # path, one attempt per member
-    res = la_exact(5, posets, induced, break_symmetry=True)
+    res = la_exact(5, posets, induced)
     assert (res.optimum, res.nodes_explored, res.exhausted) == (optimum, attempts, True)
     assert all(contains_subposet(res.witness, poset, induced).free for poset in posets)
 
@@ -185,31 +187,24 @@ def test_budget_gives_lower_bound():
     assert contains_subposet(res.witness, chain_poset(2)).free
 
 
-def test_break_symmetry_same_optimum():
-    for posets in ([chain_poset(2)], [complete_multilevel([2, 2])]):
-        plain = la_exact(4, posets)
-        broken = la_exact(4, posets, break_symmetry=True)
-        assert plain.optimum == broken.optimum
-        assert broken.nodes_explored <= plain.nodes_explored
-
-
 POOL_PATTERN_SETS = sorted({(tuple(widths for _, widths in job["patterns"]), job["induced"])
                             for job in solve_pool().values()})
 
 
 @pytest.mark.parametrize("n", [4, 5])
 @pytest.mark.parametrize("widths, induced", POOL_PATTERN_SETS)
-def test_first_path_ignores_break_symmetry(widths, induced, n):
-    # the first candidate is the minimal mask of its class and is always
-    # included (only a one-element pattern blocks it, and Erdős's bound of 0
-    # ends that solve first), so the first path has nothing to restrict; a
-    # budget of 2^n attempts stops the solve where that path ends, and the
-    # oracle, which still restricts it, walks the same
+def test_first_path_ignores_break_symmetry(widths, induced, n, capsys):
+    # a budget of 2^n attempts stops the solve where its first path ends: the
+    # three-phase oracle's first path, which solve prints with
+    # --break-symmetry too, since that flag has no effect
     posets = [complete_multilevel(w) for w in widths]
-    runs = [la_exact(n, posets, induced, budget=1 << n, break_symmetry=broken)
-            for broken in (False, True)]
-    got = {(res.witness.members, res.nodes_explored) for res in runs}
-    assert got == {doll_walk_la(n, posets, induced, 1 << n, True)[1:3]}
+    res = la_exact(n, posets, induced, budget=1 << n)
+    got = (res.witness.members, res.nodes_explored)
+    assert got == doll_walk_la(n, posets, induced, 1 << n)[1:3]
+    argv = ["solve", str(n), "--budget", str(1 << n), "--break-symmetry"]
+    argv += [arg for w in widths for arg in ("--poset", signature_str(w))]
+    cli.main(argv + ["--induced"] * induced)
+    assert json.loads(capsys.readouterr().out)["payload"] == res.payload()
 
 
 def test_solver_guards():
@@ -299,33 +294,31 @@ WALK_CASES += [(4, [poset]) for poset in CLI_PATTERNS if 2 <= poset.size <= 3]
 WALK_CASES += [(3, CLI_PATTERNS[:2]), (3, [chain_poset(3), named_poset("butterfly")])]
 
 
-@pytest.mark.parametrize("break_symmetry", [False, True])
+@pytest.mark.parametrize("induced", [False, True])
 @pytest.mark.parametrize("budget", [None, 0, 5, 50])
-def test_walk_matches_per_attempt_oracle_walk(budget, break_symmetry):
+def test_walk_matches_per_attempt_oracle_walk(budget, induced):
     # the copy lists and the suffix bounds must walk as the recursive three
     # phases with a fresh brute-force search per include attempt: same
     # optimum, witness, attempts and exhausted; a finished walk also keeps the
     # optimum and witness of the "chosen + remaining" walk
     for n, posets in WALK_CASES:
-        for induced in (False, True):
-            res = la_exact(n, posets, induced, budget=budget, break_symmetry=break_symmetry)
-            got = (res.optimum, res.witness.members, res.nodes_explored, res.exhausted)
-            assert got == doll_walk_la(n, posets, induced, budget, break_symmetry)[:4]
-            if budget is None:
-                optimum, witness, _, exhausted = walk_la(n, posets, induced, None, break_symmetry)
-                assert (got[0], got[1], got[3]) == (optimum, witness, exhausted)
+        res = la_exact(n, posets, induced, budget=budget)
+        got = (res.optimum, res.witness.members, res.nodes_explored, res.exhausted)
+        assert got == doll_walk_la(n, posets, induced, budget)[:4]
+        if budget is None:
+            optimum, witness, _, exhausted = walk_la(n, posets, induced)
+            assert (got[0], got[1], got[3]) == (optimum, witness, exhausted)
 
 
-@pytest.mark.parametrize("break_symmetry, attempts", [(False, 1686), (True, 961)])
-def test_phase_3_walks_past_the_first_candidate(break_symmetry, attempts):
+def test_phase_3_walks_past_the_first_candidate():
     # the only optimum of induced P3 and "a 2-chain plus two free elements"
     # at n = 4 is levels 1 and 3, away from the first class, so phase 3 goes
-    # on from an empty family past position 0, where symmetry breaking skips
+    # on from an empty family past position 0
     posets = [Poset(4, (0, 0, 2, 0)), chain_poset(3)]
-    res = la_exact(4, posets, True, break_symmetry=break_symmetry)
+    res = la_exact(4, posets, True)
     got = (res.optimum, res.witness.members, res.nodes_explored, res.exhausted)
-    assert got == (8, (1, 2, 4, 8, 7, 11, 13, 14), attempts, True)
-    assert got == doll_walk_la(4, posets, True, None, break_symmetry)[:4]
+    assert got == (8, (1, 2, 4, 8, 7, 11, 13, 14), 1686, True)
+    assert got == doll_walk_la(4, posets, True)[:4]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
