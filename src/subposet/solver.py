@@ -46,9 +46,10 @@ exactly when no listed copy lies inside ``live``. A walk over a suffix reads
 only the copies inside it: each copy is filed under its lowest position and
 moves, as the bitset of its other positions, to the walks' list of its end
 position once q reaches that lowest position, so each copy is stored once.
-An attempt reads a walks' list from its end, lowest positions first: the
-walk keeps its earliest positions in ``live`` longest, so those copies block
-most often.
+A walks' list is held in read order, lowest positions first (each copy is
+prepended as it moves), and an attempt is one AND per copy up to the first
+copy that blocks: the walk keeps its earliest positions in ``live`` longest,
+so those copies block most often.
 The rows take 2^n bits per candidate, so la_exact refuses n >= 16 before
 any candidate is listed (containment.MAX_MEMBERS), its only limit on n. The
 soft default of n <= 5 is command-line policy (``solve --cap``).
@@ -147,6 +148,8 @@ def la_exact(n: int, posets: Sequence[Poset], induced: bool = False,
     by_lowest: list[list[int]] = [[] for _ in range(size)]  # [q]: copies whose lowest is q
     inside: list[list[int]] = [[] for _ in range(size)]  # copies in the suffix walked
     best = nodes = 0
+    # no budget: past the first path's size attempts and size walks of < 2^(size+1) each
+    limit = budget if budget is not None else (size + 2) << size + 1
 
     def walk(q: int, need: int, first: bool) -> bool | None:
         """Include first from position q, cutting every branch whose chosen
@@ -155,20 +158,26 @@ def la_exact(n: int, posets: Sequence[Poset], induced: bool = False,
         ``need`` members returns True; in phase 3 it becomes ``best`` and
         ``need`` grows. None when the budget ran out, else False."""
         nonlocal best, nodes
-        live, pos = 0, q
+        live, chosen, pos = 0, 0, q  # chosen: the number of positions in live
         while True:
-            if live.bit_count() + suffix_optima[pos] < need:
-                if not live:
+            if chosen + suffix_optima[pos] < need:
+                if not chosen:
                     return False
                 pos = live.bit_length()  # exclude the last inclusion instead
                 live ^= 1 << pos - 1
+                chosen -= 1
                 continue
-            if budget is not None and nodes >= budget:
+            if nodes >= limit:
                 return None
             nodes += 1
-            if all(map((~live).__and__, reversed(inside[pos]))):
+            out = ~live
+            for rest in inside[pos]:
+                if not rest & out:
+                    break  # this copy's other positions are all chosen
+            else:
                 live |= 1 << pos
-                if live.bit_count() == need:
+                chosen += 1
+                if chosen == need:
                     if first:
                         return True
                     best, need = live, need + 1
@@ -180,7 +189,7 @@ def la_exact(n: int, posets: Sequence[Poset], induced: bool = False,
         for pos in range(size):  # 1: the walk's first path
             if best.bit_count() >= chain_bound:
                 return True  # Erdős: the first path is optimal
-            if budget is not None and nodes >= budget:
+            if nodes >= limit:
                 return False
             nodes += 1  # an attempt whose listing runs out of budget still counts
             copies: dict[int, tuple[int, ...]] = {}  # bitsets of the copies pos ends
@@ -190,14 +199,14 @@ def la_exact(n: int, posets: Sequence[Poset], induced: bool = False,
                     return False
             if all(map((~best ^ 1 << pos).__and__, copies)):  # no copy's rest in best
                 best |= 1 << pos
-            for copy in reversed(copies):  # a walk reads its lists from the end
+            for copy in reversed(copies):  # prepended later: read in listing order
                 by_lowest[(copy & -copy).bit_length() - 1].append(copy)
         if best.bit_count() >= chain_bound:
             return True  # Erdős: the first path is optimal
         for q in range(size - 1, -1, -1):
             for copy in by_lowest.pop():  # the copies whose lowest position is q
                 end = copy.bit_length() - 1
-                inside[end].append(copy ^ 1 << end)
+                inside[end].insert(0, copy ^ 1 << end)
             suffix_optima[q] = suffix_optima[q + 1] + 1  # an upper bound until walked
             if q + suffix_optima[q] <= best.bit_count():
                 return True  # no family beats the first path's

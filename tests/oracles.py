@@ -398,6 +398,28 @@ def walk_la(n: int, posets, induced: bool = False, budget: int | None = None):
     return best[0], best[1], nodes, exhausted
 
 
+def milp_la(n: int, posets, induced: bool = False) -> list[int]:
+    """A largest family of subsets of [n] free of every pattern, as its
+    masks, by integer programming with scipy's HiGHS: one 0/1 variable per
+    set and one row sum(x_S for S in C) <= |C| - 1 per copy C that
+    brute_copies lists in B_n. The witness is checked free with
+    brute_contains; only its maximality rests on HiGHS's floating point.
+    Skips the calling test when scipy is missing."""
+    optimize = pytest.importorskip("scipy.optimize")
+    size = 1 << n
+    copies = [combo for poset in posets for combo in brute_copies(range(size), poset, induced)]
+    rows = [[1 if mask in combo else 0 for mask in range(size)] for combo in copies]
+    constraints = ([optimize.LinearConstraint(rows, ub=[len(combo) - 1 for combo in copies])]
+                   if copies else [])
+    res = optimize.milp([-1] * size, constraints=constraints, integrality=[1] * size,
+                        bounds=optimize.Bounds(0, 1))
+    assert res.success, res.message
+    witness = [mask for mask, x in enumerate(res.x) if x > 0.5]
+    assert len(witness) == round(-res.fun)
+    assert not any(brute_contains(witness, poset, induced) for poset in posets)
+    return witness
+
+
 class _OutOfAttempts(Exception):
     pass
 

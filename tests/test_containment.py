@@ -1005,6 +1005,47 @@ def test_planted_copies_are_found():
         assert planted in images and induced_copy_by_subsets(images, k22)
 
 
+def test_planted_three_level_copies_are_found():
+    # construct_rst_induced(12, 2, 2, 2) is levels 4-7 with one residue class
+    # of 3-sets and one of 8-sets as fringes, free of induced K[2,2,2]; one
+    # added set completes a copy, placed two ways, and the search must find one
+    family = construct_rst_induced(12, 2, 2, 2)
+    k222 = complete_multilevel([2, 2, 2])
+    assert contains_subposet(family, k222, True).free
+    bottom = [m for m in family.members if m.bit_count() == 3]
+    top = [m for m in family.members if m.bit_count() == 8]
+
+    def outside(mask, count):
+        """The lowest ``count`` elements outside the mask, as one-bit masks."""
+        return [1 << e for e in range(12) if not mask >> e & 1][:count]
+
+    # band and fringe: a bottom-fringe set and an added 3-set sharing 2 of its
+    # elements (two sets of one residue class share at most 1), under two
+    # 5-sets and two 7-sets of the band
+    a = bottom[0]
+    added = a ^ (a & -a) | outside(a, 1)[0]
+    y, z = outside(a | added, 2)
+    u, v = outside(a | added | y | z, 2)
+    band = (a, added, a | added | y, a | added | z, a | added | y | z | u, a | added | y | z | v)
+    # across the top of the band: a top-fringe set and an added 8-set over a
+    # shared 7-subset, which holds two 6-sets of the band, whose shared
+    # 5-subset holds two 4-sets of the band
+    c = top[0]
+    shared = c ^ (c & -c)
+    e1, e2 = [1 << e for e in bits(shared)][:2]
+    middle = shared ^ e1 ^ e2
+    f1, f2 = [1 << e for e in bits(middle)][:2]
+    across = (middle ^ f1, middle ^ f2, shared ^ e1, shared ^ e2, c, shared | outside(c, 1)[0])
+    for copy, planted in ((band, band[1]), (across, across[5])):
+        assert planted not in family.members and induced_copy_by_subsets(copy, k222)
+        assert all(m in family.members for m in copy if m != planted)
+        planted_family = SetFamily.of(12, [*family.members, planted])
+        res = contains_subposet(planted_family, k222, True)
+        assert res.found
+        images = [planted_family.members[i] for i in res.embedding]
+        assert planted in images and induced_copy_by_subsets(images, k222)
+
+
 def test_max_antichain_basics():
     assert max_antichain(level(4, 2)).size == 6
     five_chain = SetFamily.of(5, [0, 1, 3, 7, 15])

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from itertools import combinations
 from random import Random
 
 from subposet import cli, solver
@@ -14,8 +15,8 @@ from subposet.posets import Poset, chain_poset, complete_multilevel, named_poset
 from subposet.solver import FreenessError, certified_lower_bound, la_exact
 
 from test_solve_pool import solve_pool
-from oracles import (brute_la, brute_suffix_la, doll_walk_la, pascal, symmetric_chains,
-                     walk_la)
+from oracles import (brute_contains, brute_la, brute_suffix_la, doll_walk_la, milp_la,
+                     pascal, symmetric_chains, walk_la)
 
 CLI_PATTERNS = [named_poset("vee"), named_poset("wedge"), named_poset("butterfly"),
                 chain_poset(2), chain_poset(3), complete_multilevel([1, 2, 1]),
@@ -61,24 +62,45 @@ def test_solver_node_counts():
     assert (res.optimum, res.nodes_explored, res.exhausted) == (10, 911, True)
 
 
+class CountedCopy(int):
+    """A listed copy's bitset that stays one through ``^`` and ``&`` and
+    counts its truth tests: the walk's test of a copy against the chosen
+    positions. The first path tests plain ints (``best``'s complement ANDs
+    the copy), so its tests are not counted."""
+
+    tests = 0
+
+    def __xor__(self, other):
+        return CountedCopy(int(self) ^ other)
+
+    def __and__(self, other):
+        return CountedCopy(int(self) & other)
+
+    def __bool__(self):
+        CountedCopy.tests += 1
+        return int(self) != 0
+
+
 def test_attempts_test_the_lowest_copies_first(monkeypatch):
-    # a golden count of copy tests (bitset tests of one copy against the
-    # chosen positions): the walk keeps its earliest choices longest, so a
-    # blocked attempt that reads its copies lowest position first meets the
-    # blocking one early; read in list order, the same 911 attempts make 5,586
-    tests = []
+    # a golden count of the walk's copy tests (bitset tests of one copy
+    # against the chosen positions): the walk keeps its earliest choices
+    # longest, so a blocked attempt that reads its copies lowest position
+    # first meets the blocking one early; read highest first, the same 911
+    # attempts make 5,574 walk tests. The first path's 16 attempts add 12
+    # tests, so counted over all 911 attempts it is 2,704 against 5,586
+    listing = solver.find_embedding
 
-    def counting_all(results):
-        tests.append(0)
-        for free in results:
-            tests[-1] += 1
-            if not free:
-                return False
-        return True
+    def counted_listing(*args, copies, **kwargs):
+        res = listing(*args, copies=copies, **kwargs)
+        listed = list(copies.items())
+        copies.clear()
+        copies.update((CountedCopy(copy), images) for copy, images in listed)
+        return res
 
-    monkeypatch.setattr(solver, "all", counting_all, raising=False)
+    monkeypatch.setattr(solver, "find_embedding", counted_listing)
+    monkeypatch.setattr(CountedCopy, "tests", 0)
     res = la_exact(4, [named_poset("butterfly")])
-    assert (res.optimum, res.nodes_explored, len(tests), sum(tests)) == (10, 911, 911, 2704)
+    assert (res.optimum, res.nodes_explored, CountedCopy.tests) == (10, 911, 2692)
 
 
 @pytest.mark.parametrize("posets, induced, optimum, attempts", [
@@ -94,6 +116,30 @@ def test_n5_optima_are_proven(posets, induced, optimum, attempts):
     res = la_exact(5, posets, induced)
     assert (res.optimum, res.nodes_explored, res.exhausted) == (optimum, attempts, True)
     assert all(contains_subposet(res.witness, poset, induced).free for poset in posets)
+
+
+def test_n6_induced_k33_is_proven():
+    # La*(6, K[3,3]) = 55, as HiGHS gives; about 1 s of walk
+    k33 = complete_multilevel([3, 3])
+    res = la_exact(6, [k33], True)
+    assert (res.optimum, res.nodes_explored, res.exhausted) == (55, 1566083, True)
+    assert contains_subposet(res.witness, k33, True).free
+
+
+def test_diamond_free_family_beats_two_middle_levels_at_n6():
+    # La(6, diamond) >= 36 > sigma(6, 2) = 35: all 2-sets but {1,2}, the
+    # 3-sets holding {1,2} or inside {3,4,5,6}, and all 4-sets but {3,4,5,6};
+    # the paper's bounds are asymptotic, so this does not contradict them
+    def mask(elements):
+        return sum(1 << e - 1 for e in elements)
+
+    sets = [set(c) for size in (2, 3, 4) for c in combinations(range(1, 7), size)]
+    family = SetFamily.of(6, [mask(c) for c in sets if c not in ({1, 2}, {3, 4, 5, 6})
+                              and (len(c) != 3 or {1, 2} <= c or c <= {3, 4, 5, 6})])
+    diamond = complete_multilevel([1, 2, 1])
+    assert family.size == 36 > sigma(6, 2)
+    assert contains_subposet(family, diamond).free
+    assert not brute_contains(family.members, diamond, False)
 
 
 def test_chain_optima_match_middle_level_sums():
@@ -189,6 +235,20 @@ def test_budget_gives_lower_bound():
 
 POOL_PATTERN_SETS = sorted({(tuple(widths for _, widths in job["patterns"]), job["induced"])
                             for job in solve_pool().values()})
+
+
+@pytest.mark.parametrize("job_id", sorted(solve_pool()))
+def test_pool_solves_match_the_ilp_oracle(job_id):
+    # every pool row is at n <= 5: an exhausted solve has the optimum of the
+    # integer program, and an unexhausted one a family no larger
+    job = solve_pool()[job_id]
+    assert job["n"] <= 5
+    posets = [complete_multilevel(widths) for _, widths in job["patterns"]]
+    argv = job["argv"]
+    budget = int(argv[argv.index("--budget") + 1]) if "--budget" in argv else None
+    res = la_exact(job["n"], posets, job["induced"], budget)
+    optimum = len(milp_la(job["n"], posets, job["induced"]))
+    assert res.optimum == optimum if res.exhausted else res.optimum <= optimum
 
 
 @pytest.mark.parametrize("n", [4, 5])
