@@ -4,23 +4,22 @@ Branch and bound over all subsets of [n], taken in middle-out order
 (distance of the cardinality from n/2, then cardinality, then mask value),
 since extremal families concentrate around the middle levels. The walk is
 depth first, include before exclude, over two bitsets of candidate
-positions: ``live``, the chosen ones, and ``best``, the first largest family
-reached. A cut branch drops the top bit of ``live`` and goes on past it (the
+positions: ``live``, the chosen ones, and ``best``, the largest family found
+so far. A cut branch drops the top bit of ``live`` and goes on past it (the
 exclude branch of the last inclusion), until ``live`` is empty.
 
 The bound is a Russian-doll one (Verfaillie, Lemaître and Schiex, AAAI 1996;
 Östergård's Cliquer, 2002): R[q], the largest free family inside the suffix
 candidates[q:], bounds what the positions from q on can add. A solve runs in
-three phases over N = 2^n candidates:
+two phases over N = 2^n candidates:
 
 1. The walk's first path: each candidate in turn, included when free. Its
    family seeds ``best``; it ends early, proven, at Erdős's bound (below).
-2. For q = N-1 down to 1, R[q] is R[q+1] or R[q+1] + 1: a walk with q forced
+2. For q = N-1 down to 0, R[q] is R[q+1] or R[q+1] + 1: a walk with q forced
    in, cut where |live| + R[pos] < R[q+1] + 1, stops at the first family of
-   R[q+1] + 1 members. Once q + R[q] <= |best|, nothing beats ``best``: the
-   solve ends, proven.
-3. The walk from the start, seeded with ``best`` and cut where
-   |live| + R[pos] <= |best| (R[0] is taken as R[1] + 1).
+   R[q+1] + 1 members, which becomes ``best`` when it is larger. Once
+   q + R[q] <= |best|, nothing beats ``best``: the solve ends, proven. Else
+   it ends at q = 0 with |best| = R[0], the optimum.
 
 Phase 1 stops at Erdős's k-Sperner bound. Every chain of p sets holds a copy
 of a p-element pattern P (map a linear extension of P onto it), an induced
@@ -33,9 +32,9 @@ large is optimal, so the solve ends proven as soon as ``best`` reaches it.
 For P_k it is the k - 1 middle levels, first in the candidate order, whose
 copy lists are empty: La(n, P_k) takes sigma(n, k - 1) attempts.
 
-A cut drops only branches that cannot strictly beat ``best``, so a finished
-solve has the optimum and the witness of the same walk bounded by
-|live| + (N - pos) alone; only the number of include attempts falls.
+A cut drops only branches that cannot reach R[q+1] + 1 members, since R[pos]
+bounds what the positions from pos on add, so every R[q] a walk settles is
+exact.
 
 Chosen positions ascend, so a copy of a pattern that an include attempt at
 position ``pos`` completes has ``pos`` as its last member on every branch.
@@ -54,9 +53,9 @@ The rows take 2^n bits per candidate, so la_exact refuses n >= 16 before
 any candidate is listed (containment.MAX_MEMBERS), its only limit on n. The
 soft default of n <= 5 is command-line policy (``solve --cap``).
 
-The witness is the first optimum reached in walk order, which makes it the
-lexicographically smallest family the search encounters at the optimum;
-results are fully deterministic.
+The witness is the first family of the optimum's size that the first path or
+a suffix walk meets; a capped solve returns the largest family found so far.
+Results are fully deterministic.
 """
 
 from __future__ import annotations
@@ -110,9 +109,9 @@ def la_exact(n: int, posets: Sequence[Poset], induced: bool = False,
              budget: int | None = None) -> SolveResult:
     """Maximum size of a subset family of [n] avoiding every given pattern.
 
-    ``budget`` caps the include attempts of all three phases together (a
-    negative one is a ValueError); when it runs out the best family of phase 3
-    so far, at least the first path's, is returned with ``exhausted=False``.
+    ``budget`` caps the include attempts of both phases together (a negative
+    one is a ValueError); when it runs out the largest family found so far,
+    at least the first path's, is returned with ``exhausted=False``.
 
     Phase 1 ends the solve, proven, once its family reaches Erdős's bound
     (module docstring), before the budget is checked again, with the optimum,
@@ -151,18 +150,17 @@ def la_exact(n: int, posets: Sequence[Poset], induced: bool = False,
     # no budget: past the first path's size attempts and size walks of < 2^(size+1) each
     limit = budget if budget is not None else (size + 2) << size + 1
 
-    def walk(q: int, need: int, first: bool) -> bool | None:
-        """Include first from position q, cutting every branch whose chosen
-        positions plus the suffix optimum after them fall short of ``need``,
-        until no chosen position is left. In phase 2 (``first``) a family of
-        ``need`` members returns True; in phase 3 it becomes ``best`` and
-        ``need`` grows. None when the budget ran out, else False."""
-        nonlocal best, nodes
+    def walk(q: int, need: int) -> int | None:
+        """The first family of ``need`` members in walk order from position q,
+        include first, cutting every branch whose chosen positions plus the
+        suffix optimum after them fall short of ``need``: its bitset, 0 when
+        there is none, None when the budget ran out."""
+        nonlocal nodes
         live, chosen, pos = 0, 0, q  # chosen: the number of positions in live
         while True:
             if chosen + suffix_optima[pos] < need:
                 if not chosen:
-                    return False
+                    return 0
                 pos = live.bit_length()  # exclude the last inclusion instead
                 live ^= 1 << pos - 1
                 chosen -= 1
@@ -178,13 +176,11 @@ def la_exact(n: int, posets: Sequence[Poset], induced: bool = False,
                 live |= 1 << pos
                 chosen += 1
                 if chosen == need:
-                    if first:
-                        return True
-                    best, need = live, need + 1
+                    return live
             pos += 1
 
     def search() -> bool:
-        """The three phases; False when the budget or a listing ran out."""
+        """The two phases; False when the budget or a listing ran out."""
         nonlocal best, nodes
         for pos in range(size):  # 1: the walk's first path
             if best.bit_count() >= chain_bound:
@@ -209,12 +205,12 @@ def la_exact(n: int, posets: Sequence[Poset], induced: bool = False,
                 inside[end].insert(0, copy ^ 1 << end)
             suffix_optima[q] = suffix_optima[q + 1] + 1  # an upper bound until walked
             if q + suffix_optima[q] <= best.bit_count():
-                return True  # no family beats the first path's
-            if not q:  # 3: the walk itself, seeded with the first path's family
-                return walk(0, best.bit_count() + 1, False) is not None
-            if (grew := walk(q, suffix_optima[q], True)) is None:  # 2
+                return True  # no family beats best
+            if (found := walk(q, suffix_optima[q])) is None:  # 2
                 return False
-            suffix_optima[q] -= not grew
+            suffix_optima[q] -= not found
+            best = max(best, found, key=int.bit_count)  # max keeps best on a tie
+        return True
 
     exhausted = search()
     witness = SetFamily.of(n, [m for i, m in enumerate(candidates) if best >> i & 1])

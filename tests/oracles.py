@@ -427,12 +427,12 @@ class _OutOfAttempts(Exception):
 def doll_walk_la(n: int, posets, induced: bool = False, budget: int | None = None,
                  *, root_test: bool = True):
     """(optimum, witness masks, include attempts, exhausted, suffix optima) of
-    the solver's three phases, walked recursively as its module docstring
+    the solver's two phases, walked recursively as its module docstring
     states them, with freeness of each include attempt decided by
     brute_contains. The suffix optima are {q: R[q]} for every q that phase 2
     walked: R[q] is the largest free family inside candidates[q:]. Without
-    ``root_test`` phases 2 and 3 run even when the first path meets
-    chain_bound, so the suffix optima of chain patterns get walked too."""
+    ``root_test`` phase 2 runs even when the first path meets chain_bound,
+    so the suffix optima of chain patterns get walked too."""
     candidates = sorted(range(1 << n),
                         key=lambda m: (abs(2 * m.bit_count() - n), m.bit_count(), m))
     size = len(candidates)
@@ -458,36 +458,31 @@ def doll_walk_la(n: int, posets, induced: bool = False, budget: int | None = Non
             if free(greedy, mask):
                 greedy.append(mask)
 
-        def walk(pos: int, chosen: list[int], goal: int | None) -> bool:
-            """Phase 2 (goal set): is there a family of goal members? Phase 3
-            (goal None): raise best to every larger family, in walk order."""
-            nonlocal best
+        def walk(pos: int, chosen: list[int], goal: int) -> list[int]:
+            """Phase 2: the first family of goal members in walk order, []
+            when there is none."""
             for pos in range(pos, size):
-                need = goal if goal is not None else len(best) + 1
-                if len(chosen) + bound[pos] < need:
-                    return False
+                if len(chosen) + bound[pos] < goal:
+                    return []
                 mask = candidates[pos]
                 if not free(chosen, mask):
                     continue
                 family = chosen + [mask]
-                if len(family) == need:
-                    if goal is not None:
-                        return True
-                    best = family
-                if walk(pos + 1, family, goal):
-                    return True
-            return False
+                found = family if len(family) == goal else walk(pos + 1, family, goal)
+                if found:
+                    return found
+            return []
 
         exhausted = True
         if not root_test or len(greedy) < erdos:  # else the first path is proven
             for q in range(size - 1, -1, -1):
                 bound[q] = bound[q + 1] + 1
-                if q + bound[q] <= len(greedy):
+                if q + bound[q] <= len(best):
                     break
-                if not q:
-                    walk(0, [], None)
-                    break
-                bound[q] = solved[q] = bound[q + 1] + walk(q, [], bound[q])
+                found = walk(q, [], bound[q])
+                bound[q] = solved[q] = bound[q + 1] + bool(found)
+                if len(found) > len(best):
+                    best = found
     except _OutOfAttempts:
         exhausted = False
     witness = tuple(sorted(best, key=lambda m: (m.bit_count(), m)))

@@ -276,7 +276,7 @@ def test_la_exact_matches_brute_force(n, patterns, induced):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3), st.lists(posets(max_size=3), min_size=1, max_size=2), st.booleans(),
        st.one_of(st.none(), st.integers(0, 80)))
-def test_la_exact_walks_as_the_three_phase_oracle(n, patterns, induced, budget):
+def test_la_exact_walks_as_the_two_phase_oracle(n, patterns, induced, budget):
     # one-element patterns too: every set is then a copy of its own
     res = la_exact(n, patterns, induced, budget=budget)
     got = (res.optimum, res.witness.members, res.nodes_explored, res.exhausted)

@@ -27,7 +27,7 @@ EXPECTED = {
     "n4.K121+vee": (0, 7, 916, True, PAIRS4 + " 123"),
     "n4.K121+wedge.ind": (0, 8, 1506, True, "{} 1 " + PAIRS4),
     "n4.K121.ind": (0, 10, 1699, True, ONE_TWO4),
-    "n4.K22.ind": (0, 14, 223, True, "{} 1 2 3 " + PAIRS4 + " 124 134 234 1234"),
+    "n4.K22.ind": (0, 14, 220, True, "{} 1 2 3 " + PAIRS4 + " 124 134 234 1234"),
     "n4.P2": (0, 6, 6, True, PAIRS4),
     "n4.P3": (0, 10, 10, True, ONE_TWO4),
     "n4.P3+K22.ind": (0, 10, 10, True, ONE_TWO4),

@@ -52,7 +52,7 @@ def test_agrees_with_naive_enumeration():
 
 
 def test_solver_node_counts():
-    # golden include-attempt counts of all three phases: any change to the
+    # golden include-attempt counts of both phases: any change to the
     # walk order or the bounds moves them (the "chosen + remaining" walk took
     # 68,459 and 3,350; the suffix bounds alone 16,863 for P2, which Erdős's
     # bound now proves once the first path holds its C(5, 2) = 10 sets)
@@ -119,10 +119,10 @@ def test_n5_optima_are_proven(posets, induced, optimum, attempts):
 
 
 def test_n6_induced_k33_is_proven():
-    # La*(6, K[3,3]) = 55, as HiGHS gives; about 1 s of walk
+    # La*(6, K[3,3]) = 55, as HiGHS gives; about 0.5 s of walk
     k33 = complete_multilevel([3, 3])
     res = la_exact(6, [k33], True)
-    assert (res.optimum, res.nodes_explored, res.exhausted) == (55, 1566083, True)
+    assert (res.optimum, res.nodes_explored, res.exhausted) == (55, 1220263, True)
     assert contains_subposet(res.witness, k33, True).free
 
 
@@ -185,7 +185,7 @@ def test_symmetric_chains_decompose_the_lattice(n):
 
 def test_erdos_bound_skips_induced_non_chain_patterns():
     # an induced copy of a pattern with an incomparable pair fits in no chain,
-    # so these walk all three phases: a cap of |P| - 1 sets per chain would
+    # so these walk both phases: a cap of |P| - 1 sets per chain would
     # bound La*(3, two incomparable sets) by C(3, 1) = 3 below its optimum, the
     # 4 sets of a full chain; with P3 also forbidden the bound takes its cap
     # from P3 and the first path is proven
@@ -195,7 +195,7 @@ def test_erdos_bound_skips_induced_non_chain_patterns():
     assert (res.optimum, res.nodes_explored, res.exhausted) == (3, 13, True)
     k22 = complete_multilevel([2, 2])
     res = la_exact(4, [k22], induced=True)
-    assert (res.optimum, res.nodes_explored, res.exhausted) == (14, 223, True)
+    assert (res.optimum, res.nodes_explored, res.exhausted) == (14, 220, True)
     res = la_exact(4, [chain_poset(3), k22], induced=True)
     assert (res.optimum, res.nodes_explored, res.exhausted) == (10, 10, True)
 
@@ -237,6 +237,34 @@ POOL_PATTERN_SETS = sorted({(tuple(widths for _, widths in job["patterns"]), job
                             for job in solve_pool().values()})
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_capped_solves_never_lose_a_family(n):
+    # a larger budget walks the same attempts and then more, and best only
+    # grows, so the optimum never falls as the budget grows and never passes
+    # the exhausted one (budget None, last); every witness is free
+    for widths, induced in POOL_PATTERN_SETS:
+        posets = [complete_multilevel(w) for w in widths]
+        optima, checked = [], set()
+        for budget in (0, 3, 30, 300, 3000, 30000, None):
+            res = la_exact(n, posets, induced, budget)
+            optima.append(res.optimum)
+            if res.witness.members not in checked:
+                checked.add(res.witness.members)
+                assert not any(brute_contains(res.witness.members, p, induced) for p in posets)
+        assert res.exhausted and optima == sorted(optima)
+
+
+@pytest.mark.parametrize("induced, budget, optimum", [(False, 3000, 15), (True, 30000, 19)])
+def test_capped_solve_returns_a_suffix_walks_larger_family(induced, budget, optimum):
+    # K[1,3] at n = 5 (La 16, La* 19): a suffix walk meets a family larger
+    # than the first path's (14 and 17 sets) before the budget runs out, and
+    # the capped solve returns it, free
+    k13 = complete_multilevel([1, 3])
+    res = la_exact(5, [k13], induced, budget)
+    assert (res.optimum, res.nodes_explored, res.exhausted) == (optimum, budget, False)
+    assert not brute_contains(res.witness.members, k13, induced)
+
+
 @pytest.mark.parametrize("job_id", sorted(solve_pool()))
 def test_pool_solves_match_the_ilp_oracle(job_id):
     # every pool row is at n <= 5: an exhausted solve has the optimum of the
@@ -255,7 +283,7 @@ def test_pool_solves_match_the_ilp_oracle(job_id):
 @pytest.mark.parametrize("widths, induced", POOL_PATTERN_SETS)
 def test_first_path_ignores_break_symmetry(widths, induced, n, capsys):
     # a budget of 2^n attempts stops the solve where its first path ends: the
-    # three-phase oracle's first path, which solve prints with
+    # two-phase oracle's first path, which solve prints with
     # --break-symmetry too, since that flag has no effect
     posets = [complete_multilevel(w) for w in widths]
     res = la_exact(n, posets, induced, budget=1 << n)
@@ -357,27 +385,32 @@ WALK_CASES += [(3, CLI_PATTERNS[:2]), (3, [chain_poset(3), named_poset("butterfl
 @pytest.mark.parametrize("induced", [False, True])
 @pytest.mark.parametrize("budget", [None, 0, 5, 50])
 def test_walk_matches_per_attempt_oracle_walk(budget, induced):
-    # the copy lists and the suffix bounds must walk as the recursive three
+    # the copy lists and the suffix bounds must walk as the recursive two
     # phases with a fresh brute-force search per include attempt: same
     # optimum, witness, attempts and exhausted; a finished walk also keeps the
-    # optimum and witness of the "chosen + remaining" walk
+    # optimum of the "chosen + remaining" walk, with a free witness of that
+    # size (a suffix walk may meet another optimal family first)
     for n, posets in WALK_CASES:
         res = la_exact(n, posets, induced, budget=budget)
         got = (res.optimum, res.witness.members, res.nodes_explored, res.exhausted)
         assert got == doll_walk_la(n, posets, induced, budget)[:4]
         if budget is None:
-            optimum, witness, _, exhausted = walk_la(n, posets, induced)
-            assert (got[0], got[1], got[3]) == (optimum, witness, exhausted)
+            optimum, _, _, exhausted = walk_la(n, posets, induced)
+            assert (got[0], got[3]) == (optimum, exhausted)
+            assert res.witness.size == optimum
+            assert not any(brute_contains(res.witness.members, p, induced) for p in posets)
 
 
-def test_phase_3_walks_past_the_first_candidate():
+def test_suffix_walk_finds_the_optimum_past_the_first_class():
     # the only optimum of induced P3 and "a 2-chain plus two free elements"
-    # at n = 4 is levels 1 and 3, away from the first class, so phase 3 goes
-    # on from an empty family past position 0
+    # at n = 4 is levels 1 and 3, away from the first class (level 2, first
+    # in the candidate order), so the first path misses it; the suffix walk
+    # from level 1's first set finds it, and the walks from the six earlier
+    # positions each prove that no 9 sets are free
     posets = [Poset(4, (0, 0, 2, 0)), chain_poset(3)]
     res = la_exact(4, posets, True)
     got = (res.optimum, res.witness.members, res.nodes_explored, res.exhausted)
-    assert got == (8, (1, 2, 4, 8, 7, 11, 13, 14), 1686, True)
+    assert got == (8, (1, 2, 4, 8, 7, 11, 13, 14), 740, True)
     assert got == doll_walk_la(4, posets, True)[:4]
 
 
