@@ -33,7 +33,7 @@ completeness:
   members, and every element's image is pre-restricted to the cardinality
   window its chain height above and below allows;
 * before the next element's candidates are tried, those whose placement
-  would fail that count check are dropped in bulk (``_search``);
+  would fail that count check, size gaps included, go in bulk (``_search``);
 * each placement narrows the later elements comparable to it to the sizes
   their size gaps allow (``posets.size_gaps``), off the record's ``windows``;
 * the unplaced twins of a class share one domain: they get the same window,
@@ -128,22 +128,20 @@ class _Plan:
     """Static search data for one pattern poset, plain or induced. Depth d
     places ``order[d]``; the unplaced elements of a twin class share one
     domain, slot ``class_of[e]``, so the rest name classes with unplaced
-    elements. ``steps[d]`` pairs those ``order[d]`` narrows with their row
-    kinds (0 ``sup``, 1 ``sub``, 2 ``inc``), ``counts[d]`` all of them with
-    their unplaced counts, checked after it, and ``cuts[d]`` the counts of
-    those ``steps[d]`` narrows, with the transposed row kind: the count filter
-    of ``_search``. ``rise[d]`` and ``fall[d]`` pair those above and below
-    ``order[d]`` with their size gaps past 1 (``size_gaps``), at most ``reach``."""
+    elements. ``checks[d]`` holds (class, need, kind, gap) for each of them,
+    those ``order[d]`` narrows first: the unplaced count checked after the
+    placement, the row kind towards ``order[d]`` (0 ``sup``, 1 ``sub``, 2
+    ``inc``; None for an incomparable class, plain) and the size gap past 1
+    (``size_gaps``, at most ``reach``), else 0, negative for ``sub``: images
+    of the class in row i lie in ``windows[kind][|i| + gap]``. ``cuts[d]``
+    holds the narrowed ones transposed, for the count filter of ``_search``."""
 
     order: tuple[int, ...]
     twin_prev: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
     class_of: tuple[int, ...]
-    steps: tuple[tuple[tuple[int, int], ...], ...]
-    counts: tuple[tuple[tuple[int, int], ...], ...]
-    cuts: tuple[tuple[tuple[int, int, int], ...], ...]
-    rise: tuple[tuple[tuple[int, int], ...], ...]
-    fall: tuple[tuple[tuple[int, int], ...], ...]
+    checks: tuple[tuple[tuple[int, int, int | None, int], ...], ...]
+    cuts: tuple[tuple[tuple[int, int, int, int], ...], ...]
     reach: int
 
 
@@ -171,24 +169,23 @@ def _plan_for(poset: Poset, induced: bool, first: int | None = None) -> _Plan:
                                 key=lambda e: abs(poset.heights[e] - h))]
     rest = (1 << p) - 1
     placed = [0] * len(classes)
-    steps, counts, cuts, rise, fall = [], [], [], [], []
+    checks, cuts = [], []
     for e in order:
         rest ^= 1 << e
         later = (above[e] & rest, below[e] & rest, rest & ~above[e] & ~below[e] if induced else 0)
         ce = class_of[e]
         placed[ce] += 1
-        count = [(ci, len(cls) - k) for ci, (cls, k) in enumerate(zip(classes, placed))
-                 if k < len(cls)]
-        kind = {ci: k for ci, _ in count for k, group in enumerate(later)
-                if group >> classes[ci][-1] & 1}
-        steps.append(tuple(kind.items()))
-        counts.append(tuple(count))
-        cuts.append(tuple((ci, need, (1, 0, 2)[kind[ci]]) for ci, need in count if ci in kind))
-        row = gaps[ce]
-        rise.append(tuple((ci, g) for ci, k in kind.items() if k == 0 and (g := row[ci]) > 1))
-        fall.append(tuple((ci, g) for ci, k in kind.items() if k == 1 and (g := gaps[ci][ce]) > 1))
+        check = []
+        for ci, (cls, done) in enumerate(zip(classes, placed)):
+            if done < len(cls):
+                kind = next((k for k, group in enumerate(later) if group >> cls[-1] & 1), None)
+                g = gaps[ce][ci] if kind == 0 else -gaps[ci][ce] if kind == 1 else 0
+                check.append((ci, len(cls) - done, kind, g if abs(g) > 1 else 0))
+        checks.append(tuple(sorted(check, key=lambda step: step[2] is None)))
+        cuts.append(tuple((ci, need, (1, 0, 2)[k], -g) for ci, need, k, g in check
+                          if k is not None))
     return _Plan(tuple(order), tuple(twin_prev[e] for e in range(p)), classes, class_of,
-                 tuple(steps), tuple(counts), tuple(cuts), tuple(rise), tuple(fall), reach)
+                 tuple(checks), tuple(cuts), reach)
 
 
 class _Rows(dict):
@@ -288,26 +285,29 @@ def _search(rels: Relations, plan: _Plan, domains: list[int], budget: int,
     """Depth-first search with an explicit stack: one frame (element, untried
     candidates, domains) per placed element, so the pattern size is not
     bounded by the interpreter's recursion limit. Depth d follows the plan's
-    schedule; ``nodes`` counts the candidates tried. On the way down to depth
-    d, each cut (rep, need) of ``plan.cuts[d]`` drops every candidate i its
-    count check would reject: i stays when row[i] & S holds need members, S
-    the available candidates of rep, counted over the transposed rows of S's
-    members in thermometer bitsets that saturate at need. A cut runs when
-    |S| * need < |c|, so it costs fewer row operations than the candidates.
-    With ``copies`` each full embedding is kept under its member bitset and
-    the search goes on."""
+    schedule; ``nodes`` counts the candidates tried. A candidate narrows and
+    counts the classes of ``plan.checks[d]`` one at a time and fails at the
+    first one short of its need. On the way down to depth d, each cut (rep,
+    need, kind, gap) of ``plan.cuts[d]`` drops every candidate that check
+    would reject for rep: each member j of S, the available candidates of
+    rep, counts for those in its row and in ``windows[kind][|j| + gap]``,
+    tallied in thermometer bitsets that saturate at need. A cut runs when
+    |S| * need < |c|, at two ANDs at most per member of S. ``free`` holds the
+    members not in use: CPython ANDs a negative operand through a
+    complemented copy. With ``copies`` each full embedding is kept under its
+    member bitset and the search goes on."""
     if not all(domains):
         return SearchStatus.FREE, None, 0
     rows = rels.sup, rels.sub, rels.inc
     order, twin_prev, class_of = plan.order, plan.twin_prev, plan.class_of
-    steps, counts, cuts, rise, fall = plan.steps, plan.counts, plan.cuts, plan.rise, plan.fall
+    checks, cuts = plan.checks, plan.cuts
     masks = rels.masks
-    at_least, at_most = rels.windows
+    windows = rels.windows
     if plan.reach > len(rels.levels):  # gaps past the padding
-        at_least, at_most = at_least + (0,) * plan.reach, at_most + (0,) * plan.reach
+        windows = tuple(sizes + (0,) * plan.reach for sizes in windows)
     p = len(order)
     img = [-1] * p
-    used = 0
+    free = rels.full
     nodes = 0
     stack: list[tuple[int, int, list[int]]] = []
     depth = 0
@@ -320,7 +320,7 @@ def _search(rels: Relations, plan: _Plan, domains: list[int], budget: int,
                 return SearchStatus.FREE, None, nodes
             e, c, cand = stack.pop()
             depth -= 1
-            used ^= 1 << img[e]
+            free |= 1 << img[e]
             continue
         if nodes >= budget:
             return SearchStatus.BUDGET, None, nodes
@@ -332,40 +332,40 @@ def _search(rels: Relations, plan: _Plan, domains: list[int], budget: int,
         if depth + 1 == p:  # the last element: nothing left to narrow or count
             if copies is None:
                 return SearchStatus.FOUND, tuple(img), nodes
-            copies.setdefault(used | bit, tuple(img))
+            copies.setdefault(rels.full ^ free | bit, tuple(img))
             continue
+        avail = free ^ bit
         nxt = list(cand)
-        for ci, k in steps[depth]:
-            nxt[ci] &= rows[k][i]
-        if rise[depth] or fall[depth]:
-            size = masks[i].bit_count()
-            for ci, g in rise[depth]:
-                nxt[ci] &= at_least[size + g]
-            for ci, g in fall[depth]:
-                nxt[ci] &= at_most[size - g]
-        avail = ~(used | bit)
-        for ci, need in counts[depth]:
-            if (nxt[ci] & avail).bit_count() < need:
+        for ci, need, k, g in checks[depth]:
+            x = nxt[ci]
+            if k is not None:
+                x &= rows[k][i]
+                if g:
+                    x &= windows[k][masks[i].bit_count() + g]
+                nxt[ci] = x
+            if (x & avail).bit_count() < need:
                 break
         else:
-            used |= bit
+            free = avail
             depth += 1
             stack.append((e, c, cand))
             cand = nxt
             e = order[depth]
-            c = cand[class_of[e]] & ~used
+            c = cand[class_of[e]] & free
             tp = twin_prev[e]
             if tp >= 0:
-                c &= ~((1 << (img[tp] + 1)) - 1)
-            for ci, need, k in cuts[depth]:
-                s = cand[ci] & ~used
+                c = c >> (low := img[tp] + 1) << low
+            for ci, need, k, g in cuts[depth]:
+                s = cand[ci] & free
                 if s.bit_count() * need < c.bit_count():
                     flip = rows[k]
                     tally = [0] * need  # tally[t]: candidates seen at least t + 1 times
                     while s:
-                        low = s & -s
-                        s ^= low
-                        x = flip[low.bit_length() - 1] & c
+                        j = s.bit_length() - 1
+                        s ^= 1 << j
+                        x = flip[j] & c
+                        if g:
+                            x &= windows[k][masks[j].bit_count() + g]
                         for t in range(need - 1, 0, -1):
                             tally[t] |= tally[t - 1] & x
                         tally[0] |= x

@@ -615,8 +615,8 @@ def test_contains_matches_brute_force_on_arbitrary_posets():
 
 # (family, pattern widths, induced, nodes, nodes of the reference loop)
 GOLDEN_SEARCHES = [
-    (construct_rst_induced, (8, 2, 2, 2), (2, 2, 2), True, 520, 6769),
-    (construct_rt, (10, 2, 2), (2, 2), True, 513, 16544),
+    (construct_rst_induced, (8, 2, 2, 2), (2, 2, 2), True, 98, 6769),
+    (construct_rt, (10, 2, 2), (2, 2), True, 117, 16544),
     (construct_rst, (10, 2, 2, 2), (2, 2, 2), False, 1, 210),
 ]
 GOLDEN_IDS = ["rsti8_K222_induced", "rt10_K22_induced", "rst10_K222"]
@@ -629,7 +629,8 @@ def test_search_order_node_counts(build, args, widths, induced, nodes, reference
     # and fringe phases, or pruning moves them. The count filter drops the
     # candidates whose class-count check fails before they are tried, and the
     # size gaps narrow the domains, so these are below the reference loop's
-    # counts (next test)
+    # counts (next test). The filter applying the size gaps took them from
+    # 520 and 513
     res = contains_subposet(build(*args), complete_multilevel(widths), induced)
     assert res.free
     assert res.nodes == nodes
@@ -657,8 +658,8 @@ def test_containment_frontier():
     # decided by the size gaps: rsti11 K[2,4,2] stopped at BUDGET after 10^7
     # nodes without them, rsti12 K[2,2,2] took 1,150,684 nodes; a relabelled
     # ground set changes the member order but not the verdict. Either
-    # labelling of rsti11 takes about 56,700 nodes with the pinned plans'
-    # height order and 141,765 without it, so the budget guards that order
+    # labelling of rsti11 takes about 40,600 nodes with the pinned plans'
+    # height order and 136,565 without it, so the budget guards that order
     family = construct_rst_induced(11, 2, 4, 2)
     for fam in (family, relabel(family, Random(7))):
         assert contains_subposet(fam, complete_multilevel([2, 4, 2]), True, 10**5).free
@@ -712,42 +713,48 @@ def test_pinned_plans_keep_class_order():
 
 
 def test_plans_name_the_classes_with_unplaced_elements():
-    # at every depth the steps, counts, cuts, rises and falls name only the
-    # classes with unplaced elements; counts holds each with its unplaced
-    # count, the steps pair each with the row kind its elements take towards
-    # the element placed (none for an incomparable one, plain), the cuts hold
-    # the counts of the classes narrowed, transposed, and rise and fall the
-    # classes above and below with their size gaps past 1
+    # at every depth the checks name each class with unplaced elements once,
+    # with its unplaced count, the row kind its elements take towards the
+    # element placed (none for an incomparable one, plain) and its size gap
+    # past 1, negative below, narrowed classes first; the cuts hold the
+    # narrowed ones with the transposed kind and gap
     rng = Random(2801)
     posets = [complete_multilevel(widths) for widths in
               ((1, 4, 1), (2, 4, 2), (4, 4), (3, 3), (2, 3, 2), (2, 2, 2), (1, 2, 1))]
     posets += [random_twin_poset(rng) for _ in range(200)]
+    wide = 0
     for poset in posets:
         classes, above, below = poset.twin_classes, poset.above, poset.below
         for induced in (False, True):
-            gaps, _ = size_gaps(poset, induced)
+            gaps, reach = size_gaps(poset, induced)
             for first in (None, *(cls[0] for cls in classes)):
                 plan = containment._plan_for(poset, induced, first)
-                assert plan.classes == classes
+                assert plan.classes == classes and plan.reach == reach
                 assert all(plan.class_of[e] == ci for ci, cls in enumerate(classes) for e in cls)
                 for d, e in enumerate(plan.order):
                     unplaced = Counter(plan.class_of[x] for x in plan.order[d + 1:])
-                    assert dict(plan.counts[d]) == unplaced and len(plan.counts[d]) == len(unplaced)
                     kinds = {}
                     for x in plan.order[d + 1:]:
                         k = 0 if above[e] >> x & 1 else 1 if below[e] >> x & 1 else 2
                         if k < 2 or induced:
                             assert kinds.setdefault(plan.class_of[x], k) == k
-                    assert dict(plan.steps[d]) == kinds and len(plan.steps[d]) == len(kinds)
-                    assert sorted(plan.cuts[d]) == sorted(
-                        (ci, unplaced[ci], (1, 0, 2)[k]) for ci, k in kinds.items())
                     ce = plan.class_of[e]
-                    assert sorted(plan.rise[d]) == sorted(
-                        (ci, gaps[ce][ci]) for ci, k in kinds.items()
-                        if k == 0 and gaps[ce][ci] > 1)
-                    assert sorted(plan.fall[d]) == sorted(
-                        (ci, gaps[ci][ce]) for ci, k in kinds.items()
-                        if k == 1 and gaps[ci][ce] > 1)
+                    steps = {}
+                    for ci, need in unplaced.items():
+                        k = kinds.get(ci)
+                        gap = gaps[ce][ci] if k == 0 else gaps[ci][ce] if k == 1 else 0
+                        assert gap <= reach
+                        steps[ci] = (need, k, (-gap if k == 1 else gap) if gap > 1 else 0)
+                    check = plan.checks[d]
+                    assert len(check) == len(steps)
+                    assert {ci: (need, k, gap) for ci, need, k, gap in check} == steps
+                    narrowed = [k is not None for _, _, k, _ in check]
+                    assert narrowed == sorted(narrowed, reverse=True)
+                    assert sorted(plan.cuts[d]) == sorted(
+                        (ci, need, (1, 0, 2)[k], -gap) for ci, (need, k, gap) in steps.items()
+                        if k is not None)
+                    wide += sum(gap != 0 for *_, gap in check)
+    assert wide > 1000  # the gaps past 1 are exercised, not only the zeros
 
 
 def test_banded_verdicts_match_brute_force():
@@ -1005,27 +1012,53 @@ def test_planted_copies_are_found():
         assert planted in images and induced_copy_by_subsets(images, k22)
 
 
+def outside(mask, n, count):
+    """The lowest ``count`` elements of [n] outside the mask, as one-bit masks."""
+    return [1 << e for e in range(n) if not mask >> e & 1][:count]
+
+
+def assert_planted_copies_found(family, pattern, placements):
+    """Each placement (copy, planted sets) is an induced copy of the pattern
+    by direct subset tests, with every set but the planted ones in the
+    family; once they are added, the search finds a copy through one."""
+    members = set(family.members)
+    for copy, planted in placements:
+        assert induced_copy_by_subsets(copy, pattern)
+        assert not members & set(planted) and members >= set(copy) - set(planted)
+        planted_family = SetFamily.of(family.n, [*family.members, *planted])
+        res = contains_subposet(planted_family, pattern, True)
+        assert res.found
+        images = [planted_family.members[i] for i in res.embedding]
+        assert set(planted) & set(images) and induced_copy_by_subsets(images, pattern)
+
+
 def test_planted_three_level_copies_are_found():
     # construct_rst_induced(12, 2, 2, 2) is levels 4-7 with one residue class
-    # of 3-sets and one of 8-sets as fringes, free of induced K[2,2,2]; one
-    # added set completes a copy, placed two ways, and the search must find one
+    # of 3-sets and one of 8-sets as fringes, free of induced K[2,2,2]; added
+    # sets complete a copy, placed three ways, and the search must find one
     family = construct_rst_induced(12, 2, 2, 2)
     k222 = complete_multilevel([2, 2, 2])
     assert contains_subposet(family, k222, True).free
     bottom = [m for m in family.members if m.bit_count() == 3]
     top = [m for m in family.members if m.bit_count() == 8]
 
-    def outside(mask, count):
-        """The lowest ``count`` elements outside the mask, as one-bit masks."""
-        return [1 << e for e in range(12) if not mask >> e & 1][:count]
-
+    # fringe only: two bottom-fringe sets under two top-fringe sets with a
+    # 10-set union, under the two added 11-sets over it. No fringe set lies
+    # above two 8-sets, and a middle pair of 3-sets of one residue class
+    # shares at most 1 element, too few for a bottom pair, so a copy off the
+    # band's levels needs two added sets
+    b1, b2, a1, a2 = next((b1, b2, a1, a2) for b1, b2 in combinations(top, 2)
+                          if (b1 | b2).bit_count() == 10
+                          for a1, a2 in combinations([a for a in bottom if a & b1 & b2 == a], 2))
+    t1, t2 = (b1 | b2 | x for x in outside(b1 | b2, 12, 2))
+    fringe = (a1, a2, b1, b2, t1, t2)
     # band and fringe: a bottom-fringe set and an added 3-set sharing 2 of its
     # elements (two sets of one residue class share at most 1), under two
     # 5-sets and two 7-sets of the band
     a = bottom[0]
-    added = a ^ (a & -a) | outside(a, 1)[0]
-    y, z = outside(a | added, 2)
-    u, v = outside(a | added | y | z, 2)
+    added = a ^ (a & -a) | outside(a, 12, 1)[0]
+    y, z = outside(a | added, 12, 2)
+    u, v = outside(a | added | y | z, 12, 2)
     band = (a, added, a | added | y, a | added | z, a | added | y | z | u, a | added | y | z | v)
     # across the top of the band: a top-fringe set and an added 8-set over a
     # shared 7-subset, which holds two 6-sets of the band, whose shared
@@ -1035,15 +1068,46 @@ def test_planted_three_level_copies_are_found():
     e1, e2 = [1 << e for e in bits(shared)][:2]
     middle = shared ^ e1 ^ e2
     f1, f2 = [1 << e for e in bits(middle)][:2]
-    across = (middle ^ f1, middle ^ f2, shared ^ e1, shared ^ e2, c, shared | outside(c, 1)[0])
-    for copy, planted in ((band, band[1]), (across, across[5])):
-        assert planted not in family.members and induced_copy_by_subsets(copy, k222)
-        assert all(m in family.members for m in copy if m != planted)
-        planted_family = SetFamily.of(12, [*family.members, planted])
-        res = contains_subposet(planted_family, k222, True)
-        assert res.found
-        images = [planted_family.members[i] for i in res.embedding]
-        assert planted in images and induced_copy_by_subsets(images, k222)
+    across = (middle ^ f1, middle ^ f2, shared ^ e1, shared ^ e2, c, shared | outside(c, 12, 1)[0])
+    assert_planted_copies_found(family, k222, [(fringe, (t1, t2)), (band, (band[1],)),
+                                               (across, (across[5],))])
+
+
+def test_planted_k33_copies_are_found():
+    # construct_rt(14, 3, 3) is levels 6 and 7 with two residue classes of
+    # 5-sets and two of 8-sets as fringes, free of induced K[3,3]; one added
+    # set completes a copy, placed three ways, and the search must find one
+    family = construct_rt(14, 3, 3)
+    k33 = complete_multilevel([3, 3])
+    assert contains_subposet(family, k33, True).free
+    members = set(family.members)
+    bottom = [m for m in family.members if m.bit_count() == 5]
+    top = [m for m in family.members if m.bit_count() == 8]
+
+    def over(shared):
+        """An 8-set over the 7-set ``shared`` outside the family."""
+        return next(shared | x for x in outside(shared, 14, 7) if shared | x not in members)
+
+    # fringe only: three bottom-fringe sets inside the shared 7-subset of two
+    # top-fringe sets (of different residue classes), under both and under
+    # an added 8-set over it
+    t1, t2, low = next((t1, t2, low) for t1, t2 in combinations(top, 2)
+                       if (t1 & t2).bit_count() == 7
+                       and len(low := [a for a in bottom if a & t1 & t2 == a]) >= 3)
+    fringe = (*low[:3], t1, t2, over(t1 & t2))
+    # band and fringe: two bottom-fringe sets inside one 6-set and an added
+    # 5-set inside it, under three 7-sets of the band
+    six = next(a1 | a2 for a1, a2 in combinations(bottom, 2) if (a1 | a2).bit_count() == 6)
+    fives = [six ^ 1 << e for e in bits(six)]
+    a1, a2 = [a for a in fives if a in members][:2]
+    added = next(a for a in fives if a not in members)
+    band = (a1, a2, added, *(six | x for x in outside(six, 14, 3)))
+    # across the top of the band: three 6-sets of the band inside the shared
+    # 7-subset of two top-fringe sets, under both and under an added 8-set
+    shared = t1 & t2
+    across = (*(shared ^ 1 << e for e in list(bits(shared))[:3]), t1, t2, over(shared))
+    assert_planted_copies_found(family, k33, [(fringe, (fringe[5],)), (band, (added,)),
+                                              (across, (across[5],))])
 
 
 def test_max_antichain_basics():
