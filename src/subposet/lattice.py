@@ -18,7 +18,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, groupby, repeat
 from math import comb
 from typing import Iterable, Iterator
 
@@ -208,11 +208,21 @@ def _parse_set(line: str, n: int, lineno: int) -> int:
     return sum(1 << (e - 1) for e in elems)
 
 
-def _read_lines(body: list[str], lineno: int, n: int, table: dict[str, int]) -> set[int]:
-    """The masks of the stripped lines ``body`` from line ``lineno`` on, in order: from
-    ``table``, else from element bits when they ascend, else from ``_parse_set``."""
-    bit = {str(e): 1 << (e - 1) for e in range(1, n + 1)}.__getitem__
-    get, seen = table.get, set()
+def _level_text(n: int, k: int) -> tuple[str, list[int]]:
+    """The lines of the k-subsets of [n] in canonical order, joined by newlines, and
+    their masks. Colex recursion: the j-sets of [m] are those of [m-1], then the
+    (j-1)-sets of [m-1] with m added, on text one ``replace("}", ",m}")`` per block."""
+    texts, masks = [""] + ["{}\n"] * (n - k + 1), [[]] + [[0]] * (n - k + 1)  # j-sets of [j+i-1]
+    for j in range(1, k + 1):
+        for i, bit in enumerate(map((1).__lshift__, range(j - 1, n - k + j)), 1):
+            texts[i] = texts[i - 1] + texts[i].replace("}", f",{i + j - 1}}}")
+            masks[i] = masks[i - 1] + [bit | x for x in masks[i]]
+    return texts[-1][:-1].replace("{,", "{"), masks[-1]
+
+
+def _read_lines(body: list[str], lineno: int, n: int, table: dict, seen: set) -> None:
+    """Add to ``seen`` the masks of the stripped lines ``body``, numbered from ``lineno``."""
+    bit, get = {str(e): 1 << (e - 1) for e in range(1, n + 1)}.__getitem__, table.get
     for lineno, line in enumerate(body, start=lineno):
         if not line or line[0] == "#":
             continue
@@ -229,7 +239,6 @@ def _read_lines(body: list[str], lineno: int, n: int, table: dict[str, int]) -> 
         if mask in seen:
             raise FamilyParseError(f"duplicate set {line!r}", lineno)
         seen.add(mask)
-    return seen
 
 
 def parse_family(text: str) -> SetFamily:
@@ -240,12 +249,11 @@ def parse_family(text: str) -> SetFamily:
     ``{}`` or ``{a,b,c}`` with strictly ascending decimal elements of [1, n].
     Duplicate sets are rejected. The result is canonicalized.
 
-    Every n-th line is counted by its commas (k - 1 on a k-set line); a level
-    whose sampled lines, n-fold, reach half its size is dense. If the dense
-    levels hold half the sampled lines, each gets a table from its canonical
-    lines to their masks (``{}`` and the full set too); when all lines are in
-    it, once, the lookups build the family. Else ``_read_lines`` reads them in
-    order, and every error is a FamilyParseError with its line number.
+    Every n-th line back from the last (the full set's place) is counted by its commas
+    (k - 1 on a k-set line); a level whose sampled lines, n-fold, reach half its size is
+    dense. If dense levels hold half the sample, each of them and ``{}`` is sought as a
+    ``_level_text`` block: found, it gives its masks at once, else a table of its lines.
+    ``_read_lines`` reads the rest; if that fails, all lines, to raise at the first error.
     """
     lines = text.splitlines()
     for lineno, raw in enumerate(lines, start=1):
@@ -265,25 +273,37 @@ def parse_family(text: str) -> SetFamily:
     else:
         raise FamilyParseError("missing 'n=<int>' header", 1)
     body = list(map(str.strip, lines[lineno:]))
-    counts = Counter(map(str.count, sample := body[::n], repeat(",")))
-    dense = [commas for commas, count in counts.items() if 2 * n * count >= comb(n, commas + 1)]
-    missed, table, masks = len(sample) - sum(map(counts.__getitem__, dense)), {}, None
+    counts = Counter(map(str.count, sample := body[::-n], repeat(",")))
+    dense = [c for c, count in counts.items() if 2 * n * count >= comb(n, c + 1) > 0]
+    missed, table, masks, rest = len(sample) - sum(map(counts.__getitem__, dense)), {}, set(), body
     if 2 * missed < len(sample):  # else a lookup per line costs more than the hits save
-        names = [str(e) for e in range(1, n + 1)]
-        table = {"{}": 0, "{" + ",".join(names) + "}": (1 << n) - 1}
-        for commas in dense:
-            # the level's lines in combinations order, braced by one join and split
-            keys = "{" + "}\n{".join(map(",".join, combinations(names, commas + 1))) + "}"
-            table.update(zip(keys.split("\n"), _level_masks(n, commas + 1)))
-        if not missed and len(got := set(map(table.get, body))) == len(body) and None not in got:
-            masks = got
-    masks = _read_lines(body, lineno + 1, n, table) if masks is None else masks
-    del lines, body, sample, table  # the line table goes before canonicalizing
+        # body[end] is the line after the last block found, and joined[pos] the newline before it
+        joined, rest, end, pos = "\n" + "\n".join(body) + "\n", [], 0, 0
+        for k in sorted({0, *[c + 1 for c in dense]}):  # {} and the full set only at pos
+            block, level_masks = _level_text(n, k)
+            first = "\n" + block[:block.index("}") + 1] + "\n"  # the block's first line
+            at = joined.find(first, pos, None if 0 < k < n else pos + len(first))
+            if at < 0 or not joined.startswith(block + "\n", at + 1):  # a table reads its lines
+                table.update(zip(block.split("\n"), level_masks))
+                continue
+            start = end + joined.count("\n", pos, at)  # the block's first line in the body
+            rest, end, pos = rest + body[end:start], start + len(level_masks), at + len(block) + 1
+            masks.update(level_masks)
+        rest += body[end:]
+        if rest and len(got := set(map(table.get, rest))) == len(rest) and None not in got:
+            masks, rest = (masks | got if masks else got), []  # each a table hit, once
+    try:
+        _read_lines(rest, lineno + 1, n, table, masks)
+    except FamilyParseError:  # reread in order, to raise at the first bad line or duplicate
+        _read_lines(body, lineno + 1, n, table, set())
+    del lines, body, sample, table, rest  # the lines and the table go before canonicalizing
     return SetFamily.of(n, masks)
 
 
 def serialize_family(family: SetFamily) -> str:
-    """Emit the canonical family file text (round-trips through parse_family)."""
-    lines = [f"n={family.n}"]
-    lines.extend(set_str(m) for m in family.members)
-    return "\n".join(lines) + "\n"
+    """Emit the canonical family file text, each whole level as its ``_level_text`` block."""
+    n, parts = family.n, [f"n={family.n}"]
+    for k, members in groupby(family.members, int.bit_count):
+        whole = len(members := list(members)) == comb(n, k)
+        parts.append(_level_text(n, k)[0] if whole else "\n".join(map(set_str, members)))
+    return "\n".join(parts) + "\n"

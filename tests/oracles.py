@@ -994,6 +994,14 @@ def parse_family_reference(text: str) -> SetFamily:
     return SetFamily.of(n, masks)
 
 
+def serialize_family_reference(family: SetFamily) -> str:
+    """The family-file writer before its whole-level blocks, kept verbatim as
+    the reference: one ``set_str`` line per member, in canonical order."""
+    lines = [f"n={family.n}"]
+    lines.extend(set_str(m) for m in family.members)
+    return "\n".join(lines) + "\n"
+
+
 def parse_outcome(parse, text: str):
     """What a reader makes of a text: its family, or its error and line."""
     try:

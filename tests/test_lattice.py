@@ -1,13 +1,15 @@
 """Lattice primitives: sigma, levels, residue classes, family I/O."""
 
 import pytest
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 from random import Random
 
 from subposet import lattice
-from subposet.constructions import construct_rst_induced, construct_rt
+from subposet.constructions import (construct_induced, construct_rst,
+                                    construct_rst_induced, construct_rt)
 from subposet.lattice import (
     FamilyParseError,
     SetFamily,
@@ -22,7 +24,7 @@ from subposet.lattice import (
 )
 
 from oracles import (check_members_reference, complement_family, parse_family_reference,
-                     parse_outcome, random_family_masks)
+                     parse_outcome, random_family_masks, serialize_family_reference)
 
 
 def test_sigma_values():
@@ -297,32 +299,39 @@ def dense_sources(rng: Random):
 
 
 def test_dense_levels_are_read_through_line_tables(monkeypatch):
-    """Whole-level files build the family from the level tables alone; files
-    with fringes read their lines one by one with every whole level's lines
-    in the table. Both, and edited copies of them (the random-file edits, a
-    duplicate inside a level block, a comment holding commas), give the
-    reference reader's family or its error and line number."""
-    rng = Random(23)
+    """A canonical file hands ``_read_lines`` no set line of a whole level: each
+    whole level is found as its ``_level_text`` block. A shuffled whole level
+    still reads through a table from its lines to their masks. Both, and edited
+    copies of canonical files (the random-file edits, a duplicate inside a level
+    block, a comment holding commas), give the reference reader's family or its
+    error and line number."""
+    rng, shuffler = Random(23), Random(29)
     read_lines = lattice._read_lines
-    tables = []
+    calls = []
 
-    def recording(body, lineno, n, table):
-        tables.append(table)
-        return read_lines(body, lineno, n, table)
+    def recording(body, lineno, n, table, seen):
+        calls.append((list(body), table))
+        return read_lines(body, lineno, n, table, seen)
 
     monkeypatch.setattr(lattice, "_read_lines", recording)
     outcomes = {"family": 0, "error": 0}
+    shuffled = 0
     for family, whole in dense_sources(rng):
         text, n = serialize_family(family), family.n
-        tables.clear()
+        sizes = Counter(x.bit_count() for x in family)
+        full = {k for k, size in sizes.items() if size == comb(n, k)}
+        calls.clear()
         assert parse_family(text) == family
-        if whole:
-            assert tables == []
-        else:
-            (table,) = tables
-            full = [k for k in range(n + 1)
-                    if sum(x.bit_count() == k for x in family) == comb(n, k)]
-            assert full and all(table[set_str(x)] == x for x in family if x.bit_count() in full)
+        read = {line for body, _ in calls for line in body}
+        assert full and read.isdisjoint(set_str(x) for x in family if x.bit_count() in full)
+        if whole and len(sizes) == 1 and len(family) > 1:
+            lines = text.splitlines()[1:]
+            while lines == text.splitlines()[1:]:
+                shuffler.shuffle(lines)
+            calls.clear()
+            assert parse_family("\n".join([f"n={n}"] + lines)) == family
+            assert any(all(table.get(set_str(x)) == x for x in family) for _, table in calls)
+            shuffled += 1
         for _ in range(12):
             lines = text.splitlines()
             at = rng.randrange(1, len(lines))
@@ -335,6 +344,63 @@ def test_dense_levels_are_read_through_line_tables(monkeypatch):
             assert got == parse_outcome(parse_family_reference, edited), edited
             outcomes[got[0]] += 1
     assert min(outcomes.values()) >= 100, outcomes
+    assert shuffled >= 5
+
+
+def test_duplicate_of_a_whole_level_set_is_reported_at_the_later_line():
+    for n, k, at in [(6, 3, 4), (10, 4, 0), (12, 1, 11), (13, 6, 1715)]:
+        block = [set_str(x) for x in level(n, k)]
+        for between in ([], [set_str((1 << n) - 1)], ["# note", set_str(1 << n - 1 | 1)]):
+            lines = [f"n={n}"] + block + between + [block[at]]
+            text = "\n".join(lines)
+            with pytest.raises(FamilyParseError) as err:
+                parse_family(text)
+            assert err.value.line == len(lines)
+            assert str(err.value) == f"line {len(lines)}: duplicate set {block[at]!r}"
+            assert parse_outcome(parse_family, text) == parse_outcome(parse_family_reference, text)
+
+
+def test_level_blocks_end_on_line_boundaries():
+    # a whole level whose first or last line runs on is no block: the reader
+    # reports the bad line as the reference reader does
+    for n, k in [(6, 3), (10, 4), (12, 1)]:
+        block = [set_str(x) for x in level(n, k)]
+        for edit in ([block[0] + "}"] + block[1:], block[:-1] + [block[-1] + "}"],
+                     block[:-1] + [block[-1] + ",0"], ["x" + block[0]] + block[1:]):
+            text = "\n".join([f"n={n}"] + edit + [set_str(1 << n - 1 | 1)])
+            got = parse_outcome(parse_family, text)
+            assert got[0] == "error" and got == parse_outcome(parse_family_reference, text)
+
+
+def test_level_text_is_each_level_in_canonical_order():
+    for n in range(1, 13):
+        for k in range(n + 1):
+            members = level(n, k).members
+            assert lattice._level_text(n, k) == ("\n".join(map(set_str, members)), list(members))
+
+
+def serializer_sources(rng: Random):
+    """Random sparse families, random ones holding a whole level, whole levels,
+    {∅}, {[n]} and the empty family at n = 1-14, and relabelled constructions."""
+    for n in range(1, 15):
+        whole = level(n, rng.randint(0, n)).members
+        yield SetFamily.of(n, random_family_masks(rng, n, 60))
+        yield SetFamily.of(n, random_family_masks(rng, n, 60) + list(whole))
+        yield SetFamily.of(n, whole)
+        yield from (SetFamily.of(n, [0]), SetFamily.of(n, [(1 << n) - 1]), SetFamily.of(n, []))
+    for n in range(6, 12):
+        yield relabelled(construct_rt(n, rng.randint(2, 3), rng.randint(2, 3)), rng)
+        yield relabelled(construct_rst(n, 2, 2, 2), rng)
+        yield relabelled(construct_induced(n, rng.choice([(2, 2, 2), (1, 2, 2, 1), (2, 1, 2)])), rng)
+    yield consecutive_levels(12, -1, 13)
+
+
+def test_serialize_family_matches_reference_writer():
+    rng = Random(31)
+    for family in serializer_sources(rng):
+        text = serialize_family(family)
+        assert text == serialize_family_reference(family), family
+        assert parse_family(text) == family
 
 
 def test_parse_family_reads_the_edge_cases_as_before():
