@@ -75,6 +75,7 @@ first copy in pin order, not the lexicographically smallest embedding.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -222,11 +223,12 @@ class Relations:
 
     @cached_property
     def has(self) -> tuple[int, ...]:
-        n = len(self.levels) - 1
-        # "0b1" and n binary digits per member, member 0 last: every (n + 3)-th
-        # digit is one has[e]
-        text = "".join(map(bin, map((1 << n).__or__, reversed(self.masks))))
-        return tuple(int(text[n + 2 - e::n + 3], 2) for e in range(n))
+        n, m = len(self.levels) - 1, len(self.masks)
+        code, w = ("B", 8) if n <= 8 else ("H", 16) if n <= 16 else ("I", 32)
+        # the masks in w-bit fields, member 0 lowest, under a leading 1: "0b1" and w
+        # binary digits per member, member 0 last, so every w-th digit is one has[e]
+        text = bin(int.from_bytes(struct.pack(f"<{m}{code}", *self.masks), "little") | 1 << w * m)
+        return tuple(int(text[w + 2 - e::w], 2) for e in range(n))
 
     @cached_property
     def windows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -15,10 +15,11 @@ from concurrent contexts.
 from __future__ import annotations
 
 import re
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, groupby, repeat
+from itertools import chain, combinations, count, groupby, repeat
 from math import comb
 from typing import Iterable, Iterator
 
@@ -208,25 +209,29 @@ def _parse_set(line: str, n: int, lineno: int) -> int:
     return sum(1 << (e - 1) for e in elems)
 
 
-def _level_text(n: int, k: int) -> tuple[str, list[int]]:
-    """The lines of the k-subsets of [n] in canonical order, joined by newlines, and
-    their masks. Colex recursion: the j-sets of [m] are those of [m-1], then the
-    (j-1)-sets of [m-1] with m added, on text one ``replace("}", ",m}")`` per block."""
-    texts, masks = [""] + ["{}\n"] * (n - k + 1), [[]] + [[0]] * (n - k + 1)  # j-sets of [j+i-1]
-    for j in range(1, k + 1):
+def _level_text(n: int, k: int) -> tuple[str, int]:
+    """The lines of the k-subsets of [n] in canonical order, joined by newlines, and their
+    masks in 32-bit fields of one int, the first lowest. Colex recursion: the j-sets of [m]
+    are those of [m-1], then the (j-1)-sets of [m-1] with m added, on the text by one
+    ``replace("}", ",m}")`` per block and on the masks by one multiply and one shift."""
+    ones = int.from_bytes(b"\1\0\0\0" * (size := comb(n, k)), "little")  # a 1 in each field
+    texts, packed = [""] + ["{}\n"] * (n - k + 1), [0] * (n - k + 2)
+    for j in range(1, k + 1):  # texts[i] and packed[i]: the C(j+i-1, j) j-sets of [j+i-1]
         for i, bit in enumerate(map((1).__lshift__, range(j - 1, n - k + j)), 1):
             texts[i] = texts[i - 1] + texts[i].replace("}", f",{i + j - 1}}}")
-            masks[i] = masks[i - 1] + [bit | x for x in masks[i]]
-    return texts[-1][:-1].replace("{,", "{"), masks[-1]
+            added = packed[i] + bit * (ones >> 32 * (size - comb(i + j - 2, j - 1)))
+            packed[i] = packed[i - 1] | added << 32 * comb(i + j - 2, j)
+    return texts[-1][:-1].replace("{,", "{"), packed[-1]
 
 
 def _read_lines(body: list[str], lineno: int, n: int, table: dict, seen: set) -> None:
     """Add to ``seen`` the masks of the stripped lines ``body``, numbered from ``lineno``."""
-    bit, get = {str(e): 1 << (e - 1) for e in range(1, n + 1)}.__getitem__, table.get
-    for lineno, line in enumerate(body, start=lineno):
-        if not line or line[0] == "#":
-            continue
-        if not table or (mask := get(line)) is None:
+    bit = {str(e): 1 << (e - 1) for e in range(1, n + 1)}.__getitem__
+    hits = map(table.get, body) if table else repeat(None)  # the lookup, chosen once
+    for lineno, line, mask in zip(count(lineno), body, hits):
+        if mask is None:  # a line no table holds
+            if not line or line[0] == "#":
+                continue
             try:
                 bits = (line[0] == "{" and line[-1] == "}"
                         and list(map(bit, line[1:-1].split(","))))
@@ -252,8 +257,9 @@ def parse_family(text: str) -> SetFamily:
     Every n-th line back from the last (the full set's place) is counted by its commas
     (k - 1 on a k-set line); a level whose sampled lines, n-fold, reach half its size is
     dense. If dense levels hold half the sample, each of them and ``{}`` is sought as a
-    ``_level_text`` block: found, it gives its masks at once, else a table of its lines.
-    ``_read_lines`` reads the rest; if that fails, all lines, to raise at the first error.
+    ``_level_text`` block: found, it gives its masks in canonical order, else a table of its
+    lines. ``_read_lines`` reads the rest, the loose sets, the only ones sorted; if that fails,
+    or one lies on a found block's level, it reads all lines, to raise at the first error.
     """
     lines = text.splitlines()
     for lineno, raw in enumerate(lines, start=1):
@@ -275,29 +281,39 @@ def parse_family(text: str) -> SetFamily:
     body = list(map(str.strip, lines[lineno:]))
     counts = Counter(map(str.count, sample := body[::-n], repeat(",")))
     dense = [c for c, count in counts.items() if 2 * n * count >= comb(n, c + 1) > 0]
-    missed, table, masks, rest = len(sample) - sum(map(counts.__getitem__, dense)), {}, set(), body
-    if 2 * missed < len(sample):  # else a lookup per line costs more than the hits save
+    table, blocks, loose, rest = {}, {}, set(), body
+    if 2 * sum(map(counts.__getitem__, dense)) > len(sample):  # else lookups would cost more
         # body[end] is the line after the last block found, and joined[pos] the newline before it
         joined, rest, end, pos = "\n" + "\n".join(body) + "\n", [], 0, 0
         for k in sorted({0, *[c + 1 for c in dense]}):  # {} and the full set only at pos
-            block, level_masks = _level_text(n, k)
+            block, packed = _level_text(n, k)
+            masks = struct.unpack(f"<{(size := comb(n, k))}I", packed.to_bytes(4 * size, "little"))
             first = "\n" + block[:block.index("}") + 1] + "\n"  # the block's first line
             at = joined.find(first, pos, None if 0 < k < n else pos + len(first))
             if at < 0 or not joined.startswith(block + "\n", at + 1):  # a table reads its lines
-                table.update(zip(block.split("\n"), level_masks))
+                table.update(zip(block.split("\n"), masks))
                 continue
             start = end + joined.count("\n", pos, at)  # the block's first line in the body
-            rest, end, pos = rest + body[end:start], start + len(level_masks), at + len(block) + 1
-            masks.update(level_masks)
+            rest, end, pos = rest + body[end:start], start + size, at + len(block) + 1
+            blocks[k] = masks
         rest += body[end:]
         if rest and len(got := set(map(table.get, rest))) == len(rest) and None not in got:
-            masks, rest = (masks | got if masks else got), []  # each a table hit, once
+            loose, rest = got, []  # each a table hit, once
     try:
-        _read_lines(rest, lineno + 1, n, table, masks)
-    except FamilyParseError:  # reread in order, to raise at the first bad line or duplicate
+        _read_lines(rest, lineno + 1, n, table, loose)
+        clash = blocks and not blocks.keys().isdisjoint(map(int.bit_count, loose))  # a repeat
+    except FamilyParseError:
+        clash = True
+    if clash:  # reread in order, to raise at the first bad line or duplicate
         _read_lines(body, lineno + 1, n, table, set())
-    del lines, body, sample, table, rest  # the lines and the table go before canonicalizing
-    return SetFamily.of(n, masks)
+    del lines, body, sample, table, rest  # the lines and the table go before the members
+    members = _canonical(loose)
+    if blocks:  # each block goes between the loose sets of lower and of higher levels
+        levels = {k: [*run] for k, run in groupby(members, int.bit_count)} | blocks
+        members = tuple(chain.from_iterable(map(levels.get, sorted(levels))))
+    family = SetFamily.__new__(SetFamily)  # in canonical order and in range, so unchecked
+    vars(family).update(n=n, members=members)
+    return family
 
 
 def serialize_family(family: SetFamily) -> str:

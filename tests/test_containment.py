@@ -207,6 +207,22 @@ def bitset(indices) -> int:
     return sum(1 << i for i in indices)
 
 
+def test_has_matches_the_per_member_definition():
+    # has[e] holds bit i for each member i containing element e, on random
+    # families at every n = 1-24 (8-, 16- and 32-bit fields), with the highest
+    # element at the top of a field, on no members and on {∅}
+    rng = Random(2024)
+    cases = [[], [0], [0, 1]]
+    for n in range(1, 25):
+        for size in (1, 2, rng.randint(3, 60), rng.randint(200, 600)):
+            masks = list({rng.getrandbits(n) for _ in range(size)} | {1 << (n - 1)})
+            cases.append(rng.sample(masks, len(masks)))
+    for masks in cases:
+        n = max(masks, default=0).bit_length()
+        assert Relations(masks).has == tuple(
+            sum(1 << i for i, x in enumerate(masks) if x >> e & 1) for e in range(n)), masks
+
+
 def test_live_set_search_matches_compact_search():
     # the solver lists the copies ending at a position inside rows built over
     # all 2^n candidates, live = that position and all before it; restricted

@@ -372,11 +372,70 @@ def test_level_blocks_end_on_line_boundaries():
             assert got[0] == "error" and got == parse_outcome(parse_family_reference, text)
 
 
+def blocks_with_loose_lines(rng: Random, n: int, k: int, loose: list[int]):
+    """Files holding levels k and k+1 of B_n whole, with the loose sets, and the
+    masks that are not read as blocks: the loose sets before, between and after
+    the blocks in canonical order; the blocks out of level order, so that the
+    level found second reads through its table; and each level shuffled."""
+    low, high = ([set_str(x) for x in level(n, j)] for j in (k, k + 1))
+    lines = [set_str(x) for x in loose]
+    cut = sorted(rng.choices(range(len(lines) + 1), k=2))
+    yield lines[:cut[0]] + low + lines[cut[0]:cut[1]] + high + lines[cut[1]:], set(loose)
+    yield (lines[:cut[0]] + high + lines[cut[0]:cut[1]] + low + lines[cut[1]:],
+           set(loose) | set(level(n, k + 1)))
+    at = rng.randint(0, len(lines))
+    for j in (k, k + 1):
+        blocks = [low, high]
+        blocks[j - k] = rng.sample(blocks[j - k], len(blocks[j - k]))  # read through its table
+        yield lines[:at] + blocks[0] + blocks[1] + lines[at:], set(loose) | set(level(n, j))
+
+
+def test_blocks_and_loose_lines_match_the_reference_reader(monkeypatch):
+    """Whole levels found as blocks among loose lines ({} and the full set among
+    them) give the reference reader's family, and only the masks not read as
+    blocks are sorted ({} or the full set right after a block is a block too); a
+    loose set on a block's level is a duplicate, reported at the later line with
+    the reference reader's message."""
+    calls = []
+    canonical = lattice._canonical
+    monkeypatch.setattr(lattice, "_canonical",
+                        lambda masks: calls.append(set(masks)) or canonical(masks))
+    rng = Random(37)
+    cases = 0
+    for n, k in [(7, 2), (8, 3), (10, 4), (11, 5), (12, 5)]:
+        ends = {0, (1 << n) - 1}
+        others = [x for x in range(1 << n) if x.bit_count() not in (0, k, k + 1, n)]
+        for loose in ([0, (1 << n) - 1], [0], [(1 << n) - 1], [],
+                      SetFamily.of(n, rng.sample(others, 12) + [0, (1 << n) - 1]).members,
+                      SetFamily.of(n, rng.sample(others, 8)).members):
+            for lines, unblocked in blocks_with_loose_lines(rng, n, k, list(loose)):
+                text = "\n".join([f"n={n}"] + lines)
+                calls.clear()
+                family = parse_family(text)
+                assert len(calls) == 1 and calls[0] - ends == unblocked - ends, text
+                assert family == parse_family_reference(text), text
+                assert family == SetFamily.of(n, [*loose, *level(n, k), *level(n, k + 1)])
+                found = level(n, k + 1 if set(level(n, k)) <= unblocked else k).members
+                block = lines.index(set_str(rng.choice(found)))  # a line of a block found
+                for at, where in [(block, 0), (block, len(lines)),  # a loose repeat of a block's set
+                                  *((rng.randrange(len(lines)), rng.randint(0, len(lines)))
+                                    for _ in range(3))]:
+                    edited = "\n".join([f"n={n}"] + lines[:where] + [lines[at]] + lines[where:])
+                    got = parse_outcome(parse_family, edited)
+                    assert got == parse_outcome(parse_family_reference, edited), edited
+                    later = 2 + max(where, at + (at >= where))
+                    assert got == ("error", f"line {later}: duplicate set {lines[at]!r}", later)
+                cases += 1
+    assert cases == 5 * 6 * 4
+
+
 def test_level_text_is_each_level_in_canonical_order():
     for n in range(1, 13):
         for k in range(n + 1):
             members = level(n, k).members
-            assert lattice._level_text(n, k) == ("\n".join(map(set_str, members)), list(members))
+            text, packed = lattice._level_text(n, k)
+            assert text == "\n".join(map(set_str, members))
+            assert packed == sum(x << 32 * i for i, x in enumerate(members))
 
 
 def serializer_sources(rng: Random):
